@@ -38,7 +38,7 @@ from .entanglement import (
     three_tangle,
     tripartite_marginals,
 )
-from .errors import BlochvecError
+from .errors import BlochvecError, DomainError
 from .invariants import (
     casimirs,
     classify_degeneracy_3,
@@ -61,7 +61,12 @@ def _default_tol(args) -> float | None:
     if args.tol is not None:
         return args.tol
     env = os.environ.get("BLOCHVEC_TOL")
-    return float(env) if env else None
+    if not env:
+        return None
+    try:
+        return float(env)
+    except ValueError:
+        raise DomainError(f"BLOCHVEC_TOL must be a number, got {env!r}") from None
 
 
 def _emit(payload: dict, as_json: bool, lines) -> None:

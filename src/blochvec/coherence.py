@@ -13,6 +13,7 @@ under the star product
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ class CoherenceState:
     """A real coherence vector of length dim^2 - 1.
 
     No positivity or norm constraint is imposed: vectors outside the unit
-    ball are legal inputs for positivity scanning.
+    ball are legal inputs for positivity scanning.  Entries must be finite.
     """
 
     dim: int
@@ -52,6 +53,8 @@ class CoherenceState:
                 f"coherence vector for dim {self.dim} must have length "
                 f"{self.dim**2 - 1}, got shape {vec.shape}"
             )
+        if not np.isfinite(vec).all():
+            raise DomainError("coherence vector has non-finite entries")
         vec.setflags(write=False)
         object.__setattr__(self, "n", vec)
 
@@ -64,13 +67,17 @@ def require_hermitian(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Return rho as a complex array, raising unless it is Hermitian.
 
     The tolerance scales with the largest entry: tol * max(1, |rho|_max).
+    A NaN or infinite entry makes the residual or the scale NaN or
+    infinite, so the same comparison refuses it.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise LayoutError(f"operator must be a square matrix, got shape {rho.shape}")
     scale = max(1.0, np.abs(rho).max())
     resid = np.abs(rho - rho.conj().T).max()
-    if resid > tol * scale:
+    if not resid <= tol * scale < math.inf:
+        if not math.isfinite(resid * scale):
+            raise DomainError("operator has non-finite entries")
         raise HermiticityError(f"operator is not Hermitian (residual {resid:.2e})")
     return rho
 

@@ -211,24 +211,13 @@ def werner_state(x: float) -> np.ndarray:
     return (1.0 - x) / 4.0 * np.eye(4, dtype=complex) + x * _SINGLET
 
 
-def werner_ppt_boundary(tol: float = 1e-12) -> float:
+def werner_ppt_boundary() -> float:
     """Mixing parameter where the transposed Werner state stops being PSD.
 
-    Bisects the sign of S_4 of the partial transpose computed through the
-    generic pipeline (analytically the root sits at x = 1/3).
+    The transposed S_4 factors as -(1 + x)^3 (3x - 1) / 256 (see
+    :func:`werner_symfns`), so on [0, 1] its only root is x = 1/3.
     """
-    from .positivity import symmetric_functions
-
-    layout = CompositeLayout(dims=(2, 2))
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        s4 = symmetric_functions(partial_transpose(werner_state(mid), layout, 0))[3]
-        if s4 > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 1.0 / 3.0
 
 
 def werner_symfns(x: float, transposed: bool) -> tuple[float, float]:

@@ -9,12 +9,13 @@ affine map ``T``/``t`` pair.  Writers and readers round-trip exactly.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import BlochvecError, LayoutError
+from .errors import BlochvecError
 
 FORMAT = "blochvec/1"
 
@@ -29,11 +30,19 @@ def _complex_to_pairs(arr: np.ndarray):
     return [_complex_to_pairs(row) for row in arr]
 
 
-def _pairs_to_complex(data) -> np.ndarray:
+def _real_array(data, what: str) -> np.ndarray:
+    """A finite float array, or a :class:`DocumentError` naming ``what``."""
     try:
         arr = np.asarray(data, dtype=float)
-    except ValueError as exc:
-        raise DocumentError(f"malformed complex payload: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"malformed {what}: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise DocumentError(f"{what} has non-finite entries")
+    return arr
+
+
+def _pairs_to_complex(data) -> np.ndarray:
+    arr = _real_array(data, "complex payload")
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise DocumentError("complex payloads must be nested [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -80,10 +89,23 @@ def amplitudes_document(psi: np.ndarray) -> dict:
     return {"format": FORMAT, "amplitudes": _complex_to_pairs(psi)}
 
 
+def _dimension(value, what: str) -> int:
+    """A JSON integer >= 2, or a :class:`DocumentError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DocumentError(f"{what} must be an integer, got {value!r}")
+    if value < 2:
+        raise DocumentError(f"{what} must be >= 2, got {value}")
+    return int(value)
+
+
 def _resolve_dims(doc) -> tuple[int, Optional[tuple[int, ...]]]:
-    dims = tuple(int(d) for d in doc["dims"]) if "dims" in doc else None
+    dims = None
+    if "dims" in doc:
+        if not isinstance(doc["dims"], (list, tuple)) or not doc["dims"]:
+            raise DocumentError(f"dims must be a nonempty list, got {doc['dims']!r}")
+        dims = tuple(_dimension(d, "subsystem dimension") for d in doc["dims"])
     if "dim" in doc:
-        dim = int(doc["dim"])
+        dim = _dimension(doc["dim"], "dim")
         if dims is not None and int(np.prod(dims)) != dim:
             raise DocumentError(f"dim {dim} inconsistent with dims {dims}")
     elif dims is not None:
@@ -104,7 +126,7 @@ def parse_matrix_document(doc: dict) -> MatrixDocument:
         if matrix.shape != (dim, dim):
             raise DocumentError(f"matrix shape {matrix.shape} inconsistent with dim {dim}")
         return MatrixDocument(dim=dim, dims=dims, matrix=matrix, coherence=None)
-    n = np.asarray(doc["coherence"], dtype=float)
+    n = _real_array(doc["coherence"], "coherence vector")
     if n.shape != (dim * dim - 1,):
         raise DocumentError(
             f"coherence vector length {n.size} inconsistent with dim {dim} "
@@ -116,8 +138,8 @@ def parse_matrix_document(doc: dict) -> MatrixDocument:
 def parse_map_document(doc: dict):
     dim, _ = _resolve_dims(doc)
     try:
-        T = np.asarray(doc["T"], dtype=float)
-        t = np.asarray(doc["t"], dtype=float)
+        T = _real_array(doc["T"], "map matrix T")
+        t = _real_array(doc["t"], "map vector t")
     except KeyError as exc:
         raise DocumentError(f"map document missing field {exc}") from exc
     k = dim * dim - 1
@@ -151,7 +173,3 @@ def dump_json(doc: dict, path: str) -> None:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
-
-def check_layout(dim: int, dims: Optional[tuple[int, ...]]) -> None:
-    if dims is not None and int(np.prod(dims)) != dim:
-        raise LayoutError(f"dims {dims} do not multiply to dim {dim}")

@@ -23,9 +23,10 @@ import numpy as np
 from .composite import CompositeLayout, partial_trace
 from .errors import DomainError, LayoutError, NormalizationError, ConsistencyError
 from .coherence import require_hermitian
+from .su_basis import build_gellmann_basis
 
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_YY = np.kron(_SY, _SY)
+_PAULI = build_gellmann_basis(2).elements  # sigma_x, sigma_y, sigma_z
+_YY = np.kron(_PAULI[1], _PAULI[1])
 _THREE_QUBITS = CompositeLayout(dims=(2, 2, 2))
 
 
@@ -99,9 +100,7 @@ def tripartite_marginals(psi: np.ndarray, *, norm_tol: float = 1e-12):
 
 
 def _bloch(rho2: np.ndarray) -> np.ndarray:
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    return np.array([np.trace(rho2 @ s).real for s in (sx, _SY, sz)])
+    return np.einsum("ab,iba->i", rho2, _PAULI).real
 
 
 @dataclass(frozen=True)
@@ -130,10 +129,8 @@ def schmidt_trace_relation(psi: np.ndarray, *, norm_tol: float = 1e-12) -> Schmi
     psi = _check_tripartite(psi, norm_tol)
     rho_a, rho_b, rho_c, rho_ab, _ = tripartite_marginals(psi, norm_tol=norm_tol)
     na, nb, nc = _bloch(rho_a), _bloch(rho_b), _bloch(rho_c)
-    paulis = (np.array([[0, 1], [1, 0]], dtype=complex), _SY,
-              np.array([[1, 0], [0, -1]], dtype=complex))
     r4 = rho_ab.reshape(2, 2, 2, 2)
-    nab = np.einsum("pqrs,irp,jsq->ij", r4, np.array(paulis), np.array(paulis)).real
+    nab = np.einsum("pqrs,irp,jsq->ij", r4, _PAULI, _PAULI).real
     pair_lhs = float(np.sum(nab**2))
     pair_rhs = float(1.0 + 2.0 * nc @ nc - na @ na - nb @ nb)
     det_lhs = float(np.trace(rho_ab @ spin_flip(rho_ab)).real)

@@ -1,8 +1,9 @@
 """Trace invariants Tr(rho^m) by two routes, Casimir invariants, and
 spectrum-degeneracy diagnostics.
 
-Route one multiplies coherence representations in the (identity, lam_k)
-decomposition, using both f and d tensors.  Route two evaluates closed
+Route one multiplies the reconstructed density matrix with itself, which
+is the product rule of the (identity, lam_k) decomposition, f and d
+together, carried out on N x N matrices.  Route two evaluates closed
 contraction formulas for the fully symmetrized traces
 
     T_k(n) = Tr_sym(lam_{i_1} ... lam_{i_k}) n_{i_1} ... n_{i_k}
@@ -10,8 +11,8 @@ contraction formulas for the fully symmetrized traces
 
 built from the raw bilinear w = d(n, n, .) and its nestings, then sums
 the binomial expansion of Tr(rho^m).  The two routes share only the
-structure tensors; agreement with direct eigenvalue sums is enforced by
-the test suite.
+basis; agreement with direct eigenvalue sums is enforced by the test
+suite.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .coherence import CoherenceState, coherence_scale
+from .coherence import CoherenceState, coherence_scale, from_coherence
 from .errors import (
     ConsistencyError,
     DimensionError,
@@ -56,13 +57,6 @@ class AdjointElement:
     def identity(cls, dim: int) -> "AdjointElement":
         return cls(dim=dim, scalar=1.0 + 0j, vec=np.zeros(dim**2 - 1, dtype=complex))
 
-    @classmethod
-    def from_state(cls, state: CoherenceState) -> "AdjointElement":
-        """The density operator (1/N)(1 + c n.lam) as an adjoint element."""
-        N = state.dim
-        return cls(dim=N, scalar=1.0 / N + 0j,
-                   vec=(coherence_scale(N) / N) * state.n.astype(complex))
-
     def to_matrix(self, basis: BasisSet) -> np.ndarray:
         if basis.dim != self.dim:
             raise LayoutError("basis dimension mismatch")
@@ -76,77 +70,93 @@ def adjoint_multiply(x: AdjointElement, y: AdjointElement,
     """Product of two adjoint elements under the algebra's product rule.
 
     scalar' = x.s y.s + (2/N) x.vec . y.vec and
-    vec'_k  = x.s y.vec_k + y.s x.vec_k + (d_ijk + i f_ijk) x.vec_i y.vec_j.
+    vec'_k  = x.s y.vec_k + y.s x.vec_k + (d_ijk + i f_ijk) x.vec_i y.vec_j,
+    evaluated as one N x N product Z whose scalar part is Tr(Z)/N and whose
+    components are Tr(Z lam_k)/2.
     """
     if x.dim != y.dim or x.dim != tensors.dim:
         raise LayoutError("adjoint elements and tensors must share one dimension")
     N = x.dim
-    scalar = x.scalar * y.scalar + (2.0 / N) * (x.vec @ y.vec)
-    vec = (
-        x.scalar * y.vec
-        + y.scalar * x.vec
-        + tensors.d_bilinear(x.vec, y.vec)
-        + 1j * tensors.f_bilinear(x.vec, y.vec)
-    )
-    return AdjointElement(dim=N, scalar=scalar, vec=vec)
+    prod = x.to_matrix(tensors.basis) @ y.to_matrix(tensors.basis)
+    return AdjointElement(dim=N, scalar=np.trace(prod) / N,
+                          vec=tensors.basis_traces(prod) / 2.0)
 
 
 def trace_power_adjoint(state: CoherenceState, m: int,
                         tensors: StructureTensors,
                         imag_tol: float = 1e-10) -> float:
-    """Tr(rho^m) by repeated adjoint multiplication; exact for any m >= 1."""
+    """Tr(rho^m) by m - 1 products of the reconstructed rho; exact for any m >= 1."""
     if m < 1:
         raise UnsupportedOrderError(f"power must be >= 1, got {m}")
-    rho = AdjointElement.from_state(state)
+    rho = from_coherence(state, tensors.basis)
     acc = rho
     for _ in range(m - 1):
-        acc = adjoint_multiply(acc, rho, tensors)
-    trace = state.dim * acc.scalar
+        acc = acc @ rho
+    trace = np.trace(acc)
     if abs(trace.imag) > imag_tol:
         raise ConsistencyError(f"trace has imaginary residue {trace.imag:.2e}")
     return float(trace.real)
 
 
-def _chain_vectors(n: np.ndarray, tensors: StructureTensors):
-    """w = d(n,n,.) and its first nesting A = d(w,w,.)."""
+def _chain_contractions(n: np.ndarray, tensors: StructureTensors,
+                        kmax: int) -> list[float]:
+    """[0, 0, c_2, ..., c_kmax]: the pure d-chain contraction with k copies
+    of n, from w = d(n,n,.) and A = d(w,w,.); only the vectors that orders
+    up to ``kmax`` need are computed.
+
+    c_2 = n.n, c_3 = w.n, c_4 = w.w, c_5 = A.n, c_6 = A.w,
+    c_7 = d(A,w,.).n, c_8 = A.A, c_9 = d(A,A,.).n.
+    """
+    c = [0.0, 0.0, float(n @ n)]
+    if kmax < 3:
+        return c
     w = tensors.d_bilinear(n, n)
-    return w, tensors.d_bilinear(w, w)
+    c += [float(w @ n), float(w @ w)]
+    if kmax < 5:
+        return c
+    A = tensors.d_bilinear(w, w)
+    c += [float(A @ n), float(A @ w)]
+    if kmax < 7:
+        return c
+    c += [float(tensors.d_bilinear(A, w) @ n), float(A @ A)]
+    if kmax < 9:
+        return c
+    c.append(float(tensors.d_bilinear(A, A) @ n))
+    return c
 
 
 def _sym_trace_values(n: np.ndarray, tensors: StructureTensors,
                       kmax: int) -> list[float]:
     """[T_0, ..., T_kmax] with T_k = Tr((n.lam)^k) from closed contractions."""
     N = tensors.dim
-    w, A = _chain_vectors(n, tensors)
-    p = float(n @ n)
-    wn = float(w @ n)
-    ww = float(w @ w)
-    T = [float(N), 0.0]
-    closed = {
-        2: 2.0 * p,
-        3: 2.0 * wn,
-        4: (4.0 / N) * p**2 + 2.0 * ww,
-        5: (8.0 / N) * p * wn + 2.0 * float(A @ n),
-        6: (8.0 / N**2) * p**3 + (12.0 / N) * p * ww + 2.0 * float(A @ w),
-        7: (24.0 / N**2) * p**2 * wn
-        + (12.0 / N) * p * float(A @ n)
+    c = _chain_contractions(n, tensors, kmax)
+    c += [0.0] * (MAX_CLOSED_ORDER + 1 - len(c))  # orders above kmax go unused
+    p, wn, ww = c[2], c[3], c[4]
+    T = [
+        float(N),
+        0.0,
+        2.0 * p,
+        2.0 * wn,
+        (4.0 / N) * p**2 + 2.0 * ww,
+        (8.0 / N) * p * wn + 2.0 * c[5],
+        (8.0 / N**2) * p**3 + (12.0 / N) * p * ww + 2.0 * c[6],
+        (24.0 / N**2) * p**2 * wn
+        + (12.0 / N) * p * c[5]
         + (4.0 / N) * wn * ww
-        + 2.0 * float(tensors.d_bilinear(A, w) @ n),
-        8: (16.0 / N**3) * p**4
+        + 2.0 * c[7],
+        (16.0 / N**3) * p**4
         + (48.0 / N**2) * p**2 * ww
         + (4.0 / N) * ww**2
-        + (16.0 / N) * p * float(A @ w)
-        + 2.0 * float(A @ A),
-        9: (64.0 / N**3) * p**3 * wn
+        + (16.0 / N) * p * c[6]
+        + 2.0 * c[8],
+        (64.0 / N**3) * p**3 * wn
         + (32.0 / N**2) * p * ww * wn
-        + (48.0 / N**2) * p**2 * float(A @ n)
-        + (8.0 / N) * ww * float(A @ n)
-        + (16.0 / N) * p * float(tensors.d_bilinear(w, A) @ n)
-        + 2.0 * float(tensors.d_bilinear(A, A) @ n),
-    }
-    for k in range(2, kmax + 1):
-        T.append(closed[k])
-    return T
+        + (48.0 / N**2) * p**2 * c[5]
+        + (8.0 / N) * ww * c[5]
+        + (16.0 / N) * p * c[7]
+        + 2.0 * c[9],
+    ]
+    return T[:kmax + 1]
 
 
 def symmetric_trace_contraction(k: int, n: np.ndarray,
@@ -214,20 +224,9 @@ def casimirs(state: CoherenceState, tensors: StructureTensors,
         raise UnsupportedOrderError(
             f"casimir order limited to min(N, 9) = {min(N, MAX_CLOSED_ORDER)}, got {up_to}"
         )
-    n = state.n
-    w, A = _chain_vectors(n, tensors)
-    chains = {
-        2: float(n @ n),
-        3: float(w @ n),
-        4: float(w @ w),
-        5: float(A @ n),
-        6: float(A @ w),
-        7: float(tensors.d_bilinear(A, w) @ n),
-        8: float(A @ A),
-        9: float(tensors.d_bilinear(A, A) @ n),
-    }
+    chains = _chain_contractions(state.n, tensors, up_to)
     kappa = coherence_scale(N) / (N - 2) if N > 2 else 0.0
-    values = {m: float(kappa ** (m - 2) * chains[m]) for m in range(2, up_to + 1)}
+    values = {m: kappa ** (m - 2) * chains[m] for m in range(2, up_to + 1)}
     return CasimirSet(dim=N, values=values)
 
 

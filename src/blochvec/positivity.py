@@ -13,18 +13,23 @@ For a Hermitian matrix (real spectrum) A is positive semidefinite exactly
 when every S_k >= 0, and the number of sign changes in the coefficient
 sequence (1, -S_1, S_2, ...) equals the number of strictly positive
 eigenvalues.
+
+The matrix gate uses that recursion.  The coherence gate instead reduces
+the rebuilt operator to tridiagonal form and runs La Budde's three-term
+recurrence, which keeps the sign of small S_k where the power-trace
+recursion loses it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coherence import CoherenceState, coherence_scale, from_coherence, require_hermitian
 from .errors import DimensionError, DomainError, LayoutError
-from .invariants import trace_power_adjoint
 from .su_basis import BasisSet, StructureTensors
 
 EPS_POS = 1e-9
@@ -132,6 +137,7 @@ def positivity_verdict(S, *, tol: float | None = None) -> SymFnSequence:
     honest tiny determinants or keep pure roundoff on degenerate spectra;
     the running band tracks the eigenvalue-counting cutoff at every scale.
 
+    A NaN or infinite coefficient raises :class:`DomainError`.
     Verdict: NotPSD iff some non-negligible S_k is negative, Boundary when
     PSD but some coefficient is negligible (rank deficiency within
     tolerance), PSD otherwise.  Negligible entries are skipped when
@@ -142,18 +148,22 @@ def positivity_verdict(S, *, tol: float | None = None) -> SymFnSequence:
     if S.ndim != 1 or S.size == 0:
         raise DomainError("need a nonempty coefficient sequence")
     band = EPS_POS if tol is None else tol
+    if not 0.0 <= band < math.inf:
+        raise DomainError(f"verdict tolerance must be finite and >= 0, got {band}")
     ref = 1.0
     changes = 0
     previous_sign = 1.0  # sign of the leading coefficient
     negative = False
     negligible = False
-    for k, value in enumerate(S, start=1):
+    for k, value in enumerate(S.tolist(), start=1):
         if abs(value) <= band * ref:
             negligible = True
             continue
         ref = abs(value)
+        if not ref < math.inf:  # NaN and inf are never negligible
+            raise DomainError(f"coefficient S_{k} is not finite: {value}")
         negative = negative or value < 0.0
-        sign = np.sign(value) * (-1.0) ** k
+        sign = (1.0 if value > 0.0 else -1.0) * (-1.0) ** k
         if sign != previous_sign:
             changes += 1
         previous_sign = sign
@@ -170,12 +180,72 @@ def check_positivity(mat: np.ndarray, *, tol: float | None = None,
     return positivity_verdict(symmetric_functions(mat, herm_tol=herm_tol), tol=tol)
 
 
+def _tridiagonal(mat: np.ndarray) -> tuple[list[float], list[float]]:
+    """Diagonal a_1..a_N and squared off-diagonal moduli |b_1|^2..|b_(N-1)|^2
+    of a real-diagonal tridiagonal matrix unitarily similar to the Hermitian
+    ``mat``, by Householder reflections H = 1 - tau v v^dag.
+
+    Step k reflects x, the column below the diagonal, onto -phase(x_0) |x| e_1
+    with v = x + phase(x_0) |x| e_1 and tau = 2 / |v|^2 = 1 / (|x|^2 + |x_0| |x|),
+    so |b_k|^2 = |x|^2 and only the trailing block needs the two-sided
+    update H A H = A - v w^dag - w v^dag with p = tau A v and
+    w = p - (tau / 2) (v^dag p) v.
+    """
+    A = np.array(mat, dtype=complex)
+    N = A.shape[0]
+    diag, off2 = [], []
+    for k in range(N - 1):
+        diag.append(float(A[k, k].real))
+        x = A[k + 1:, k]
+        norm2 = float(np.vdot(x, x).real)
+        off2.append(norm2)
+        if k == N - 2 or norm2 == 0.0:
+            continue
+        norm = math.sqrt(norm2)
+        x0 = complex(x[0])
+        r = abs(x0)
+        v = x.copy()
+        v[0] += (x0 / r if r else 1.0) * norm
+        tau = 1.0 / (norm2 + r * norm)
+        sub = A[k + 1:, k + 1:]
+        p = tau * np.dot(sub, v)
+        w = p - (0.5 * tau * np.vdot(v, p).real) * v
+        sub -= v[:, None] * w.conj() + w[:, None] * v.conj()
+    diag.append(float(A[N - 1, N - 1].real))
+    return diag, off2
+
+
+def tridiagonal_symmetric_functions(mat: np.ndarray, *, herm_tol: float = 1e-10) -> np.ndarray:
+    """S_1..S_N of a Hermitian matrix by La Budde's method: Householder
+    reduction to tridiagonal form, then the recurrence over leading blocks
+
+        e_j^(k) = e_j^(k-1) + a_k e_(j-1)^(k-1) - |b_(k-1)|^2 e_(j-2)^(k-2),
+
+    with e_0 = 1.  No power traces and no eigenvalues are formed, so small
+    S_k keep their sign where Newton's identities lose it (from N = 9 on).
+    """
+    a, b2 = _tridiagonal(require_hermitian(mat, tol=herm_tol))
+    prev, cur = [1.0], [1.0, a[0]]  # e^(0), e^(1)
+    for k in range(1, len(a)):
+        nxt = cur + [0.0]
+        for j in range(1, k + 2):
+            nxt[j] += a[k] * cur[j - 1]
+        for j in range(2, k + 2):
+            nxt[j] -= b2[k - 1] * prev[j - 2]
+        prev, cur = cur, nxt
+    return np.array(cur[1:])
+
+
 def check_positivity_coherence(state: CoherenceState, tensors: StructureTensors,
                                *, tol: float | None = None) -> SymFnSequence:
     """Positivity gate of the trace-one operator represented by a coherence
-    vector, with power traces taken in the adjoint representation."""
-    traces = [trace_power_adjoint(state, m, tensors) for m in range(1, state.dim + 1)]
-    return positivity_verdict(newton_symmetric_functions(traces), tol=tol)
+    vector: rho is rebuilt as an N x N matrix and its S_k are taken from
+    :func:`tridiagonal_symmetric_functions`."""
+    if state.dim != tensors.dim:
+        raise LayoutError("state and tensors must share one dimension")
+    N = state.dim
+    rho = (np.eye(N) + coherence_scale(N) * tensors.to_matrix(state.n)) / N
+    return positivity_verdict(tridiagonal_symmetric_functions(rho), tol=tol)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ for composites of qubits and qutrits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product as iproduct
 from typing import Optional
 
@@ -84,51 +84,105 @@ class BasisSet:
         traces = np.abs(np.einsum("iaa->i", elems)).max()
         if traces > tol:
             raise InconsistentBasisError(f"non-traceless basis element (residual {traces:.2e})")
-        gram = np.einsum("iab,jba->ij", elems, elems)
+        k = len(self)
+        gram = elems.reshape(k, -1) @ elems.transpose(0, 2, 1).reshape(k, -1).T
         resid = np.abs(gram - 2.0 * np.eye(len(self))).max()
         if resid > tol:
             raise InconsistentBasisError(f"basis not trace-orthonormal (residual {resid:.2e})")
 
 
 class StructureTensors:
-    """Sparse f (antisymmetric) and d (symmetric) tensors of a basis.
+    """The f (antisymmetric) and d (symmetric) tensors of a basis, applied
+    through N x N products instead of being stored.
 
-    Entries are stored once per canonical index triple: strictly increasing
-    triples for ``f`` (odd permutations flip the sign), non-decreasing
-    triples for ``d``.  Dense views are kept for fast contraction; all
-    arrays are read-only, instances are safe to share between threads.
+    For real a and b the product rule gives
+
+        Tr((a.lam)(b.lam) lam_k) / 2 = d(a, b)_k + i f(a, b)_k,
+
+    so each bilinear costs two expansions a.lam, b.lam, one N x N product
+    and one projection onto the basis, all O(N^4).  The dense (N^2 - 1)^3
+    arrays ``f_dense`` and ``d_dense`` and the canonical nonzero entries
+    ``d_entries`` are built from traces on first access only.  Instances
+    are read-only and safe to share between threads.
     """
 
-    def __init__(self, dim: int, f_dense: np.ndarray, d_dense: np.ndarray,
-                 tol: float = EPS_TENSOR):
-        k = dim**2 - 1
-        if f_dense.shape != (k, k, k) or d_dense.shape != (k, k, k):
-            raise LayoutError("structure tensors must be (N^2-1)^3 arrays")
-        f_dense = np.where(np.abs(f_dense) <= tol, 0.0, f_dense)
-        d_dense = np.where(np.abs(d_dense) <= tol, 0.0, d_dense)
-        f_dense.setflags(write=False)
-        d_dense.setflags(write=False)
-        self.dim = dim
-        self.f_dense = f_dense
-        self.d_dense = d_dense
-        self.f_entries = {
-            (i, j, kk): f_dense[i, j, kk]
-            for i, j, kk in zip(*np.nonzero(f_dense))
-            if i < j < kk
-        }
-        self.d_entries = {
-            (i, j, kk): d_dense[i, j, kk]
-            for i, j, kk in zip(*np.nonzero(d_dense))
-            if i <= j <= kk
-        }
+    def __init__(self, basis: BasisSet, tol: float = EPS_TENSOR):
+        k = len(basis)
+        elems = np.ascontiguousarray(basis.elements)
+        self.basis = basis
+        self.dim = basis.dim
+        self.tol = tol
+        # Rows hold (Re, Im) of each element, interleaved: v @ _re expands a
+        # real v into v.lam, and _re @ M gives Re Tr(M lam_k) for Hermitian
+        # lam_k; _im @ M gives Im Tr(M lam_k).  The methods call np.dot
+        # rather than @: same BLAS calls, less overhead per call on the
+        # small operands the coherence route is made of.
+        self._re = elems.view(float).reshape(k, -1)
+        self._im = np.ascontiguousarray(1j * elems).view(float).reshape(k, -1)
+        self._re.setflags(write=False)
+        self._im.setflags(write=False)
+
+    def to_matrix(self, v: np.ndarray) -> np.ndarray:
+        """The N x N operator v.lam (complex v allowed)."""
+        N = self.dim
+        if np.iscomplexobj(v):
+            return np.dot(v, self.basis.elements.reshape(len(self.basis), N * N)).reshape(N, N)
+        return np.dot(np.asarray(v, dtype=float), self._re).view(complex).reshape(N, N)
+
+    def basis_traces(self, mat: np.ndarray) -> np.ndarray:
+        """The vector Tr(mat lam_k) over the basis."""
+        flat = np.ascontiguousarray(mat, dtype=complex).view(float).reshape(-1)
+        return np.dot(self._re, flat) + 1j * np.dot(self._im, flat)
+
+    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(a.lam)(b.lam) for real a, b as interleaved real and imaginary parts."""
+        return np.dot(self.to_matrix(a), self.to_matrix(b)).view(float).reshape(-1)
+
+    def _both_orders(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Tr((a.lam)(b.lam) lam_k) and Tr((b.lam)(a.lam) lam_k) for complex a, b."""
+        A, B = self.to_matrix(a), self.to_matrix(b)
+        return self.basis_traces(A @ B), self.basis_traces(B @ A)
 
     def d_bilinear(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vector d_ijk a_i b_j (the raw, prefactor-free star product)."""
-        return b @ np.tensordot(a, self.d_dense, axes=(0, 0))
+        complex_args = np.iscomplexobj(a) or np.iscomplexobj(b)
+        if self.dim == 2:  # d vanishes identically on su(2)
+            return np.zeros(3, dtype=complex if complex_args else float)
+        if complex_args:
+            ab, ba = self._both_orders(a, b)
+            return (ab + ba) / 4.0
+        return np.dot(self._re, self._product(a, b)) / 2.0
 
     def f_bilinear(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vector f_ijk a_i b_j (antisymmetric in a, b)."""
-        return b @ np.tensordot(a, self.f_dense, axes=(0, 0))
+        if np.iscomplexobj(a) or np.iscomplexobj(b):
+            ab, ba = self._both_orders(a, b)
+            return (ab - ba) / 4.0j
+        return np.dot(self._im, self._product(a, b)) / 2.0
+
+    @cached_property
+    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
+        return _dense_tensors(self.basis, self.tol)
+
+    @property
+    def f_dense(self) -> np.ndarray:
+        """Dense f_ijk, built on first access; entries below tol are zero."""
+        return self._dense[0]
+
+    @property
+    def d_dense(self) -> np.ndarray:
+        """Dense d_ijk, built on first access; entries below tol are zero."""
+        return self._dense[1]
+
+    @cached_property
+    def d_entries(self) -> dict[tuple[int, int, int], float]:
+        """Nonzero d entries once per non-decreasing index triple."""
+        d = self.d_dense
+        return {
+            (i, j, kk): d[i, j, kk]
+            for i, j, kk in zip(*np.nonzero(d))
+            if i <= j <= kk
+        }
 
 
 def _gellmann_elements(dim: int) -> np.ndarray:
@@ -225,28 +279,34 @@ def _build_product_basis(dims: tuple[int, ...]) -> BasisSet:
 
 
 def structure_constants(basis: BasisSet, tol: float = EPS_TENSOR) -> StructureTensors:
-    """Compute the f and d tensors of ``basis`` from traces.
+    """The f and d tensors of ``basis``, after checking its invariants.
 
     f_ijk = Tr([lam_i, lam_j] lam_k) / (4i) and
     d_ijk = Tr({lam_i, lam_j} lam_k) / 4; the 1/4 normalization is forced by
     the commutation relations together with Tr(lam_i lam_j) = 2 delta_ij.
-    Entries below ``tol`` are dropped.
+    Nothing of size (N^2 - 1)^3 is allocated unless a dense view is asked
+    for, in which case entries below ``tol`` are dropped.
     """
     basis.validate()
+    return StructureTensors(basis, tol=tol)
+
+
+def _dense_tensors(basis: BasisSet, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (f, d) from traces, entries below ``tol`` set to zero."""
     elems = basis.elements
     prod = np.einsum("iab,jbc->ijac", elems, elems)
     comm = prod - prod.transpose(1, 0, 2, 3)
     anti = prod + prod.transpose(1, 0, 2, 3)
     f = np.einsum("ijab,kba->ijk", comm, elems) / 4j
     d = np.einsum("ijab,kba->ijk", anti, elems) / 4.0
-    f_imag = np.abs(f.imag).max()
-    d_imag = np.abs(d.imag).max()
-    if max(f_imag, d_imag) > tol:
-        raise InconsistentBasisError(
-            f"structure constants have imaginary residue {max(f_imag, d_imag):.2e}"
-        )
-    return StructureTensors(basis.dim, np.ascontiguousarray(f.real),
-                            np.ascontiguousarray(d.real), tol=tol)
+    residue = max(np.abs(f.imag).max(), np.abs(d.imag).max())
+    if residue > tol:
+        raise InconsistentBasisError(f"structure constants have imaginary residue {residue:.2e}")
+    f = np.where(np.abs(f.real) <= tol, 0.0, f.real)
+    d = np.where(np.abs(d.real) <= tol, 0.0, d.real)
+    f.setflags(write=False)
+    d.setflags(write=False)
+    return f, d
 
 
 @lru_cache(maxsize=None)

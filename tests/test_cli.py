@@ -276,3 +276,26 @@ def test_tol_env_override(write_doc, capsys, monkeypatch):
     monkeypatch.delenv("BLOCHVEC_TOL")
     capsys.readouterr()
     assert main(["check", path, "--tol", "1e-12"]) == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"format": "blochvec/1", "dim": 2,
+     "matrix": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+    {"format": "blochvec/1", "dim": 2, "coherence": [float("nan"), 0.1, 0.2]},
+    {"format": "blochvec/1", "dim": "abc", "coherence": [0.1, 0.2, 0.3]},
+    {"format": "blochvec/1", "dim": 1, "matrix": [[[1.0, 0.0]]]},
+], ids=["nan-matrix", "nan-coherence", "dim-abc", "dim-1"])
+def test_malformed_documents_exit_1(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["check", str(path), "--json"], ["invariants", str(path)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+def test_malformed_tol_env_exits_1(write_doc, capsys, monkeypatch):
+    monkeypatch.setenv("BLOCHVEC_TOL", "abc")
+    assert main(["check", write_doc(matrix_document(np.eye(2) / 2))]) == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -218,3 +218,18 @@ def test_random_orthogonal_pairs(dim):
         s2 = to_coherence(np.outer(u[:, 1], u[:, 1].conj()), basis)
         assert s1.n @ s2.n == pytest.approx(-1.0 / (dim - 1), abs=1e-9)
         assert orthogonal_states(s1, s2)
+
+
+def test_non_finite_inputs_are_refused():
+    from blochvec.coherence import require_hermitian
+
+    with pytest.raises(DomainError):
+        CoherenceState(dim=2, n=[np.nan, 0.1, 0.2])
+    with pytest.raises(DomainError):
+        CoherenceState(dim=2, n=[0.0, np.inf, 0.0])
+    bad = [np.array([[np.nan, 0.0], [0.0, 1.0]]),
+           np.array([[1.0, np.inf], [np.inf, 0.0]]),
+           np.array([[1.0, 0.0], [0.0, complex(0.0, np.inf)]])]
+    for mat in bad:
+        with pytest.raises(DomainError), np.errstate(invalid="ignore"):
+            require_hermitian(mat)

@@ -229,9 +229,20 @@ def test_werner_symfns_match_pipeline(x):
 
 
 def test_werner_ppt_boundary_bisection():
+    """Bisecting the sign of the transposed S_4 through the generic pipeline
+    lands on the closed-form root."""
     from blochvec import werner_ppt_boundary
 
-    assert werner_ppt_boundary() == pytest.approx(1 / 3, abs=1e-9)
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        s4 = symmetric_functions(partial_transpose(werner_state(mid), TWO_QUBITS, 0))[3]
+        if s4 > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    assert werner_ppt_boundary() == 1.0 / 3.0
+    assert 0.5 * (lo + hi) == pytest.approx(werner_ppt_boundary(), abs=1e-9)
 
 
 def test_werner_boundary_and_signs():

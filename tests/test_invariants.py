@@ -14,7 +14,11 @@ from blochvec import (
     casimirs,
     classify_degeneracy_3,
     classify_degeneracy_4,
+    check_positivity_coherence,
+    closed_S234,
     gellmann_tensors,
+    product_tensors,
+    structure_constants,
     symmetric_trace_contraction,
     to_coherence,
     trace_power_adjoint,
@@ -68,6 +72,45 @@ def test_adjoint_multiply_matches_dense_product(dim):
         prod = adjoint_multiply(x, y, tensors)
         dense = x.to_matrix(basis) @ y.to_matrix(basis)
         np.testing.assert_allclose(prod.to_matrix(basis), dense, atol=1e-10)
+
+
+@pytest.mark.parametrize("layout", [(2,), (3,), (4,), (5,), (6,), (2, 2), (3, 3), (2, 2, 2)])
+def test_adjoint_multiply_matches_dense_contraction(layout):
+    tensors = gellmann_tensors(layout[0]) if len(layout) == 1 else product_tensors(layout)
+    N = tensors.dim
+    k = N * N - 1
+    rng = np.random.default_rng(k)
+    for _ in range(5):
+        xv, yv = (v / np.linalg.norm(v) for v in rng.normal(size=(2, k)) + 1j * rng.normal(size=(2, k)))
+        x = AdjointElement(dim=N, scalar=complex(*rng.normal(size=2)), vec=xv)
+        y = AdjointElement(dim=N, scalar=complex(*rng.normal(size=2)), vec=yv)
+        prod = adjoint_multiply(x, y, tensors)
+        bilinear = yv @ np.tensordot(xv, tensors.d_dense + 1j * tensors.f_dense, axes=(0, 0))
+        assert abs(prod.scalar - (x.scalar * y.scalar + (2.0 / N) * (xv @ yv))) <= 1e-13
+        np.testing.assert_allclose(prod.vec, x.scalar * yv + y.scalar * xv + bilinear,
+                                   rtol=0, atol=1e-13)
+
+
+def test_coherence_route_never_builds_dense_tensors(monkeypatch):
+    import blochvec.su_basis as su_basis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense structure tensors were built")
+
+    monkeypatch.setattr(su_basis, "_dense_tensors", refuse)
+    basis = build_gellmann_basis(10)
+    tensors = structure_constants(basis)
+    rho = random_density_matrix(10, np.random.default_rng(10))
+    state = to_coherence(rho, basis)
+    eigs = np.linalg.eigvalsh(rho)
+    assert check_positivity_coherence(state, tensors).sign_changes == 10
+    S2, _, _ = closed_S234(state, tensors)
+    assert S2 == pytest.approx((1.0 - np.sum(eigs**2)) / 2.0, abs=1e-12)
+    assert set(casimirs(state, tensors, up_to=9).values) == set(range(2, 10))
+    for m in range(2, 10):
+        want = float(np.sum(eigs**m))
+        assert trace_power_closed(state, m, tensors) == pytest.approx(want, abs=1e-12)
+        assert trace_power_adjoint(state, m, tensors) == pytest.approx(want, abs=1e-12)
 
 
 def test_trace_power_adjoint_basics():

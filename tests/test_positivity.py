@@ -13,6 +13,7 @@ from blochvec import (
     Verdict,
     apply_affine_map,
     build_gellmann_basis,
+    build_product_basis,
     check_positivity,
     check_positivity_coherence,
     closed_S234,
@@ -21,8 +22,10 @@ from blochvec import (
     inversion_bound_check,
     newton_symmetric_functions,
     positivity_verdict,
+    product_tensors,
     symmetric_functions,
     to_coherence,
+    tridiagonal_symmetric_functions,
     universal_inversion,
     universal_inversion_matrix,
 )
@@ -297,3 +300,76 @@ def test_positivity_verdict_tol_handling():
     assert seq.verdict is Verdict.BOUNDARY
     seq = positivity_verdict(np.array([1.0, 0.2, -1e-3]))
     assert seq.verdict is Verdict.NOT_PSD
+
+
+def test_positivity_verdict_rejects_non_finite_input():
+    for S in ([np.nan, 0.1], [1.0, np.inf], [0.5, 0.06, -np.inf]):
+        with pytest.raises(DomainError):
+            positivity_verdict(np.array(S))
+    for tol in (np.nan, np.inf, -1e-9):
+        with pytest.raises(DomainError):
+            positivity_verdict(np.array([1.0, 0.2]), tol=tol)
+    with pytest.raises(DomainError):
+        check_positivity(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_tridiagonal_route_matches_esp_oracle(dim):
+    rng = np.random.default_rng(100 + dim)
+    for mat in (random_density_matrix(dim, rng), random_hermitian_trace_one(dim, rng)):
+        eigs = np.linalg.eigvalsh(mat)
+        np.testing.assert_allclose(tridiagonal_symmetric_functions(mat), esp_oracle(eigs),
+                                   rtol=1e-10, atol=1e-13)
+        # both routes agree where Newton's identities are still accurate
+        np.testing.assert_allclose(tridiagonal_symmetric_functions(mat),
+                                   symmetric_functions(mat), rtol=1e-8, atol=1e-12)
+
+
+def eigenvalue_verdict(mat):
+    eigs = np.linalg.eigvalsh(mat)
+    if eigs.min() < -1e-9:
+        verdict = Verdict.NOT_PSD
+    elif np.abs(eigs).min() <= 1e-9:
+        verdict = Verdict.BOUNDARY
+    else:
+        verdict = Verdict.PSD
+    return verdict, int(np.sum(eigs > 1e-9))
+
+
+def hard_states(dim, rng, count):
+    """Full-rank, rank N-1 and indefinite trace-one operators, ``count`` each;
+    the indefinite ones have one eigenvalue at -5% of the mean."""
+    states = []
+    for _ in range(count):
+        states.append(random_density_matrix(dim, rng))
+        states.append(random_density_matrix(dim, rng, rank=dim - 1))
+        eigs, vecs = np.linalg.eigh(random_density_matrix(dim, rng))
+        eigs[0] = -0.05 / dim
+        mat = (vecs * eigs) @ vecs.conj().T
+        states.append(mat / np.trace(mat).real)
+    return states
+
+
+@pytest.mark.parametrize("layout", [(9,), (12,), (2, 2, 2, 2), (24,)])
+def test_coherence_gate_matches_eigenvalues_at_large_dim(layout):
+    if len(layout) == 1:
+        basis, tensors = build_gellmann_basis(layout[0]), gellmann_tensors(layout[0])
+    else:
+        basis, tensors = build_product_basis(layout), product_tensors(layout)
+    rng = np.random.default_rng(sum(layout))
+    for mat in hard_states(basis.dim, rng, 4):
+        seq = check_positivity_coherence(to_coherence(mat, basis), tensors)
+        assert (seq.verdict, seq.sign_changes) == eigenvalue_verdict(mat)
+
+
+def test_newton_route_fails_where_the_coherence_gate_holds():
+    basis, tensors = build_gellmann_basis(24), gellmann_tensors(24)
+    states = hard_states(24, np.random.default_rng(24), 4)
+    newton_wrong = 0
+    for mat in states:
+        want = eigenvalue_verdict(mat)
+        seq = check_positivity_coherence(to_coherence(mat, basis), tensors)
+        assert (seq.verdict, seq.sign_changes) == want
+        newton = check_positivity(mat)
+        newton_wrong += (newton.verdict, newton.sign_changes) != want
+    assert newton_wrong > 0

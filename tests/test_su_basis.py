@@ -15,6 +15,7 @@ from blochvec import (
     build_gellmann_basis,
     build_product_basis,
     gellmann_tensors,
+    product_tensors,
     structure_constants,
 )
 
@@ -174,6 +175,43 @@ def test_product_rule_reconstruction(dim):
     recon = (2.0 / dim) * np.einsum("ij,ab->ijab", np.eye(len(basis)), np.eye(dim)) \
         + np.einsum("ijk,kab->ijab", 1j * t.f_dense + t.d_dense, elems)
     assert np.abs(prods - recon).max() <= 1e-10
+
+
+@pytest.mark.parametrize("layout", [(2,), (3,), (4,), (5,), (6,), (2, 2), (3, 3), (2, 2, 2)])
+def test_matrix_free_bilinears_match_dense_contraction(layout):
+    t = gellmann_tensors(layout[0]) if len(layout) == 1 else product_tensors(layout)
+    k = t.dim**2 - 1
+    rng = np.random.default_rng(k)
+    for _ in range(5):
+        a, b = (v / np.linalg.norm(v) for v in rng.normal(size=(2, k)))
+        np.testing.assert_allclose(t.d_bilinear(a, b), b @ np.tensordot(a, t.d_dense, axes=(0, 0)),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(t.f_bilinear(a, b), b @ np.tensordot(a, t.f_dense, axes=(0, 0)),
+                                   rtol=0, atol=1e-13)
+        # complex arguments take the (anti)commutator form
+        za, zb = a + 0.5j * b, b - 0.5j * a
+        np.testing.assert_allclose(t.d_bilinear(za, zb),
+                                   zb @ np.tensordot(za, t.d_dense, axes=(0, 0)),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(t.f_bilinear(za, zb),
+                                   zb @ np.tensordot(za, t.f_dense, axes=(0, 0)),
+                                   rtol=0, atol=1e-13)
+
+
+def test_qubit_d_bilinear_is_exactly_zero():
+    t = gellmann_tensors(2)
+    rng = np.random.default_rng(2)
+    a, b = rng.normal(size=(2, 3))
+    assert np.all(t.d_bilinear(a, b) == 0.0)
+    assert t.d_bilinear(a, b).dtype == float
+
+
+def test_structure_constants_build_no_dense_tensors():
+    t = structure_constants(build_product_basis((2, 2, 2, 2)))
+    held = sum(v.nbytes for v in vars(t).values() if isinstance(v, np.ndarray))
+    assert held < 255**3 * 8 / 50  # one dense (N^2-1)^3 tensor would be 133 MB
+    t.d_bilinear(np.ones(255), np.ones(255))
+    assert "_dense" not in vars(t)
 
 
 def test_structure_constants_reject_bad_basis():
