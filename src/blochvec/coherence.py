@@ -67,17 +67,18 @@ def require_hermitian(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Return rho as a complex array, raising unless it is Hermitian.
 
     The tolerance scales with the largest entry: tol * max(1, |rho|_max).
-    A NaN or infinite entry makes the residual or the scale NaN or
-    infinite, so the same comparison refuses it.
+    A NaN or infinite entry makes that largest entry NaN or infinite and
+    raises :class:`DomainError` before the residual is formed.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise LayoutError(f"operator must be a square matrix, got shape {rho.shape}")
-    scale = max(1.0, np.abs(rho).max())
+    peak = np.abs(rho).max()
+    if not peak < math.inf:  # refused before rho - rho^dag can warn on inf - inf
+        raise DomainError("operator has non-finite entries")
+    scale = max(1.0, peak)
     resid = np.abs(rho - rho.conj().T).max()
     if not resid <= tol * scale < math.inf:
-        if not math.isfinite(resid * scale):
-            raise DomainError("operator has non-finite entries")
         raise HermiticityError(f"operator is not Hermitian (residual {resid:.2e})")
     return rho
 
@@ -109,6 +110,15 @@ def from_coherence(state: CoherenceState, basis: BasisSet) -> np.ndarray:
     N = basis.dim
     mat = np.tensordot(state.n, basis.elements, axes=(0, 0))
     return (np.eye(N, dtype=complex) + coherence_scale(N) * mat) / N
+
+
+def _rebuild_operator(state: CoherenceState, tensors: StructureTensors) -> np.ndarray:
+    """rho = (1/N)(1 + c n.lam) through the tensors' real-view expansion,
+    which skips the call overhead of :func:`from_coherence`'s tensordot."""
+    if state.dim != tensors.dim:
+        raise LayoutError("state and tensors must share one dimension")
+    N = state.dim
+    return (np.eye(N) + coherence_scale(N) * tensors.to_matrix(state.n)) / N
 
 
 def star(a: np.ndarray, b: np.ndarray, tensors: StructureTensors) -> np.ndarray:

@@ -9,7 +9,8 @@ contraction formulas for the fully symmetrized traces
     T_k(n) = Tr_sym(lam_{i_1} ... lam_{i_k}) n_{i_1} ... n_{i_k}
            = Tr((n . lam)^k),
 
-built from the raw bilinear w = d(n, n, .) and its nestings, then sums
+built from the d-chain contractions of n (:meth:`StructureTensors.d_chain`,
+traces of N x N operator products, computed once per state), then sums
 the binomial expansion of Tr(rho^m).  The two routes share only the
 basis; agreement with direct eigenvalue sums is enforced by the test
 suite.
@@ -24,7 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .coherence import CoherenceState, coherence_scale, from_coherence
+from .coherence import CoherenceState, _rebuild_operator, coherence_scale
 from .errors import (
     ConsistencyError,
     DimensionError,
@@ -88,7 +89,7 @@ def trace_power_adjoint(state: CoherenceState, m: int,
     """Tr(rho^m) by m - 1 products of the reconstructed rho; exact for any m >= 1."""
     if m < 1:
         raise UnsupportedOrderError(f"power must be >= 1, got {m}")
-    rho = from_coherence(state, tensors.basis)
+    rho = _rebuild_operator(state, tensors)
     acc = rho
     for _ in range(m - 1):
         acc = acc @ rho
@@ -98,41 +99,12 @@ def trace_power_adjoint(state: CoherenceState, m: int,
     return float(trace.real)
 
 
-def _chain_contractions(n: np.ndarray, tensors: StructureTensors,
-                        kmax: int) -> list[float]:
-    """[0, 0, c_2, ..., c_kmax]: the pure d-chain contraction with k copies
-    of n, from w = d(n,n,.) and A = d(w,w,.); only the vectors that orders
-    up to ``kmax`` need are computed.
-
-    c_2 = n.n, c_3 = w.n, c_4 = w.w, c_5 = A.n, c_6 = A.w,
-    c_7 = d(A,w,.).n, c_8 = A.A, c_9 = d(A,A,.).n.
-    """
-    c = [0.0, 0.0, float(n @ n)]
-    if kmax < 3:
-        return c
-    w = tensors.d_bilinear(n, n)
-    c += [float(w @ n), float(w @ w)]
-    if kmax < 5:
-        return c
-    A = tensors.d_bilinear(w, w)
-    c += [float(A @ n), float(A @ w)]
-    if kmax < 7:
-        return c
-    c += [float(tensors.d_bilinear(A, w) @ n), float(A @ A)]
-    if kmax < 9:
-        return c
-    c.append(float(tensors.d_bilinear(A, A) @ n))
-    return c
-
-
-def _sym_trace_values(n: np.ndarray, tensors: StructureTensors,
-                      kmax: int) -> list[float]:
-    """[T_0, ..., T_kmax] with T_k = Tr((n.lam)^k) from closed contractions."""
+def _sym_trace_values(n: np.ndarray, tensors: StructureTensors) -> list[float]:
+    """[T_0, ..., T_9] with T_k = Tr((n.lam)^k) from closed contractions."""
     N = tensors.dim
-    c = _chain_contractions(n, tensors, kmax)
-    c += [0.0] * (MAX_CLOSED_ORDER + 1 - len(c))  # orders above kmax go unused
+    c = tensors.d_chain(n)
     p, wn, ww = c[2], c[3], c[4]
-    T = [
+    return [
         float(N),
         0.0,
         2.0 * p,
@@ -156,7 +128,6 @@ def _sym_trace_values(n: np.ndarray, tensors: StructureTensors,
         + (16.0 / N) * p * c[7]
         + 2.0 * c[9],
     ]
-    return T[:kmax + 1]
 
 
 def symmetric_trace_contraction(k: int, n: np.ndarray,
@@ -172,7 +143,7 @@ def symmetric_trace_contraction(k: int, n: np.ndarray,
     n = np.asarray(n, dtype=float)
     if n.shape != (tensors.dim**2 - 1,):
         raise LayoutError(f"vector must have length {tensors.dim**2 - 1}")
-    return _sym_trace_values(n, tensors, k)[k]
+    return _sym_trace_values(n, tensors)[k]
 
 
 def trace_power_closed(state: CoherenceState, m: int,
@@ -189,7 +160,7 @@ def trace_power_closed(state: CoherenceState, m: int,
         raise LayoutError("state and tensors must share one dimension")
     N = state.dim
     c = coherence_scale(N)
-    T = _sym_trace_values(state.n, tensors, m)
+    T = _sym_trace_values(state.n, tensors)
     return float(sum(comb(m, k) * c**k * T[k] for k in range(m + 1)) / N**m)
 
 
@@ -224,7 +195,7 @@ def casimirs(state: CoherenceState, tensors: StructureTensors,
         raise UnsupportedOrderError(
             f"casimir order limited to min(N, 9) = {min(N, MAX_CLOSED_ORDER)}, got {up_to}"
         )
-    chains = _chain_contractions(state.n, tensors, up_to)
+    chains = tensors.d_chain(state.n)
     kappa = coherence_scale(N) / (N - 2) if N > 2 else 0.0
     values = {m: kappa ** (m - 2) * chains[m] for m in range(2, up_to + 1)}
     return CasimirSet(dim=N, values=values)

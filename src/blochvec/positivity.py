@@ -28,7 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import CoherenceState, coherence_scale, from_coherence, require_hermitian
+from .coherence import (
+    CoherenceState,
+    _rebuild_operator,
+    coherence_scale,
+    from_coherence,
+    require_hermitian,
+)
 from .errors import DimensionError, DomainError, LayoutError
 from .su_basis import BasisSet, StructureTensors
 
@@ -111,11 +117,7 @@ def closed_S234(state: CoherenceState, tensors: StructureTensors) -> tuple[float
         raise LayoutError("state and tensors must share one dimension")
     N = state.dim
     c = coherence_scale(N)
-    n = state.n
-    w = tensors.d_bilinear(n, n)
-    p = float(n @ n)
-    wn = float(w @ n)
-    ww = float(w @ w)
+    p, wn, ww = tensors.d_chain(state.n)[2:5]
     S2 = (N - 1) / (2.0 * N) * (1.0 - p)
     S3 = (N - 1) / (6.0 * N**2) * ((N - 2) * (1.0 - 3.0 * p) + 2.0 * c * wn)
     S4 = (N - 1) / (24.0 * N**3) * (
@@ -241,10 +243,7 @@ def check_positivity_coherence(state: CoherenceState, tensors: StructureTensors,
     """Positivity gate of the trace-one operator represented by a coherence
     vector: rho is rebuilt as an N x N matrix and its S_k are taken from
     :func:`tridiagonal_symmetric_functions`."""
-    if state.dim != tensors.dim:
-        raise LayoutError("state and tensors must share one dimension")
-    N = state.dim
-    rho = (np.eye(N) + coherence_scale(N) * tensors.to_matrix(state.n)) / N
+    rho = _rebuild_operator(state, tensors)
     return positivity_verdict(tridiagonal_symmetric_functions(rho), tol=tol)
 
 

@@ -102,8 +102,13 @@ class StructureTensors:
     so each bilinear costs two expansions a.lam, b.lam, one N x N product
     and one projection onto the basis, all O(N^4).  The dense (N^2 - 1)^3
     arrays ``f_dense`` and ``d_dense`` and the canonical nonzero entries
-    ``d_entries`` are built from traces on first access only.  Instances
-    are read-only and safe to share between threads.
+    ``d_entries`` are built from traces on first access only.
+
+    The one mutable attribute is a one-entry memo of :meth:`d_chain`, the
+    pair (bytes of n, chain).  It is read once and replaced as one tuple,
+    never updated in place, so a thread sees either the old pair or the
+    new one, and a hit returns exactly what a fresh computation would.
+    Instances are otherwise read-only and safe to share between threads.
     """
 
     def __init__(self, basis: BasisSet, tol: float = EPS_TENSOR):
@@ -121,6 +126,7 @@ class StructureTensors:
         self._im = np.ascontiguousarray(1j * elems).view(float).reshape(k, -1)
         self._re.setflags(write=False)
         self._im.setflags(write=False)
+        self._chain_memo: tuple[Optional[bytes], tuple[float, ...]] = (None, ())
 
     def to_matrix(self, v: np.ndarray) -> np.ndarray:
         """The N x N operator v.lam (complex v allowed)."""
@@ -160,6 +166,49 @@ class StructureTensors:
             return (ab - ba) / 4.0j
         return np.dot(self._im, self._product(a, b)) / 2.0
 
+    def d_chain(self, n: np.ndarray) -> tuple[float, ...]:
+        """(0, 0, c_2, ..., c_9): the pure d-chain contractions of a real n.
+
+        With w = d(n,n,.) and A = d(w,w,.),
+
+            c_2 = n.n, c_3 = w.n, c_4 = w.w, c_5 = A.n, c_6 = A.w,
+            c_7 = d(A,w,.).n, c_8 = A.A, c_9 = d(A,A,.).n.
+
+        The chain of the last n asked for is kept, so taking several
+        invariants of one state in a row computes it once.
+        """
+        n = np.asarray(n, dtype=float)
+        key = n.tobytes()
+        memo = self._chain_memo
+        if memo[0] == key:
+            return memo[1]
+        chain = self._d_chain(n)
+        self._chain_memo = (key, chain)
+        return chain
+
+    def _d_chain(self, n: np.ndarray) -> tuple[float, ...]:
+        """The chain of :meth:`d_chain` from three N x N products.
+
+        By the product rule X = n.lam squares to (2/N)(n.n) 1 + w.lam, so
+        W = X^2 - (2 c_2/N) 1 is w.lam and A.lam = W^2 - (2 c_4/N) 1; every
+        contraction a.b is then Tr((a.lam)(b.lam))/2, c_7 = Re Tr(XAW)/2
+        and c_9 = Tr(XAA)/2, with no projection onto the basis.
+        """
+        N = self.dim
+        c2 = float(np.dot(n, n))
+        if N == 2:  # d vanishes identically on su(2)
+            return (0.0, 0.0, c2) + (0.0,) * 7
+        X = self.to_matrix(n)
+        W = np.dot(X, X)
+        W.reshape(-1)[::N + 1] -= 2.0 * c2 / N
+        c4 = _half_trace(W, W)
+        A = np.dot(W, W)
+        A.reshape(-1)[::N + 1] -= 2.0 * c4 / N
+        XA = np.dot(X, A)
+        return (0.0, 0.0, c2, _half_trace(X, W), c4, _half_trace(X, A),
+                _half_trace(W, A), _half_trace(XA, W), _half_trace(A, A),
+                _half_trace(XA, A))
+
     @cached_property
     def _dense(self) -> tuple[np.ndarray, np.ndarray]:
         return _dense_tensors(self.basis, self.tol)
@@ -183,6 +232,11 @@ class StructureTensors:
             for i, j, kk in zip(*np.nonzero(d))
             if i <= j <= kk
         }
+
+
+def _half_trace(P: np.ndarray, Q: np.ndarray) -> float:
+    """Re Tr(P Q) / 2 for a Hermitian Q, as one O(N^2) sum."""
+    return float(np.vdot(Q, P).real) / 2.0
 
 
 def _gellmann_elements(dim: int) -> np.ndarray:

@@ -233,3 +233,18 @@ def test_non_finite_inputs_are_refused():
     for mat in bad:
         with pytest.raises(DomainError), np.errstate(invalid="ignore"):
             require_hermitian(mat)
+
+
+def test_non_finite_entries_raise_domain_error_without_warnings():
+    import warnings
+
+    from blochvec.coherence import require_hermitian
+
+    bad = [np.array([[np.inf, 0.0], [0.0, 1.0]]),
+           np.array([[1.0, np.inf], [0.0, 1.0]]),
+           np.array([[1.0, 0.0], [0.0, np.nan]])]
+    for mat in bad:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                require_hermitian(mat)

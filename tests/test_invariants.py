@@ -113,6 +113,45 @@ def test_coherence_route_never_builds_dense_tensors(monkeypatch):
         assert trace_power_adjoint(state, m, tensors) == pytest.approx(want, abs=1e-12)
 
 
+def test_invariant_sweep_computes_the_d_chain_once(monkeypatch):
+    from blochvec.su_basis import StructureTensors
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("d_bilinear called on a closed-invariant path")
+
+    computed = []
+    compute = StructureTensors._d_chain
+
+    def counted(self, n):
+        computed.append(n.copy())
+        return compute(self, n)
+
+    monkeypatch.setattr(StructureTensors, "d_bilinear", refuse)
+    monkeypatch.setattr(StructureTensors, "_d_chain", counted)
+    basis = build_gellmann_basis(9)
+    tensors = structure_constants(basis)  # a fresh instance: empty memo
+    state = to_coherence(random_density_matrix(9, np.random.default_rng(9)), basis)
+    closed_S234(state, tensors)
+    casimirs(state, tensors, up_to=9)
+    for m in range(2, 10):
+        trace_power_closed(state, m, tensors)
+    assert len(computed) == 1
+    np.testing.assert_array_equal(computed[0], state.n)
+
+
+def test_symmetric_trace_contraction_sees_in_place_changes():
+    basis = build_gellmann_basis(4)
+    tensors = structure_constants(basis)
+    n = np.random.default_rng(4).normal(size=15)
+    before = symmetric_trace_contraction(5, n, tensors)
+    n[3] += 0.5  # same array object, new contents
+    after = symmetric_trace_contraction(5, n, tensors)
+    assert after != before
+    assert after == symmetric_trace_contraction(5, n.copy(), structure_constants(basis))
+    power = np.tensordot(n, basis.elements, axes=(0, 0))
+    assert after == pytest.approx(np.trace(np.linalg.matrix_power(power, 5)).real, rel=1e-11)
+
+
 def test_trace_power_adjoint_basics():
     tensors = gellmann_tensors(4)
     basis = build_gellmann_basis(4)

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -204,6 +205,81 @@ def test_qubit_d_bilinear_is_exactly_zero():
     a, b = rng.normal(size=(2, 3))
     assert np.all(t.d_bilinear(a, b) == 0.0)
     assert t.d_bilinear(a, b).dtype == float
+
+
+def _bilinear_chain(n, t):
+    """[0, 0, c_2, ..., c_9] from d_bilinear and projections, the reference
+    the operator-product chain is checked against."""
+    w = t.d_bilinear(n, n)
+    A = t.d_bilinear(w, w)
+    return [0.0, 0.0, n @ n, w @ n, w @ w, A @ n, A @ w,
+            t.d_bilinear(A, w) @ n, A @ A, t.d_bilinear(A, A) @ n]
+
+
+@pytest.mark.parametrize("layout", [(3,), (4,), (5,), (6,), (7,), (8,), (9,),
+                                    (2, 2), (3, 3), (2, 2, 2), (2, 2, 2, 2)])
+def test_d_chain_matches_bilinear_chain(layout):
+    t = gellmann_tensors(layout[0]) if len(layout) == 1 else product_tensors(layout)
+    rng = np.random.default_rng(t.dim + 100 * len(layout))
+    for _ in range(5):
+        n = rng.normal(size=t.dim**2 - 1)
+        n *= rng.uniform(0.5, 2.0) / np.linalg.norm(n)
+        got, want = t.d_chain(n), _bilinear_chain(n, t)
+        assert len(got) == 10 and got[:2] == (0.0, 0.0)
+        for k in range(2, 10):
+            # relative to the value or, where it nearly cancels, to |n|^k
+            scale = max(abs(want[k]), (n @ n) ** (k / 2))
+            assert abs(got[k] - want[k]) <= 1e-12 * scale, (k, got[k], want[k])
+
+
+def test_qubit_d_chain_is_exactly_zero_beyond_c2():
+    t = gellmann_tensors(2)
+    n = np.random.default_rng(3).normal(size=3)
+    chain = t.d_chain(n)
+    assert chain[2] == float(n @ n)
+    assert all(c == 0.0 for c in chain[3:]) and len(chain) == 10
+
+
+def test_d_chain_memo_serves_interleaved_states_fresh_values():
+    basis = build_gellmann_basis(5)
+    shared = structure_constants(basis)
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(2, 24))
+    fresh = {key: structure_constants(basis).d_chain(v) for key, v in (("a", a), ("b", b))}
+    for key, v in (("a", a), ("b", b), ("a", a), ("a", a)):
+        assert shared.d_chain(v) == fresh[key]
+
+
+def test_d_chain_memo_is_thread_safe():
+    import threading
+
+    basis = build_gellmann_basis(6)
+    shared = structure_constants(basis)
+    rng = np.random.default_rng(6)
+    states = rng.normal(size=(2, 35))
+    want = [structure_constants(basis).d_chain(v) for v in states]
+    workers = 4
+    start = threading.Barrier(workers)
+    wrong = []
+
+    def worker(i):  # every thread alternates the same two states, half out of step
+        start.wait()
+        for j in range(i, i + 400):
+            if shared.d_chain(states[j % 2]) != want[j % 2]:
+                wrong.append((i, j))
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_structure_constants_build_no_dense_tensors():
