@@ -38,15 +38,21 @@ from .entanglement import (
     three_tangle,
     tripartite_marginals,
 )
-from .errors import BlochvecError, DomainError
+from .errors import BlochvecError, DomainError, UnsupportedOrderError
 from .invariants import (
+    MAX_CLOSED_ORDER,
     casimirs,
     classify_degeneracy_3,
     classify_degeneracy_4,
-    trace_power_adjoint,
     trace_power_closed,
 )
-from .positivity import AffineMap, Verdict, apply_affine_map, check_positivity
+from .positivity import (
+    AffineMap,
+    Verdict,
+    apply_affine_map,
+    check_positivity,
+    matrix_trace_powers,
+)
 from .su_basis import (
     build_gellmann_basis,
     build_product_basis,
@@ -147,17 +153,23 @@ def cmd_check(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    m = args.max_order
+    if not 2 <= m <= MAX_CLOSED_ORDER:
+        raise UnsupportedOrderError(
+            f"--max-order must lie in 2..{MAX_CLOSED_ORDER}, got {m}")
     doc, matrix, state = _load_document(args.input)
     dim = doc.dim
+    basis = _basis_for(doc)
     if state is None:
-        state = to_coherence(matrix, _basis_for(doc))
+        state = to_coherence(matrix, basis)
     tensors = _tensors_for(doc)
-    m = args.max_order
+    # The "adjoint" column is the direct route: powers of the rebuilt rho.
+    direct = matrix_trace_powers(from_coherence(state, basis), m)
     rows = {}
     max_disc = 0.0
     for k in range(2, m + 1):
         closed = trace_power_closed(state, k, tensors)
-        adjoint = trace_power_adjoint(state, k, tensors)
+        adjoint = float(direct[k - 1])
         rows[k] = {"closed": closed, "adjoint": adjoint}
         max_disc = max(max_disc, abs(closed - adjoint))
     cas = casimirs(state, tensors, up_to=min(dim, m, 9) if dim >= 3 else 2)

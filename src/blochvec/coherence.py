@@ -112,15 +112,6 @@ def from_coherence(state: CoherenceState, basis: BasisSet) -> np.ndarray:
     return (np.eye(N, dtype=complex) + coherence_scale(N) * mat) / N
 
 
-def _rebuild_operator(state: CoherenceState, tensors: StructureTensors) -> np.ndarray:
-    """rho = (1/N)(1 + c n.lam) through the tensors' real-view expansion,
-    which skips the call overhead of :func:`from_coherence`'s tensordot."""
-    if state.dim != tensors.dim:
-        raise LayoutError("state and tensors must share one dimension")
-    N = state.dim
-    return (np.eye(N) + coherence_scale(N) * tensors.to_matrix(state.n)) / N
-
-
 def star(a: np.ndarray, b: np.ndarray, tensors: StructureTensors) -> np.ndarray:
     """Star product (a * b)_k = c/(N-2) d_ijk a_i b_j; symmetric in a, b.
 

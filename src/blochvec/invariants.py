@@ -1,10 +1,12 @@
-"""Trace invariants Tr(rho^m) by two routes, Casimir invariants, and
-spectrum-degeneracy diagnostics.
+"""Trace invariants Tr(rho^m) by closed contractions, Casimir invariants,
+and spectrum-degeneracy diagnostics.
 
-Route one multiplies the reconstructed density matrix with itself, which
-is the product rule of the (identity, lam_k) decomposition, f and d
-together, carried out on N x N matrices.  Route two evaluates closed
-contraction formulas for the fully symmetrized traces
+Tr(rho^m) has two routes.  The direct one is
+:func:`~blochvec.positivity.matrix_trace_powers` of the rebuilt density
+matrix :func:`~blochvec.coherence.from_coherence`: multiplying rho by
+itself is the product rule of the (identity, lam_k) decomposition, f and
+d together, carried out on N x N matrices.  This module holds the closed
+one, contraction formulas for the fully symmetrized traces
 
     T_k(n) = Tr_sym(lam_{i_1} ... lam_{i_k}) n_{i_1} ... n_{i_k}
            = Tr((n . lam)^k),
@@ -25,9 +27,8 @@ from math import comb
 
 import numpy as np
 
-from .coherence import CoherenceState, _rebuild_operator, coherence_scale
+from .coherence import CoherenceState, coherence_scale
 from .errors import (
-    ConsistencyError,
     DimensionError,
     DomainError,
     LayoutError,
@@ -37,66 +38,6 @@ from .errors import (
 from .su_basis import BasisSet, StructureTensors
 
 MAX_CLOSED_ORDER = 9
-
-
-@dataclass(frozen=True)
-class AdjointElement:
-    """An operator scalar * 1 + vec . lam in the coherence decomposition."""
-
-    dim: int
-    scalar: complex
-    vec: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.vec, dtype=complex)
-        if vec.shape != (self.dim**2 - 1,):
-            raise LayoutError(f"adjoint vector must have length {self.dim**2 - 1}")
-        vec.setflags(write=False)
-        object.__setattr__(self, "vec", vec)
-
-    @classmethod
-    def identity(cls, dim: int) -> "AdjointElement":
-        return cls(dim=dim, scalar=1.0 + 0j, vec=np.zeros(dim**2 - 1, dtype=complex))
-
-    def to_matrix(self, basis: BasisSet) -> np.ndarray:
-        if basis.dim != self.dim:
-            raise LayoutError("basis dimension mismatch")
-        return self.scalar * np.eye(self.dim, dtype=complex) + np.tensordot(
-            self.vec, basis.elements, axes=(0, 0)
-        )
-
-
-def adjoint_multiply(x: AdjointElement, y: AdjointElement,
-                     tensors: StructureTensors) -> AdjointElement:
-    """Product of two adjoint elements under the algebra's product rule.
-
-    scalar' = x.s y.s + (2/N) x.vec . y.vec and
-    vec'_k  = x.s y.vec_k + y.s x.vec_k + (d_ijk + i f_ijk) x.vec_i y.vec_j,
-    evaluated as one N x N product Z whose scalar part is Tr(Z)/N and whose
-    components are Tr(Z lam_k)/2.
-    """
-    if x.dim != y.dim or x.dim != tensors.dim:
-        raise LayoutError("adjoint elements and tensors must share one dimension")
-    N = x.dim
-    prod = x.to_matrix(tensors.basis) @ y.to_matrix(tensors.basis)
-    return AdjointElement(dim=N, scalar=np.trace(prod) / N,
-                          vec=tensors.basis_traces(prod) / 2.0)
-
-
-def trace_power_adjoint(state: CoherenceState, m: int,
-                        tensors: StructureTensors,
-                        imag_tol: float = 1e-10) -> float:
-    """Tr(rho^m) by m - 1 products of the reconstructed rho; exact for any m >= 1."""
-    if m < 1:
-        raise UnsupportedOrderError(f"power must be >= 1, got {m}")
-    rho = _rebuild_operator(state, tensors)
-    acc = rho
-    for _ in range(m - 1):
-        acc = acc @ rho
-    trace = np.trace(acc)
-    if abs(trace.imag) > imag_tol:
-        raise ConsistencyError(f"trace has imaginary residue {trace.imag:.2e}")
-    return float(trace.real)
 
 
 def _sym_trace_values(n: np.ndarray, tensors: StructureTensors) -> list[float]:

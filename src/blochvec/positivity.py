@@ -30,7 +30,6 @@ import numpy as np
 
 from .coherence import (
     CoherenceState,
-    _rebuild_operator,
     coherence_scale,
     from_coherence,
     require_hermitian,
@@ -242,8 +241,13 @@ def check_positivity_coherence(state: CoherenceState, tensors: StructureTensors,
                                *, tol: float | None = None) -> SymFnSequence:
     """Positivity gate of the trace-one operator represented by a coherence
     vector: rho is rebuilt as an N x N matrix and its S_k are taken from
-    :func:`tridiagonal_symmetric_functions`."""
-    rho = _rebuild_operator(state, tensors)
+    :func:`tridiagonal_symmetric_functions`.  rho comes from the tensors'
+    real-view expansion, which skips the call overhead of
+    :func:`from_coherence`'s tensordot."""
+    if state.dim != tensors.dim:
+        raise LayoutError("state and tensors must share one dimension")
+    N = state.dim
+    rho = (np.eye(N) + coherence_scale(N) * tensors.to_matrix(state.n)) / N
     return positivity_verdict(tridiagonal_symmetric_functions(rho), tol=tol)
 
 

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, InconsistentBasisError, LayoutError
+from .errors import DimensionError, DomainError, InconsistentBasisError, LayoutError
 
 EPS_HERM = 1e-10
 EPS_TENSOR = 1e-12
@@ -100,9 +100,10 @@ class StructureTensors:
         Tr((a.lam)(b.lam) lam_k) / 2 = d(a, b)_k + i f(a, b)_k,
 
     so each bilinear costs two expansions a.lam, b.lam, one N x N product
-    and one projection onto the basis, all O(N^4).  The dense (N^2 - 1)^3
-    arrays ``f_dense`` and ``d_dense`` and the canonical nonzero entries
-    ``d_entries`` are built from traces on first access only.
+    and one projection onto the basis, all O(N^4).  The expansion and the
+    bilinears take real vectors; a complex one raises :class:`DomainError`.
+    The dense (N^2 - 1)^3 arrays ``f_dense`` and ``d_dense`` are built from
+    traces on first access only.
 
     The one mutable attribute is a one-entry memo of :meth:`d_chain`, the
     pair (bytes of n, chain).  It is read once and replaced as one tuple,
@@ -129,41 +130,26 @@ class StructureTensors:
         self._chain_memo: tuple[Optional[bytes], tuple[float, ...]] = (None, ())
 
     def to_matrix(self, v: np.ndarray) -> np.ndarray:
-        """The N x N operator v.lam (complex v allowed)."""
-        N = self.dim
+        """The N x N operator v.lam of a real vector v; a complex v raises
+        instead of losing its imaginary part."""
         if np.iscomplexobj(v):
-            return np.dot(v, self.basis.elements.reshape(len(self.basis), N * N)).reshape(N, N)
+            raise DomainError("structure tensors take real coefficient vectors")
+        N = self.dim
         return np.dot(np.asarray(v, dtype=float), self._re).view(complex).reshape(N, N)
-
-    def basis_traces(self, mat: np.ndarray) -> np.ndarray:
-        """The vector Tr(mat lam_k) over the basis."""
-        flat = np.ascontiguousarray(mat, dtype=complex).view(float).reshape(-1)
-        return np.dot(self._re, flat) + 1j * np.dot(self._im, flat)
 
     def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(a.lam)(b.lam) for real a, b as interleaved real and imaginary parts."""
         return np.dot(self.to_matrix(a), self.to_matrix(b)).view(float).reshape(-1)
 
-    def _both_orders(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Tr((a.lam)(b.lam) lam_k) and Tr((b.lam)(a.lam) lam_k) for complex a, b."""
-        A, B = self.to_matrix(a), self.to_matrix(b)
-        return self.basis_traces(A @ B), self.basis_traces(B @ A)
-
     def d_bilinear(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vector d_ijk a_i b_j (the raw, prefactor-free star product)."""
-        complex_args = np.iscomplexobj(a) or np.iscomplexobj(b)
+        product = self._product(a, b)  # refuses complex a, b first
         if self.dim == 2:  # d vanishes identically on su(2)
-            return np.zeros(3, dtype=complex if complex_args else float)
-        if complex_args:
-            ab, ba = self._both_orders(a, b)
-            return (ab + ba) / 4.0
-        return np.dot(self._re, self._product(a, b)) / 2.0
+            return np.zeros(3)
+        return np.dot(self._re, product) / 2.0
 
     def f_bilinear(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vector f_ijk a_i b_j (antisymmetric in a, b)."""
-        if np.iscomplexobj(a) or np.iscomplexobj(b):
-            ab, ba = self._both_orders(a, b)
-            return (ab - ba) / 4.0j
         return np.dot(self._im, self._product(a, b)) / 2.0
 
     def d_chain(self, n: np.ndarray) -> tuple[float, ...]:
@@ -222,16 +208,6 @@ class StructureTensors:
     def d_dense(self) -> np.ndarray:
         """Dense d_ijk, built on first access; entries below tol are zero."""
         return self._dense[1]
-
-    @cached_property
-    def d_entries(self) -> dict[tuple[int, int, int], float]:
-        """Nonzero d entries once per non-decreasing index triple."""
-        d = self.d_dense
-        return {
-            (i, j, kk): d[i, j, kk]
-            for i, j, kk in zip(*np.nonzero(d))
-            if i <= j <= kk
-        }
 
 
 def _half_trace(P: np.ndarray, Q: np.ndarray) -> float:

@@ -130,9 +130,14 @@ def test_invariants_command(write_doc, capsys):
     assert payload["degeneracy"] == "NonDegenerate"
 
 
-def test_invariants_unsupported_order(write_doc, capsys):
-    path = write_doc(matrix_document(np.eye(3) / 3))
-    assert main(["invariants", path, "--max-order", "12"]) == 1
+@pytest.mark.parametrize("order", [-3, 0, 1, 10, 12])
+@pytest.mark.parametrize("dim", [2, 3], ids=["qubit", "qutrit"])
+def test_invariants_unsupported_order(write_doc, capsys, dim, order):
+    path = write_doc(matrix_document(np.eye(dim) / dim))
+    assert main(["invariants", path, "--max-order", str(order)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--max-order" in captured.err
 
 
 def test_werner_single_point(capsys):

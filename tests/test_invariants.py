@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from blochvec import (
-    AdjointElement,
     Degeneracy3,
     Degeneracy4,
     DomainError,
     StarUndefinedError,
     UnsupportedOrderError,
-    adjoint_multiply,
     build_gellmann_basis,
     casimir_operator,
     casimirs,
@@ -16,14 +14,14 @@ from blochvec import (
     classify_degeneracy_4,
     check_positivity_coherence,
     closed_S234,
+    from_coherence,
     gellmann_tensors,
-    product_tensors,
     structure_constants,
     symmetric_trace_contraction,
     to_coherence,
-    trace_power_adjoint,
     trace_power_closed,
 )
+from blochvec.positivity import matrix_trace_powers
 from blochvec.sampling import haar_state, random_density_matrix, random_unitary
 
 
@@ -40,64 +38,22 @@ def cubic_diag_formula(a1, a2, a3):
                      + a3**2 * a1 + a3**2 * a2))
 
 
-def test_adjoint_identity_is_neutral():
-    tensors = gellmann_tensors(3)
-    rng = np.random.default_rng(0)
-    x = AdjointElement(dim=3, scalar=0.3 + 0.1j, vec=rng.normal(size=8) + 0j)
-    for prod in (adjoint_multiply(AdjointElement.identity(3), x, tensors),
-                 adjoint_multiply(x, AdjointElement.identity(3), tensors)):
-        assert prod.scalar == pytest.approx(x.scalar)
-        np.testing.assert_allclose(prod.vec, x.vec, atol=1e-14)
+def test_coherence_route_never_builds_dense_tensors(monkeypatch, tmp_path, capsys):
+    import json
 
-
-def test_adjoint_pauli_z_squares_to_identity():
-    tensors = gellmann_tensors(2)
-    z = AdjointElement(dim=2, scalar=0.0, vec=np.array([0.0, 0.0, 1.0], dtype=complex))
-    sq = adjoint_multiply(z, z, tensors)
-    assert sq.scalar == pytest.approx(1.0)
-    assert np.abs(sq.vec).max() < 1e-14
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4, 6])
-def test_adjoint_multiply_matches_dense_product(dim):
-    rng = np.random.default_rng(dim)
-    basis = build_gellmann_basis(dim)
-    tensors = gellmann_tensors(dim)
-    for _ in range(10):
-        k = dim * dim - 1
-        x = AdjointElement(dim=dim, scalar=complex(*rng.normal(size=2)),
-                           vec=rng.normal(size=k) + 1j * rng.normal(size=k))
-        y = AdjointElement(dim=dim, scalar=complex(*rng.normal(size=2)),
-                           vec=rng.normal(size=k) + 1j * rng.normal(size=k))
-        prod = adjoint_multiply(x, y, tensors)
-        dense = x.to_matrix(basis) @ y.to_matrix(basis)
-        np.testing.assert_allclose(prod.to_matrix(basis), dense, atol=1e-10)
-
-
-@pytest.mark.parametrize("layout", [(2,), (3,), (4,), (5,), (6,), (2, 2), (3, 3), (2, 2, 2)])
-def test_adjoint_multiply_matches_dense_contraction(layout):
-    tensors = gellmann_tensors(layout[0]) if len(layout) == 1 else product_tensors(layout)
-    N = tensors.dim
-    k = N * N - 1
-    rng = np.random.default_rng(k)
-    for _ in range(5):
-        xv, yv = (v / np.linalg.norm(v) for v in rng.normal(size=(2, k)) + 1j * rng.normal(size=(2, k)))
-        x = AdjointElement(dim=N, scalar=complex(*rng.normal(size=2)), vec=xv)
-        y = AdjointElement(dim=N, scalar=complex(*rng.normal(size=2)), vec=yv)
-        prod = adjoint_multiply(x, y, tensors)
-        bilinear = yv @ np.tensordot(xv, tensors.d_dense + 1j * tensors.f_dense, axes=(0, 0))
-        assert abs(prod.scalar - (x.scalar * y.scalar + (2.0 / N) * (xv @ yv))) <= 1e-13
-        np.testing.assert_allclose(prod.vec, x.scalar * yv + y.scalar * xv + bilinear,
-                                   rtol=0, atol=1e-13)
-
-
-def test_coherence_route_never_builds_dense_tensors(monkeypatch):
     import blochvec.su_basis as su_basis
+    from blochvec import build_product_basis
+    from blochvec.cli import main
+    from blochvec.documents import coherence_document, dump_json
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense structure tensors were built")
 
+    def refuse_bilinear(*args, **kwargs):
+        raise AssertionError("d_bilinear called on the coherence route")
+
     monkeypatch.setattr(su_basis, "_dense_tensors", refuse)
+    monkeypatch.setattr(su_basis.StructureTensors, "d_bilinear", refuse_bilinear)
     basis = build_gellmann_basis(10)
     tensors = structure_constants(basis)
     rho = random_density_matrix(10, np.random.default_rng(10))
@@ -110,7 +66,22 @@ def test_coherence_route_never_builds_dense_tensors(monkeypatch):
     for m in range(2, 10):
         want = float(np.sum(eigs**m))
         assert trace_power_closed(state, m, tensors) == pytest.approx(want, abs=1e-12)
-        assert trace_power_adjoint(state, m, tensors) == pytest.approx(want, abs=1e-12)
+        direct = matrix_trace_powers(from_coherence(state, basis), m)[m - 1]
+        assert direct == pytest.approx(want, abs=1e-12)
+
+    # the CLI's invariants report on four qubits (N = 16), both columns
+    dims = (2, 2, 2, 2)
+    rho = random_density_matrix(16, np.random.default_rng(16))
+    n = to_coherence(rho, build_product_basis(dims)).n
+    path = str(tmp_path / "four_qubits.json")
+    dump_json(coherence_document(n, 16, dims), path)
+    assert main(["invariants", path, "--json", "--max-order", "9"]) == 0
+    report = json.loads(capsys.readouterr().out)["trace_powers"]
+    eigs = np.linalg.eigvalsh(rho)
+    for m in range(2, 10):
+        want = float(np.sum(eigs**m))
+        for route in ("closed", "adjoint"):
+            assert report[str(m)][route] == pytest.approx(want, abs=1e-9), (m, route)
 
 
 def test_invariant_sweep_computes_the_d_chain_once(monkeypatch):
@@ -153,16 +124,16 @@ def test_symmetric_trace_contraction_sees_in_place_changes():
 
 
 def test_trace_power_adjoint_basics():
-    tensors = gellmann_tensors(4)
     basis = build_gellmann_basis(4)
     rng = np.random.default_rng(3)
     mixed = to_coherence(np.eye(4) / 4, basis)
-    assert trace_power_adjoint(mixed, 1, tensors) == pytest.approx(1.0)
-    assert trace_power_adjoint(mixed, 2, tensors) == pytest.approx(0.25)
+    assert matrix_trace_powers(from_coherence(mixed, basis), 1)[0] == pytest.approx(1.0)
+    assert matrix_trace_powers(from_coherence(mixed, basis), 2)[1] == pytest.approx(0.25)
     psi = haar_state(4, rng)
     pure = to_coherence(np.outer(psi, psi.conj()), basis)
     for m in range(1, 8):
-        assert trace_power_adjoint(pure, m, tensors) == pytest.approx(1.0, abs=1e-10)
+        direct = matrix_trace_powers(from_coherence(pure, basis), m)[m - 1]
+        assert direct == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("dim", range(2, 7))
@@ -230,7 +201,8 @@ def test_three_route_agreement(dim):
         for m in range(2, 10):
             oracle = float(np.sum(eigs**m))
             assert trace_power_closed(state, m, tensors) == pytest.approx(oracle, abs=1e-9)
-            assert trace_power_adjoint(state, m, tensors) == pytest.approx(oracle, abs=1e-9)
+            direct = matrix_trace_powers(from_coherence(state, basis), m)[m - 1]
+            assert direct == pytest.approx(oracle, abs=1e-9)
 
 
 def test_routes_agree_in_the_product_basis_too():
@@ -247,7 +219,8 @@ def test_routes_agree_in_the_product_basis_too():
         for m in range(2, 10):
             oracle = float(np.sum(eigs**m))
             assert trace_power_closed(state, m, tensors) == pytest.approx(oracle, abs=1e-9)
-            assert trace_power_adjoint(state, m, tensors) == pytest.approx(oracle, abs=1e-9)
+            direct = matrix_trace_powers(from_coherence(state, basis), m)[m - 1]
+            assert direct == pytest.approx(oracle, abs=1e-9)
         cas_prod = casimirs(state, tensors, up_to=4)
         cas_gm = casimirs(to_coherence(rho, build_gellmann_basis(4)),
                           gellmann_tensors(4), up_to=4)
@@ -294,7 +267,7 @@ def test_casimir_errors():
     with pytest.raises(UnsupportedOrderError):
         casimirs(diag_state(np.full(5, 0.2)), gellmann_tensors(5), up_to=9)
     with pytest.raises(UnsupportedOrderError):
-        trace_power_adjoint(state, 0, gellmann_tensors(2))
+        trace_power_closed(state, 0, gellmann_tensors(2))
 
 
 def test_classifier_input_errors():

@@ -7,6 +7,7 @@ import pytest
 
 from blochvec import (
     DimensionError,
+    DomainError,
     InconsistentBasisError,
     LayoutError,
     SU3_STANDARD_TO_GROUPED,
@@ -103,7 +104,6 @@ def test_pauli_structure_constants_are_levi_civita():
     eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
     np.testing.assert_allclose(tensors.f_dense, eps, atol=1e-14)
     assert np.abs(tensors.d_dense).max() == 0.0
-    assert tensors.d_entries == {}
 
 
 def test_su3_d_components():
@@ -154,7 +154,8 @@ def test_two_qubit_d_components_match_listed_values():
         assert tensors.d_dense[i - 1, j - 1, k - 1] == pytest.approx(
             sign / np.sqrt(2), abs=1e-12
         )
-    assert len(tensors.d_entries) == 15
+    i, j, k = np.nonzero(tensors.d_dense)
+    assert np.count_nonzero((i <= j) & (j <= k)) == 15  # one entry per triple
 
 
 @pytest.mark.parametrize("dim", range(2, 7))
@@ -189,14 +190,13 @@ def test_matrix_free_bilinears_match_dense_contraction(layout):
                                    rtol=0, atol=1e-13)
         np.testing.assert_allclose(t.f_bilinear(a, b), b @ np.tensordot(a, t.f_dense, axes=(0, 0)),
                                    rtol=0, atol=1e-13)
-        # complex arguments take the (anti)commutator form
-        za, zb = a + 0.5j * b, b - 0.5j * a
-        np.testing.assert_allclose(t.d_bilinear(za, zb),
-                                   zb @ np.tensordot(za, t.d_dense, axes=(0, 0)),
-                                   rtol=0, atol=1e-13)
-        np.testing.assert_allclose(t.f_bilinear(za, zb),
-                                   zb @ np.tensordot(za, t.f_dense, axes=(0, 0)),
-                                   rtol=0, atol=1e-13)
+    # complex arguments are refused, not truncated to their real parts
+    z = a + 0.5j * b
+    for call in (lambda: t.d_bilinear(z, b), lambda: t.d_bilinear(a, z),
+                 lambda: t.f_bilinear(z, b), lambda: t.f_bilinear(a, z),
+                 lambda: t.to_matrix(z)):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_qubit_d_bilinear_is_exactly_zero():
