@@ -40,13 +40,16 @@ class CoherenceState:
     """A real coherence vector of length dim^2 - 1.
 
     No positivity or norm constraint is imposed: vectors outside the unit
-    ball are legal inputs for positivity scanning.  Entries must be finite.
+    ball are legal inputs for positivity scanning.  Entries must be finite
+    and real: a complex vector raises instead of losing its imaginary part.
     """
 
     dim: int
     n: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.n):
+            raise DomainError("coherence vectors are real; got a complex vector")
         vec = np.asarray(self.n, dtype=float)
         if vec.shape != (self.dim**2 - 1,):
             raise LayoutError(

@@ -12,7 +12,6 @@ sigma_j).  The per-element conversion factors live on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +33,8 @@ class CompositeLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(isinstance(d, (int, np.integer)) for d in self.dims):
+            raise LayoutError(f"subsystem dimensions must be integers, got {self.dims}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if len(self.dims) == 0:
             raise LayoutError("subsystem dimension list must not be empty")
@@ -44,20 +45,21 @@ class CompositeLayout:
     def total(self) -> int:
         return int(np.prod(self.dims))
 
-    @cached_property
+    @property
     def labels(self) -> tuple[tuple[int, ...], ...]:
         return product_basis_labels(self.dims)
 
-    @cached_property
+    @property
     def index_of(self) -> dict[tuple[int, ...], int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
-    @cached_property
+    @property
     def element_scales(self) -> np.ndarray:
         """Scale of each flat basis element relative to the bare tensor
         product: sqrt(2 / Tr((x lam)^2))."""
-        scales = np.empty(len(self.labels))
-        for i, lab in enumerate(self.labels):
+        labels = self.labels
+        scales = np.empty(len(labels))
+        for i, lab in enumerate(labels):
             norm2 = np.prod([2.0 if v else float(d) for d, v in zip(self.dims, lab)])
             scales[i] = np.sqrt(2.0 / norm2)
         return scales
@@ -148,9 +150,14 @@ class CorrelationBlock:
         rho = np.eye(dA * dB, dtype=complex) / (dA * dB)
         rho += np.kron(np.tensordot(self.nA, lamA, axes=(0, 0)), np.eye(dB)) / (2.0 * dB)
         rho += np.kron(np.eye(dA), np.tensordot(self.nB, lamB, axes=(0, 0))) / (2.0 * dA)
-        joint = np.einsum("ij,iab,jcd->acbd", self.C, lamA, lamB)
-        rho += joint.reshape(dA * dB, dA * dB) / 4.0
+        rho += _correlation_operator(self.C, lamA, lamB) / 4.0
         return rho
+
+
+def _correlation_operator(C: np.ndarray, lamA: np.ndarray, lamB: np.ndarray) -> np.ndarray:
+    """Z = sum_ij C_ij lamA_i x lamB_j as a (dA dB) x (dA dB) matrix."""
+    dA, dB = lamA.shape[1], lamB.shape[1]
+    return np.einsum("ij,iab,jcd->acbd", C, lamA, lamB).reshape(dA * dB, dA * dB)
 
 
 def extract_correlation(rho: np.ndarray, layout: CompositeLayout,
@@ -180,16 +187,19 @@ def local_invariant_cubic(block: CorrelationBlock,
                           tensors_b: StructureTensors) -> float:
     """The d-tensor contraction sum d_ijk d_lmn C_il C_jm C_kn.
 
-    Identically zero when either factor is a qubit (su(2) has d = 0); use
-    :func:`correlation_det` for the nonvanishing qubit analogue.
+    Computed as (Tr Z^3 + Tr (Z^T_B)^3)/8 with Z = sum_ij C_ij lam_i x mu_j:
+    Tr(lam_i lam_j lam_k) = 2(d_ijk + i f_ijk), and transposing every mu
+    flips the sign of f, so the f-terms cancel.  Identically zero when
+    either factor is a qubit (su(2) has d = 0); use :func:`correlation_det`
+    for the nonvanishing qubit analogue.
     """
     dA, dB = block.layout.dims
     if tensors_a.dim != dA or tensors_b.dim != dB:
         raise LayoutError("structure tensors must match the subsystem dimensions")
-    x = np.einsum("ijk,il->jkl", tensors_a.d_dense, block.C)
-    x = np.einsum("jkl,jm->klm", x, block.C)
-    x = np.einsum("klm,kn->lmn", x, block.C)
-    return float(np.einsum("lmn,lmn->", x, tensors_b.d_dense))
+    lam, mu = tensors_a.basis.elements, tensors_b.basis.elements
+    z = _correlation_operator(block.C, lam, mu)
+    zt = _correlation_operator(block.C, lam, mu.transpose(0, 2, 1))  # Z^T_B
+    return float(np.trace(z @ z @ z).real + np.trace(zt @ zt @ zt).real) / 8.0
 
 
 def correlation_det(block: CorrelationBlock) -> float:

@@ -81,6 +81,8 @@ def symmetric_trace_contraction(k: int, n: np.ndarray,
     """
     if not 2 <= k <= MAX_CLOSED_ORDER:
         raise UnsupportedOrderError(f"symmetric traces implemented for k in 2..9, got {k}")
+    if np.iscomplexobj(n):
+        raise DomainError("symmetric traces take a real vector; got a complex one")
     n = np.asarray(n, dtype=float)
     if n.shape != (tensors.dim**2 - 1,):
         raise LayoutError(f"vector must have length {tensors.dim**2 - 1}")
@@ -142,21 +144,27 @@ def casimirs(state: CoherenceState, tensors: StructureTensors,
     return CasimirSet(dim=N, values=values)
 
 
-def casimir_operator(m: int, basis: BasisSet,
-                     tensors: StructureTensors) -> np.ndarray:
+def casimir_operator(m: int, basis: BasisSet) -> np.ndarray:
     """The quadratic or cubic Casimir operator on the defining representation.
 
     C_2 = sum_a lam_a lam_a (flat metric delta_ab, which is proportional to
     the Killing form for su(N)) and C_3 = sum d_abc lam_a lam_b lam_c; both
-    come out proportional to the identity.
+    come out proportional to the identity, C_3 = 2(N^2-1)(N^2-4)/N^2
+    (Haber, arXiv:1912.13302).  The product rule
+    sum_c d_abc lam_c = {lam_a, lam_b}/2 - (2/N) delta_ab 1 gives
+    C_3 = sum_ab lam_a lam_b {lam_a, lam_b}/2 - (2/N) C_2 in O(N^4) memory.
     """
     if m not in (2, 3):
         raise UnsupportedOrderError("casimir operators implemented for m in {2, 3}")
     elems = basis.elements
+    c2 = np.einsum("aij,ajk->ik", elems, elems)
     if m == 2:
-        return np.einsum("aij,ajk->ik", elems, elems)
-    pair = np.einsum("abk,aij,bjl->kil", tensors.d_dense, elems, elems)
-    return np.einsum("kil,klj->ij", pair, elems)
+        return c2
+    quartic = 0.0
+    for lam in elems:
+        left = lam @ elems  # lam_a lam_b for every b
+        quartic = quartic + np.einsum("bij,bjk->ik", left, left + elems @ lam)
+    return quartic / 2.0 - (2.0 / basis.dim) * c2
 
 
 class Degeneracy3(enum.Enum):

@@ -25,7 +25,7 @@ for composites of qubits and qutrits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import product as iproduct
 from typing import Optional
 
@@ -34,7 +34,6 @@ import numpy as np
 from .errors import DimensionError, DomainError, InconsistentBasisError, LayoutError
 
 EPS_HERM = 1e-10
-EPS_TENSOR = 1e-12
 
 #: Index of the physics-standard su(3) Gell-Mann matrix lambda_k (k = 1..8)
 #: inside the grouped ordering used here.  E.g. standard lambda_3 =
@@ -102,8 +101,8 @@ class StructureTensors:
     so each bilinear costs two expansions a.lam, b.lam, one N x N product
     and one projection onto the basis, all O(N^4).  The expansion and the
     bilinears take real vectors; a complex one raises :class:`DomainError`.
-    The dense (N^2 - 1)^3 arrays ``f_dense`` and ``d_dense`` are built from
-    traces on first access only.
+    This is the only representation of f and d: no (N^2 - 1)^3 array is
+    ever built.
 
     The one mutable attribute is a one-entry memo of :meth:`d_chain`, the
     pair (bytes of n, chain).  It is read once and replaced as one tuple,
@@ -112,12 +111,11 @@ class StructureTensors:
     Instances are otherwise read-only and safe to share between threads.
     """
 
-    def __init__(self, basis: BasisSet, tol: float = EPS_TENSOR):
+    def __init__(self, basis: BasisSet):
         k = len(basis)
         elems = np.ascontiguousarray(basis.elements)
         self.basis = basis
         self.dim = basis.dim
-        self.tol = tol
         # Rows hold (Re, Im) of each element, interleaved: v @ _re expands a
         # real v into v.lam, and _re @ M gives Re Tr(M lam_k) for Hermitian
         # lam_k; _im @ M gives Im Tr(M lam_k).  The methods call np.dot
@@ -195,20 +193,6 @@ class StructureTensors:
                 _half_trace(W, A), _half_trace(XA, W), _half_trace(A, A),
                 _half_trace(XA, A))
 
-    @cached_property
-    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
-        return _dense_tensors(self.basis, self.tol)
-
-    @property
-    def f_dense(self) -> np.ndarray:
-        """Dense f_ijk, built on first access; entries below tol are zero."""
-        return self._dense[0]
-
-    @property
-    def d_dense(self) -> np.ndarray:
-        """Dense d_ijk, built on first access; entries below tol are zero."""
-        return self._dense[1]
-
 
 def _half_trace(P: np.ndarray, Q: np.ndarray) -> float:
     """Re Tr(P Q) / 2 for a Hermitian Q, as one O(N^2) sum."""
@@ -281,7 +265,14 @@ def build_product_basis(dims) -> BasisSet:
     """
     if len(dims) == 0:
         raise LayoutError("subsystem dimension list must not be empty")
-    return _build_product_basis(tuple(int(d) for d in dims))
+    return _build_product_basis(_integer_dims(dims))
+
+
+def _integer_dims(dims) -> tuple[int, ...]:
+    """``dims`` as Python ints; a non-integer entry raises, not truncates."""
+    if not all(isinstance(d, (int, np.integer)) for d in dims):
+        raise DimensionError(f"subsystem dimensions must be integers, got {tuple(dims)!r}")
+    return tuple(int(d) for d in dims)
 
 
 @lru_cache(maxsize=None)
@@ -308,35 +299,17 @@ def _build_product_basis(dims: tuple[int, ...]) -> BasisSet:
                     subsystem_dims=dims)
 
 
-def structure_constants(basis: BasisSet, tol: float = EPS_TENSOR) -> StructureTensors:
+def structure_constants(basis: BasisSet) -> StructureTensors:
     """The f and d tensors of ``basis``, after checking its invariants.
 
     f_ijk = Tr([lam_i, lam_j] lam_k) / (4i) and
     d_ijk = Tr({lam_i, lam_j} lam_k) / 4; the 1/4 normalization is forced by
     the commutation relations together with Tr(lam_i lam_j) = 2 delta_ij.
-    Nothing of size (N^2 - 1)^3 is allocated unless a dense view is asked
-    for, in which case entries below ``tol`` are dropped.
+    Both are applied through the product rule on N x N matrices (see
+    :class:`StructureTensors`), never stored entry by entry.
     """
     basis.validate()
-    return StructureTensors(basis, tol=tol)
-
-
-def _dense_tensors(basis: BasisSet, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (f, d) from traces, entries below ``tol`` set to zero."""
-    elems = basis.elements
-    prod = np.einsum("iab,jbc->ijac", elems, elems)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    anti = prod + prod.transpose(1, 0, 2, 3)
-    f = np.einsum("ijab,kba->ijk", comm, elems) / 4j
-    d = np.einsum("ijab,kba->ijk", anti, elems) / 4.0
-    residue = max(np.abs(f.imag).max(), np.abs(d.imag).max())
-    if residue > tol:
-        raise InconsistentBasisError(f"structure constants have imaginary residue {residue:.2e}")
-    f = np.where(np.abs(f.real) <= tol, 0.0, f.real)
-    d = np.where(np.abs(d.real) <= tol, 0.0, d.real)
-    f.setflags(write=False)
-    d.setflags(write=False)
-    return f, d
+    return StructureTensors(basis)
 
 
 @lru_cache(maxsize=None)
@@ -347,7 +320,7 @@ def gellmann_tensors(dim: int) -> StructureTensors:
 
 def product_tensors(dims) -> StructureTensors:
     """Cached structure tensors of the product basis for ``dims``."""
-    return _product_tensors(tuple(int(d) for d in dims))
+    return _product_tensors(_integer_dims(dims))
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,22 @@ import numpy as np
 import pytest
 
 
+def dense_tensors(tensors, tol=1e-12):
+    """Reference (f, d) as dense (N^2 - 1)^3 arrays, from traces of the
+    basis elements of ``tensors``: f_ijk = Tr([l_i, l_j] l_k)/(4i) and
+    d_ijk = Tr({l_i, l_j} l_k)/4, entries below ``tol`` set to zero."""
+    elems = tensors.basis.elements
+    prod = np.einsum("iab,jbc->ijac", elems, elems)
+    comm = prod - prod.transpose(1, 0, 2, 3)
+    anti = prod + prod.transpose(1, 0, 2, 3)
+    f = np.einsum("ijab,kba->ijk", comm, elems) / 4j
+    d = np.einsum("ijab,kba->ijk", anti, elems) / 4.0
+    assert max(np.abs(f.imag).max(), np.abs(d.imag).max()) <= tol
+    f = np.where(np.abs(f.real) <= tol, 0.0, f.real)
+    d = np.where(np.abs(d.real) <= tol, 0.0, d.real)
+    return f, d
+
+
 def _hermitize(m):
     return 0.5 * (m + m.conj().T)
 

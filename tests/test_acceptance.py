@@ -47,7 +47,7 @@ from blochvec.sampling import (
     random_unitary,
 )
 
-from conftest import EXAMPLE_3X3, tangle_oracle
+from conftest import EXAMPLE_3X3, dense_tensors, tangle_oracle
 
 
 def report(num, text):
@@ -298,7 +298,7 @@ def test_criterion_09_three_tangle():
 
 
 def test_criterion_10_structure_tensors():
-    tensors = structure_constants(build_product_basis((2, 2)))
+    _, d = dense_tensors(structure_constants(build_product_basis((2, 2))))
     listed = {
         (1, 4, 7): 1, (1, 5, 8): 1, (1, 6, 9): 1,
         (2, 4, 10): 1, (2, 5, 11): 1, (2, 6, 12): 1,
@@ -306,20 +306,20 @@ def test_criterion_10_structure_tensors():
         (7, 11, 15): -1, (8, 12, 13): -1, (7, 12, 14): 1,
         (9, 10, 14): -1, (8, 10, 15): 1, (9, 11, 13): 1,
     }
-    worst_d = max(abs(tensors.d_dense[i - 1, j - 1, k - 1] - s / np.sqrt(2))
+    worst_d = max(abs(d[i - 1, j - 1, k - 1] - s / np.sqrt(2))
                   for (i, j, k), s in listed.items())
     assert worst_d <= 1e-12
-    i, j, k = np.nonzero(tensors.d_dense)
+    i, j, k = np.nonzero(d)
     assert np.count_nonzero((i <= j) & (j <= k)) == 15  # one entry per triple
 
     worst_recon = 0.0
     for dim in range(2, 7):
         basis = build_gellmann_basis(dim)
-        t = gellmann_tensors(dim)
+        f, d = dense_tensors(gellmann_tensors(dim))
         elems = basis.elements
         prods = np.einsum("iab,jbc->ijac", elems, elems)
         recon = (2.0 / dim) * np.einsum("ij,ab->ijab", np.eye(len(basis)), np.eye(dim)) \
-            + np.einsum("ijk,kab->ijab", 1j * t.f_dense + t.d_dense, elems)
+            + np.einsum("ijk,kab->ijab", 1j * f + d, elems)
         worst_recon = max(worst_recon, np.abs(prods - recon).max())
     assert worst_recon <= 1e-10
     report(10, f"15 listed d-components to {worst_d:.1e}, "

@@ -248,3 +248,16 @@ def test_non_finite_entries_raise_domain_error_without_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError):
                 require_hermitian(mat)
+
+
+def test_complex_coherence_vectors_are_refused():
+    from blochvec import symmetric_trace_contraction
+
+    with pytest.raises(DomainError):
+        CoherenceState(dim=2, n=[0.1 + 0.5j, 0.0, 0.0])
+    with pytest.raises(DomainError):  # a complex dtype is refused even when real-valued
+        CoherenceState(dim=3, n=np.zeros(8, dtype=complex))
+    n = np.random.default_rng(8).normal(size=8)
+    with pytest.raises(DomainError):
+        symmetric_trace_contraction(3, n + 0.2j, gellmann_tensors(3))
+    assert CoherenceState(dim=3, n=list(n)).n.dtype == float

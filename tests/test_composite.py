@@ -24,6 +24,8 @@ from blochvec import (
 )
 from blochvec.sampling import random_density_matrix, random_unitary
 
+from conftest import dense_tensors
+
 TWO_QUBITS = CompositeLayout(dims=(2, 2))
 SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
 SINGLET = np.outer(SINGLET_KET, SINGLET_KET).astype(complex)
@@ -176,17 +178,39 @@ def test_global_quadratic_conservation():
             assert total == pytest.approx(4 * purity - 1.0, abs=1e-9)
 
 
+def dense_cubic_invariant(block, tensors_a, tensors_b):
+    """sum d_ijk d_lmn C_il C_jm C_kn from the dense reference tensors."""
+    da, db = dense_tensors(tensors_a)[1], dense_tensors(tensors_b)[1]
+    return float(np.einsum("ijk,lmn,il,jm,kn->", da, db, block.C, block.C, block.C,
+                           optimize=True))
+
+
 def test_cubic_invariant_zero_for_qubits():
+    # any qubit factor makes d, and so the invariant, vanish
     rng = np.random.default_rng(31)
-    t2 = gellmann_tensors(2)
-    block = extract_correlation(random_density_matrix(4, rng), TWO_QUBITS)
-    assert local_invariant_cubic(block, t2, t2) == pytest.approx(0.0, abs=1e-13)
+    for dims in ((2, 2), (2, 3), (3, 2)):
+        ta, tb = gellmann_tensors(dims[0]), gellmann_tensors(dims[1])
+        layout = CompositeLayout(dims=dims)
+        block = extract_correlation(random_density_matrix(dims[0] * dims[1], rng), layout)
+        assert local_invariant_cubic(block, ta, tb) == pytest.approx(0.0, abs=1e-13), dims
+
+
+def test_cubic_invariant_matches_dense_contraction():
+    rng = np.random.default_rng(41)
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        ta, tb = gellmann_tensors(dims[0]), gellmann_tensors(dims[1])
+        layout = CompositeLayout(dims=dims)
+        for _ in range(5):
+            block = extract_correlation(random_density_matrix(dims[0] * dims[1], rng), layout)
+            assert local_invariant_cubic(block, ta, tb) == pytest.approx(
+                dense_cubic_invariant(block, ta, tb), abs=1e-14), dims
 
 
 def test_cubic_invariant_qutrits():
     layout = CompositeLayout(dims=(3, 3))
     t3 = gellmann_tensors(3)
-    d_norm = float(np.einsum("ijk,ijk->", t3.d_dense, t3.d_dense))
+    d3 = dense_tensors(t3)[1]
+    d_norm = float(np.einsum("ijk,ijk->", d3, d3))
 
     # isotropic block C = c * 1 contracts to c^3 sum d_ijk^2
     from blochvec import CorrelationBlock

@@ -24,6 +24,8 @@ from blochvec import (
 from blochvec.positivity import matrix_trace_powers
 from blochvec.sampling import haar_state, random_density_matrix, random_unitary
 
+from conftest import dense_tensors
+
 
 def diag_state(spectrum):
     spectrum = np.asarray(spectrum, dtype=float)
@@ -40,32 +42,40 @@ def cubic_diag_formula(a1, a2, a3):
 
 def test_coherence_route_never_builds_dense_tensors(monkeypatch, tmp_path, capsys):
     import json
+    import tracemalloc
 
     import blochvec.su_basis as su_basis
     from blochvec import build_product_basis
     from blochvec.cli import main
     from blochvec.documents import coherence_document, dump_json
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense structure tensors were built")
-
     def refuse_bilinear(*args, **kwargs):
         raise AssertionError("d_bilinear called on the coherence route")
 
-    monkeypatch.setattr(su_basis, "_dense_tensors", refuse)
     monkeypatch.setattr(su_basis.StructureTensors, "d_bilinear", refuse_bilinear)
     basis = build_gellmann_basis(10)
-    tensors = structure_constants(basis)
     rho = random_density_matrix(10, np.random.default_rng(10))
-    state = to_coherence(rho, basis)
     eigs = np.linalg.eigvalsh(rho)
-    assert check_positivity_coherence(state, tensors).sign_changes == 10
-    S2, _, _ = closed_S234(state, tensors)
+    # the whole route, tensor build included, stays below the size of one
+    # dense (N^2 - 1)^3 float tensor (7.8 MB at N = 10)
+    tracemalloc.start()
+    try:
+        tensors = structure_constants(basis)
+        state = to_coherence(rho, basis)
+        seq = check_positivity_coherence(state, tensors)
+        S2, _, _ = closed_S234(state, tensors)
+        cas = casimirs(state, tensors, up_to=9)
+        closed = [trace_power_closed(state, m, tensors) for m in range(2, 10)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 99**3 * 8
+    assert seq.sign_changes == 10
     assert S2 == pytest.approx((1.0 - np.sum(eigs**2)) / 2.0, abs=1e-12)
-    assert set(casimirs(state, tensors, up_to=9).values) == set(range(2, 10))
+    assert set(cas.values) == set(range(2, 10))
     for m in range(2, 10):
         want = float(np.sum(eigs**m))
-        assert trace_power_closed(state, m, tensors) == pytest.approx(want, abs=1e-12)
+        assert closed[m - 2] == pytest.approx(want, abs=1e-12)
         direct = matrix_trace_powers(from_coherence(state, basis), m)[m - 1]
         assert direct == pytest.approx(want, abs=1e-12)
 
@@ -157,7 +167,7 @@ def test_symmetric_trace_low_orders():
     rng = np.random.default_rng(1)
     n = rng.normal(size=8)
     assert symmetric_trace_contraction(2, n, tensors) == pytest.approx(2 * n @ n)
-    d3 = np.einsum("ijk,i,j,k->", tensors.d_dense, n, n, n)
+    d3 = np.einsum("ijk,i,j,k->", dense_tensors(tensors)[1], n, n, n)
     assert symmetric_trace_contraction(3, n, tensors) == pytest.approx(2 * d3)
     assert symmetric_trace_contraction(5, np.zeros(8), tensors) == 0.0
     with pytest.raises(UnsupportedOrderError):
@@ -335,24 +345,44 @@ def test_cubic_bound_identity():
 
 
 def test_casimir_operator_values():
-    basis2, t2 = build_gellmann_basis(2), gellmann_tensors(2)
-    np.testing.assert_allclose(casimir_operator(2, basis2, t2), 3 * np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(casimir_operator(3, basis2, t2), np.zeros((2, 2)), atol=1e-12)
-    basis3, t3 = build_gellmann_basis(3), gellmann_tensors(3)
-    np.testing.assert_allclose(casimir_operator(2, basis3, t3), (16 / 3) * np.eye(3),
+    basis2 = build_gellmann_basis(2)
+    np.testing.assert_allclose(casimir_operator(2, basis2), 3 * np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(casimir_operator(3, basis2), np.zeros((2, 2)), atol=1e-12)
+    basis3 = build_gellmann_basis(3)
+    np.testing.assert_allclose(casimir_operator(2, basis3), (16 / 3) * np.eye(3),
                                atol=1e-12)
     with pytest.raises(UnsupportedOrderError):
-        casimir_operator(4, basis3, t3)
+        casimir_operator(4, basis3)
 
 
 @pytest.mark.parametrize("dim", range(2, 7))
 def test_casimir_operators_proportional_to_identity(dim):
     basis = build_gellmann_basis(dim)
-    tensors = gellmann_tensors(dim)
     for m in (2, 3):
-        op = casimir_operator(m, basis, tensors)
+        op = casimir_operator(m, basis)
         scalar = np.trace(op) / dim
         assert np.abs(op - scalar * np.eye(dim)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 10])
+def test_cubic_casimir_operator_matches_closed_constant(dim):
+    # sum_abc d_abc lam_a lam_b lam_c = 2(N^2-1)(N^2-4)/N^2 (Haber, arXiv:1912.13302)
+    want = 2.0 * (dim**2 - 1) * (dim**2 - 4) / dim**2
+    op = casimir_operator(3, build_gellmann_basis(dim))
+    assert np.abs(op - want * np.eye(dim)).max() <= 1e-12 * max(want, 1.0)
+
+
+def test_cubic_casimir_operator_memory():
+    import tracemalloc
+
+    basis = build_gellmann_basis(10)
+    tracemalloc.start()
+    try:
+        casimir_operator(3, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 99**3 * 8 / 10  # a tenth of one dense (N^2-1)^3 float array
 
 
 def test_classify_degeneracy_3():

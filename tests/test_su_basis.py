@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blochvec import (
+    CompositeLayout,
     DimensionError,
     DomainError,
     InconsistentBasisError,
@@ -20,6 +21,7 @@ from blochvec import (
     product_tensors,
     structure_constants,
 )
+from conftest import dense_tensors
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -97,35 +99,52 @@ def test_product_basis_errors():
         build_product_basis((2, 4))
 
 
+def test_non_integer_subsystem_dims_are_refused():
+    for dims in ((2.7, 2), (2, 2.0), (np.float64(3.0), 2)):
+        with pytest.raises(DimensionError):
+            build_product_basis(dims)
+        with pytest.raises(DimensionError):
+            product_tensors(dims)
+        with pytest.raises(LayoutError):
+            CompositeLayout(dims=dims)
+    # Python and numpy integers are both accepted, as plain ints
+    dims = (np.int64(2), np.int32(3))
+    assert build_product_basis(dims) is build_product_basis((2, 3))
+    assert product_tensors(dims) is product_tensors((2, 3))
+    layout = CompositeLayout(dims=dims)
+    assert layout.dims == (2, 3) and all(type(d) is int for d in layout.dims)
+
+
 def test_pauli_structure_constants_are_levi_civita():
     tensors = gellmann_tensors(2)
     eps = np.zeros((3, 3, 3))
     eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
     eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
-    np.testing.assert_allclose(tensors.f_dense, eps, atol=1e-14)
-    assert np.abs(tensors.d_dense).max() == 0.0
+    f, d = dense_tensors(tensors)
+    np.testing.assert_allclose(f, eps, atol=1e-14)
+    assert np.abs(d).max() == 0.0
 
 
 def test_su3_d_components():
-    tensors = gellmann_tensors(3)
+    _, d = dense_tensors(gellmann_tensors(3))
     std = SU3_STANDARD_TO_GROUPED
     inv_sqrt3 = 1.0 / np.sqrt(3)
     for a in (1, 2, 3):
         i = std[a - 1]
-        assert tensors.d_dense[i, i, std[7]] == pytest.approx(inv_sqrt3, abs=1e-12)
-    assert tensors.d_dense[std[7], std[7], std[7]] == pytest.approx(-inv_sqrt3, abs=1e-12)
+        assert d[i, i, std[7]] == pytest.approx(inv_sqrt3, abs=1e-12)
+    assert d[std[7], std[7], std[7]] == pytest.approx(-inv_sqrt3, abs=1e-12)
 
 
 def test_su3_full_constant_tables():
     # classic su(3) values in the standard lambda_1..lambda_8 numbering
-    tensors = gellmann_tensors(3)
+    f_dense, d_dense = dense_tensors(gellmann_tensors(3))
     std = SU3_STANDARD_TO_GROUPED
 
     def f(a, b, c):
-        return tensors.f_dense[std[a - 1], std[b - 1], std[c - 1]]
+        return f_dense[std[a - 1], std[b - 1], std[c - 1]]
 
     def d(a, b, c):
-        return tensors.d_dense[std[a - 1], std[b - 1], std[c - 1]]
+        return d_dense[std[a - 1], std[b - 1], std[c - 1]]
 
     s32 = np.sqrt(3) / 2
     f_table = {(1, 2, 3): 1.0, (1, 4, 7): 0.5, (1, 5, 6): -0.5, (2, 4, 6): 0.5,
@@ -142,7 +161,7 @@ def test_su3_full_constant_tables():
 
 
 def test_two_qubit_d_components_match_listed_values():
-    tensors = structure_constants(build_product_basis((2, 2)))
+    _, d = dense_tensors(structure_constants(build_product_basis((2, 2))))
     listed = {  # 1-based triples, values in units of 1/sqrt(2)
         (1, 4, 7): 1, (1, 5, 8): 1, (1, 6, 9): 1,
         (2, 4, 10): 1, (2, 5, 11): 1, (2, 6, 12): 1,
@@ -151,17 +170,14 @@ def test_two_qubit_d_components_match_listed_values():
         (9, 10, 14): -1, (8, 10, 15): 1, (9, 11, 13): 1,
     }
     for (i, j, k), sign in listed.items():
-        assert tensors.d_dense[i - 1, j - 1, k - 1] == pytest.approx(
-            sign / np.sqrt(2), abs=1e-12
-        )
-    i, j, k = np.nonzero(tensors.d_dense)
+        assert d[i - 1, j - 1, k - 1] == pytest.approx(sign / np.sqrt(2), abs=1e-12)
+    i, j, k = np.nonzero(d)
     assert np.count_nonzero((i <= j) & (j <= k)) == 15  # one entry per triple
 
 
 @pytest.mark.parametrize("dim", range(2, 7))
 def test_tensor_symmetries(dim):
-    t = gellmann_tensors(dim)
-    f, d = t.f_dense, t.d_dense
+    f, d = dense_tensors(gellmann_tensors(dim))
     for perm, sign in [((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1),
                        ((1, 2, 0), 1), ((2, 0, 1), 1)]:
         assert np.abs(f - sign * f.transpose(perm)).max() <= 1e-12
@@ -171,24 +187,25 @@ def test_tensor_symmetries(dim):
 @pytest.mark.parametrize("dim", range(2, 7))
 def test_product_rule_reconstruction(dim):
     basis = build_gellmann_basis(dim)
-    t = gellmann_tensors(dim)
+    f, d = dense_tensors(gellmann_tensors(dim))
     elems = basis.elements
     prods = np.einsum("iab,jbc->ijac", elems, elems)
     recon = (2.0 / dim) * np.einsum("ij,ab->ijab", np.eye(len(basis)), np.eye(dim)) \
-        + np.einsum("ijk,kab->ijab", 1j * t.f_dense + t.d_dense, elems)
+        + np.einsum("ijk,kab->ijab", 1j * f + d, elems)
     assert np.abs(prods - recon).max() <= 1e-10
 
 
 @pytest.mark.parametrize("layout", [(2,), (3,), (4,), (5,), (6,), (2, 2), (3, 3), (2, 2, 2)])
 def test_matrix_free_bilinears_match_dense_contraction(layout):
     t = gellmann_tensors(layout[0]) if len(layout) == 1 else product_tensors(layout)
+    f, d = dense_tensors(t)
     k = t.dim**2 - 1
     rng = np.random.default_rng(k)
     for _ in range(5):
         a, b = (v / np.linalg.norm(v) for v in rng.normal(size=(2, k)))
-        np.testing.assert_allclose(t.d_bilinear(a, b), b @ np.tensordot(a, t.d_dense, axes=(0, 0)),
+        np.testing.assert_allclose(t.d_bilinear(a, b), b @ np.tensordot(a, d, axes=(0, 0)),
                                    rtol=0, atol=1e-13)
-        np.testing.assert_allclose(t.f_bilinear(a, b), b @ np.tensordot(a, t.f_dense, axes=(0, 0)),
+        np.testing.assert_allclose(t.f_bilinear(a, b), b @ np.tensordot(a, f, axes=(0, 0)),
                                    rtol=0, atol=1e-13)
     # complex arguments are refused, not truncated to their real parts
     z = a + 0.5j * b
@@ -283,11 +300,27 @@ def test_d_chain_memo_is_thread_safe():
 
 
 def test_structure_constants_build_no_dense_tensors():
+    import tracemalloc
+
     t = structure_constants(build_product_basis((2, 2, 2, 2)))
-    held = sum(v.nbytes for v in vars(t).values() if isinstance(v, np.ndarray))
-    assert held < 255**3 * 8 / 50  # one dense (N^2-1)^3 tensor would be 133 MB
-    t.d_bilinear(np.ones(255), np.ones(255))
-    assert "_dense" not in vars(t)
+    dense_bytes = 255**3 * 8  # one dense (N^2-1)^3 tensor: 133 MB
+
+    def held():
+        return sum(v.nbytes for v in vars(t).values() if isinstance(v, np.ndarray))
+
+    before = held()
+    assert before < dense_bytes / 50
+    v = np.random.default_rng(255).normal(size=255)
+    tracemalloc.start()
+    try:
+        t.d_bilinear(v, v)
+        t.f_bilinear(v, np.ones(255))
+        t.d_chain(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 100  # transient work stays O(N^4)
+    assert held() == before  # and the instance keeps nothing new
 
 
 def test_structure_constants_reject_bad_basis():
