@@ -53,12 +53,7 @@ from .positivity import (
     check_positivity,
     matrix_trace_powers,
 )
-from .su_basis import (
-    build_gellmann_basis,
-    build_product_basis,
-    gellmann_tensors,
-    product_tensors,
-)
+from .su_basis import gellmann_tensors, product_tensors
 
 _EXIT_BY_VERDICT = {Verdict.PSD: 0, Verdict.BOUNDARY: 0, Verdict.NOT_PSD: 2}
 
@@ -83,15 +78,9 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
             print(line)
 
 
-def _basis_for(doc):
+def _tensors_for(doc):
     """Coherence components of a composite document live in the product
     basis; the reconstructed operator depends on that choice."""
-    if doc.dims is not None:
-        return build_product_basis(doc.dims)
-    return build_gellmann_basis(doc.dim)
-
-
-def _tensors_for(doc):
     if doc.dims is not None:
         return product_tensors(doc.dims)
     return gellmann_tensors(doc.dim)
@@ -141,12 +130,15 @@ def _print_check(payload: dict):
 
 def cmd_check(args) -> int:
     doc, matrix, state = _load_document(args.input)
-    if args.invert:
+    if matrix is not None and not args.invert:
+        mat = matrix
+    else:
+        basis = _tensors_for(doc).basis
         if state is None:
-            state = to_coherence(matrix, _basis_for(doc))
-        state = apply_affine_map(AffineMap.inversion(doc.dim), state)
-        matrix = None
-    mat = matrix if matrix is not None else from_coherence(state, _basis_for(doc))
+            state = to_coherence(matrix, basis)
+        if args.invert:
+            state = apply_affine_map(AffineMap.inversion(doc.dim), state)
+        mat = from_coherence(state, basis)
     payload = _check_payload(mat, _default_tol(args), args.verify)
     _emit(payload, args.json, _print_check(payload))
     return _EXIT_BY_VERDICT[Verdict(payload["verdict"])]
@@ -159,12 +151,11 @@ def cmd_invariants(args) -> int:
             f"--max-order must lie in 2..{MAX_CLOSED_ORDER}, got {m}")
     doc, matrix, state = _load_document(args.input)
     dim = doc.dim
-    basis = _basis_for(doc)
-    if state is None:
-        state = to_coherence(matrix, basis)
     tensors = _tensors_for(doc)
+    if state is None:
+        state = to_coherence(matrix, tensors.basis)
     # The "adjoint" column is the direct route: powers of the rebuilt rho.
-    direct = matrix_trace_powers(from_coherence(state, basis), m)
+    direct = matrix_trace_powers(from_coherence(state, tensors.basis), m)
     rows = {}
     max_disc = 0.0
     for k in range(2, m + 1):
@@ -204,6 +195,8 @@ def _werner_row(x: float, tol) -> dict:
 
 
 def cmd_werner(args) -> int:
+    if args.sweep is not None and args.sweep < 1:
+        raise DomainError(f"--sweep must be at least 1, got {args.sweep}")
     tol = _default_tol(args)
     if args.x is not None:
         rows = [_werner_row(args.x, tol)]
@@ -257,10 +250,11 @@ def cmd_tangle(args) -> int:
 def cmd_map(args) -> int:
     dim_map, T, t = parse_map_document(load_json(args.map))
     doc, matrix, state = _load_document(args.input)
+    basis = _tensors_for(doc).basis
     if state is None:
-        state = to_coherence(matrix, _basis_for(doc))
+        state = to_coherence(matrix, basis)
     image = apply_affine_map(AffineMap(dim=dim_map, T=T, t=t), state)
-    mat = from_coherence(image, _basis_for(doc))
+    mat = from_coherence(image, basis)
     payload = _check_payload(mat, _default_tol(args), args.verify)
     payload["image_coherence"] = [float(v) for v in image.n]
     _emit(payload, args.json, _print_check(payload))

@@ -9,6 +9,9 @@ pure states sit on the unit sphere: n.n = 1 and, for N >= 3, n * n = n
 under the star product
 
     (a * b)_k = c/(N-2) sum_ij d_ijk a_i b_j.
+
+:func:`from_coherence` and :func:`to_coherence` are :meth:`BasisSet.expand`
+and :meth:`BasisSet.overlaps` with these scales.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import (
     NormalizationError,
     StarUndefinedError,
 )
-from .su_basis import BasisSet, StructureTensors
+from .su_basis import BasisSet, StructureTensors, checked_dim
 
 EPS_NORM = 1e-9
 
@@ -40,14 +43,16 @@ class CoherenceState:
     """A real coherence vector of length dim^2 - 1.
 
     No positivity or norm constraint is imposed: vectors outside the unit
-    ball are legal inputs for positivity scanning.  Entries must be finite
-    and real: a complex vector raises instead of losing its imaginary part.
+    ball are legal inputs for positivity scanning.  ``dim`` must be an
+    integer >= 2 and is stored as an ``int``.  Entries must be finite and
+    real: a complex vector raises instead of losing its imaginary part.
     """
 
     dim: int
     n: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", checked_dim(self.dim))
         if np.iscomplexobj(self.n):
             raise DomainError("coherence vectors are real; got a complex vector")
         vec = np.asarray(self.n, dtype=float)
@@ -74,8 +79,8 @@ def require_hermitian(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     raises :class:`DomainError` before the residual is formed.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise LayoutError(f"operator must be a square matrix, got shape {rho.shape}")
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.size == 0:
+        raise LayoutError(f"operator must be a nonempty square matrix, got shape {rho.shape}")
     peak = np.abs(rho).max()
     if not peak < math.inf:  # refused before rho - rho^dag can warn on inf - inf
         raise DomainError("operator has non-finite entries")
@@ -94,25 +99,19 @@ def to_coherence(rho: np.ndarray, basis: BasisSet, *, herm_tol: float = 1e-10,
     (sqrt(3)/2) Tr(rho lam_i).
     """
     rho = require_hermitian(rho, tol=herm_tol)
-    if rho.shape[0] != basis.dim:
-        raise LayoutError(f"operator dim {rho.shape[0]} != basis dim {basis.dim}")
+    overlaps = basis.overlaps(rho)  # refuses an operator of another dimension
     tr = np.trace(rho)
     if abs(tr - 1.0) > trace_tol:
         raise NormalizationError(f"operator trace {tr:.6g} is not 1")
     N = basis.dim
-    overlaps = np.einsum("ab,iba->i", rho, basis.elements)
-    n = np.sqrt(N / (2.0 * (N - 1))) * overlaps.real
-    return CoherenceState(dim=N, n=n)
+    return CoherenceState(dim=N, n=np.sqrt(N / (2.0 * (N - 1))) * overlaps)
 
 
 def from_coherence(state: CoherenceState, basis: BasisSet) -> np.ndarray:
-    """Reconstruct rho = (1/N)(1 + c n.lam); Hermitian and trace one,
-    not necessarily positive."""
-    if state.dim != basis.dim:
-        raise LayoutError(f"state dim {state.dim} != basis dim {basis.dim}")
+    """Reconstruct rho = (1/N)(1 + c n.lam); Hermitian and trace one, not
+    necessarily positive.  A state of another dimension raises LayoutError."""
     N = basis.dim
-    mat = np.tensordot(state.n, basis.elements, axes=(0, 0))
-    return (np.eye(N, dtype=complex) + coherence_scale(N) * mat) / N
+    return (np.eye(N, dtype=complex) + coherence_scale(N) * basis.expand(state.n)) / N
 
 
 def star(a: np.ndarray, b: np.ndarray, tensors: StructureTensors) -> np.ndarray:
@@ -124,10 +123,6 @@ def star(a: np.ndarray, b: np.ndarray, tensors: StructureTensors) -> np.ndarray:
     N = tensors.dim
     if N < 3:
         raise StarUndefinedError("star product requires N >= 3 (d = 0 for qubits)")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (N**2 - 1,) or b.shape != (N**2 - 1,):
-        raise LayoutError(f"star arguments must have length {N**2 - 1}")
     return coherence_scale(N) / (N - 2) * tensors.d_bilinear(a, b)
 
 

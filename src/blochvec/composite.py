@@ -145,12 +145,11 @@ class CorrelationBlock:
 
     def reconstruct(self) -> np.ndarray:
         dA, dB = self.layout.dims
-        lamA = build_gellmann_basis(dA).elements
-        lamB = build_gellmann_basis(dB).elements
+        basisA, basisB = build_gellmann_basis(dA), build_gellmann_basis(dB)
         rho = np.eye(dA * dB, dtype=complex) / (dA * dB)
-        rho += np.kron(np.tensordot(self.nA, lamA, axes=(0, 0)), np.eye(dB)) / (2.0 * dB)
-        rho += np.kron(np.eye(dA), np.tensordot(self.nB, lamB, axes=(0, 0))) / (2.0 * dA)
-        rho += _correlation_operator(self.C, lamA, lamB) / 4.0
+        rho += np.kron(basisA.expand(self.nA), np.eye(dB)) / (2.0 * dB)
+        rho += np.kron(np.eye(dA), basisB.expand(self.nB)) / (2.0 * dA)
+        rho += _correlation_operator(self.C, basisA.elements, basisB.elements) / 4.0
         return rho
 
 
@@ -168,12 +167,11 @@ def extract_correlation(rho: np.ndarray, layout: CompositeLayout,
         raise LayoutError(f"correlation blocks are bipartite, got dims {layout.dims}")
     rho = require_hermitian(layout.check_matrix(rho), tol=herm_tol)
     dA, dB = layout.dims
-    lamA = build_gellmann_basis(dA).elements
-    lamB = build_gellmann_basis(dB).elements
+    basisA, basisB = build_gellmann_basis(dA), build_gellmann_basis(dB)
     rho4 = rho.reshape(dA, dB, dA, dB)
-    nA = np.einsum("pqrq,irp->i", rho4, lamA).real
-    nB = np.einsum("pqps,jsq->j", rho4, lamB).real
-    C = np.einsum("pqrs,irp,jsq->ij", rho4, lamA, lamB).real
+    nA = basisA.overlaps(np.trace(rho4, axis1=1, axis2=3))  # Tr(rho_A lam_i)
+    nB = basisB.overlaps(np.trace(rho4, axis1=0, axis2=2))  # Tr(rho_B mu_j)
+    C = np.einsum("pqrs,irp,jsq->ij", rho4, basisA.elements, basisB.elements).real
     return CorrelationBlock(layout=layout, nA=nA, nB=nB, C=C)
 
 

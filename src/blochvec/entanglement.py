@@ -99,10 +99,6 @@ def tripartite_marginals(psi: np.ndarray, *, norm_tol: float = 1e-12):
     return keep(0), keep(1), keep(2), keep(0, 1), keep(0, 2)
 
 
-def _bloch(rho2: np.ndarray) -> np.ndarray:
-    return np.einsum("ab,iba->i", rho2, _PAULI).real
-
-
 @dataclass(frozen=True)
 class SchmidtCheck:
     """Both sides of the pure-state trace identities, with residuals.
@@ -128,7 +124,7 @@ def schmidt_trace_relation(psi: np.ndarray, *, norm_tol: float = 1e-12) -> Schmi
     """Evaluate both pure-state identities on a three-qubit state."""
     psi = _check_tripartite(psi, norm_tol)
     rho_a, rho_b, rho_c, rho_ab, _ = tripartite_marginals(psi, norm_tol=norm_tol)
-    na, nb, nc = _bloch(rho_a), _bloch(rho_b), _bloch(rho_c)
+    na, nb, nc = (build_gellmann_basis(2).overlaps(r) for r in (rho_a, rho_b, rho_c))
     r4 = rho_ab.reshape(2, 2, 2, 2)
     nab = np.einsum("pqrs,irp,jsq->ij", r4, _PAULI, _PAULI).real
     pair_lhs = float(np.sum(nab**2))

@@ -240,14 +240,10 @@ def tridiagonal_symmetric_functions(mat: np.ndarray, *, herm_tol: float = 1e-10)
 def check_positivity_coherence(state: CoherenceState, tensors: StructureTensors,
                                *, tol: float | None = None) -> SymFnSequence:
     """Positivity gate of the trace-one operator represented by a coherence
-    vector: rho is rebuilt as an N x N matrix and its S_k are taken from
-    :func:`tridiagonal_symmetric_functions`.  rho comes from the tensors'
-    real-view expansion, which skips the call overhead of
-    :func:`from_coherence`'s tensordot."""
-    if state.dim != tensors.dim:
-        raise LayoutError("state and tensors must share one dimension")
-    N = state.dim
-    rho = (np.eye(N) + coherence_scale(N) * tensors.to_matrix(state.n)) / N
+    vector: rho is rebuilt by :func:`from_coherence` (one
+    :meth:`BasisSet.expand` over ``tensors.basis``) and its S_k are taken
+    from :func:`tridiagonal_symmetric_functions`."""
+    rho = from_coherence(state, tensors.basis)
     return positivity_verdict(tridiagonal_symmetric_functions(rho), tol=tol)
 
 
@@ -261,6 +257,8 @@ class AffineMap:
 
     def __post_init__(self):
         k = self.dim**2 - 1
+        if np.iscomplexobj(self.T) or np.iscomplexobj(self.t):
+            raise DomainError("affine maps of coherence vectors are real; got a complex T or t")
         T = np.asarray(self.T, dtype=float)
         t = np.asarray(self.t, dtype=float)
         if T.shape != (k, k) or t.shape != (k,):

@@ -19,12 +19,14 @@ normalization above the tensors are fixed to
 Two basis families are provided: the generalized Gell-Mann matrices for a
 single N-level system, grouped as (symmetric off-diagonal, antisymmetric
 off-diagonal, diagonal), and scaled tensor products of single-system bases
-for composites of qubits and qutrits.
+for composites of qubits and qutrits.  :meth:`BasisSet.expand` (v -> v.lam)
+and :meth:`BasisSet.overlaps` (M -> Re Tr(M lam_i)) are the one transform
+between coefficient vectors and N x N operators that every module uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product as iproduct
 from typing import Optional
@@ -42,6 +44,14 @@ EPS_HERM = 1e-10
 SU3_STANDARD_TO_GROUPED = (0, 3, 6, 1, 4, 2, 5, 7)
 
 
+def checked_dim(dim) -> int:
+    """``dim`` as a Python int; raises :class:`DimensionError` unless it is
+    an integer (Python or numpy) >= 2."""
+    if not isinstance(dim, (int, np.integer)) or dim < 2:
+        raise DimensionError(f"dimension must be an integer >= 2, got {dim!r}")
+    return int(dim)
+
+
 @dataclass(frozen=True)
 class BasisSet:
     """An ordered family of N^2 - 1 traceless Hermitian matrices.
@@ -57,8 +67,10 @@ class BasisSet:
     labels: Optional[tuple[tuple[int, ...], ...]] = None
     subsystem_dims: Optional[tuple[int, ...]] = None
 
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
-        elems = np.asarray(self.elements, dtype=complex)
+        elems = np.ascontiguousarray(self.elements, dtype=complex)
         if elems.shape != (self.dim**2 - 1, self.dim, self.dim):
             raise LayoutError(
                 f"basis for dim {self.dim} must have shape "
@@ -66,9 +78,32 @@ class BasisSet:
             )
         elems.setflags(write=False)
         object.__setattr__(self, "elements", elems)
+        # Row i holds (Re, Im) of element i, interleaved: a view, not a copy.
+        # expand and overlaps call np.dot on it rather than @: same BLAS
+        # call, less overhead on the small operands of the coherence route.
+        object.__setattr__(self, "_rows", elems.view(float).reshape(len(elems), -1))
 
     def __len__(self):
         return self.elements.shape[0]
+
+    def expand(self, v: np.ndarray) -> np.ndarray:
+        """The N x N operator v.lam of a real vector v; a complex v raises
+        instead of losing its imaginary part."""
+        if np.iscomplexobj(v):
+            raise DomainError("basis expansions take real coefficient vectors")
+        v = np.asarray(v, dtype=float)
+        if v.shape != (len(self),):
+            raise LayoutError(f"coefficient vector for dim {self.dim} must have length "
+                              f"{len(self)}, got shape {v.shape}")
+        return np.dot(v, self._rows).view(complex).reshape(self.dim, self.dim)
+
+    def overlaps(self, M: np.ndarray) -> np.ndarray:
+        """The vector Re Tr(M lam_i) of any N x N matrix M: one real dot
+        product, as Tr(M lam_i) = sum_ab M_ab conj(lam_i)_ab for Hermitian lam_i."""
+        M = np.ascontiguousarray(M, dtype=complex)
+        if M.shape != (self.dim, self.dim):
+            raise LayoutError(f"operator must be {self.dim}x{self.dim}, got shape {M.shape}")
+        return np.dot(self._rows, M.view(float).reshape(-1))
 
     def validate(self, tol: float = EPS_HERM) -> None:
         """Raise :class:`InconsistentBasisError` unless all invariants hold.
@@ -99,10 +134,11 @@ class StructureTensors:
         Tr((a.lam)(b.lam) lam_k) / 2 = d(a, b)_k + i f(a, b)_k,
 
     so each bilinear costs two expansions a.lam, b.lam, one N x N product
-    and one projection onto the basis, all O(N^4).  The expansion and the
-    bilinears take real vectors; a complex one raises :class:`DomainError`.
-    This is the only representation of f and d: no (N^2 - 1)^3 array is
-    ever built.
+    and one projection onto the basis, all O(N^4), through
+    :meth:`BasisSet.expand` and :meth:`BasisSet.overlaps`.  The bilinears
+    take real vectors; a complex one raises :class:`DomainError`.  This is
+    the only representation of f and d: no (N^2 - 1)^3 array is ever built,
+    and no array besides the basis itself is held.
 
     The one mutable attribute is a one-entry memo of :meth:`d_chain`, the
     pair (bytes of n, chain).  It is read once and replaced as one tuple,
@@ -112,43 +148,24 @@ class StructureTensors:
     """
 
     def __init__(self, basis: BasisSet):
-        k = len(basis)
-        elems = np.ascontiguousarray(basis.elements)
         self.basis = basis
         self.dim = basis.dim
-        # Rows hold (Re, Im) of each element, interleaved: v @ _re expands a
-        # real v into v.lam, and _re @ M gives Re Tr(M lam_k) for Hermitian
-        # lam_k; _im @ M gives Im Tr(M lam_k).  The methods call np.dot
-        # rather than @: same BLAS calls, less overhead per call on the
-        # small operands the coherence route is made of.
-        self._re = elems.view(float).reshape(k, -1)
-        self._im = np.ascontiguousarray(1j * elems).view(float).reshape(k, -1)
-        self._re.setflags(write=False)
-        self._im.setflags(write=False)
         self._chain_memo: tuple[Optional[bytes], tuple[float, ...]] = (None, ())
 
-    def to_matrix(self, v: np.ndarray) -> np.ndarray:
-        """The N x N operator v.lam of a real vector v; a complex v raises
-        instead of losing its imaginary part."""
-        if np.iscomplexobj(v):
-            raise DomainError("structure tensors take real coefficient vectors")
-        N = self.dim
-        return np.dot(np.asarray(v, dtype=float), self._re).view(complex).reshape(N, N)
-
     def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(a.lam)(b.lam) for real a, b as interleaved real and imaginary parts."""
-        return np.dot(self.to_matrix(a), self.to_matrix(b)).view(float).reshape(-1)
+        """The N x N matrix (a.lam)(b.lam) for real a, b."""
+        return np.dot(self.basis.expand(a), self.basis.expand(b))
 
     def d_bilinear(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vector d_ijk a_i b_j (the raw, prefactor-free star product)."""
         product = self._product(a, b)  # refuses complex a, b first
         if self.dim == 2:  # d vanishes identically on su(2)
             return np.zeros(3)
-        return np.dot(self._re, product) / 2.0
+        return self.basis.overlaps(product) / 2.0
 
     def f_bilinear(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vector f_ijk a_i b_j (antisymmetric in a, b)."""
-        return np.dot(self._im, self._product(a, b)) / 2.0
+        return self.basis.overlaps(-1j * self._product(a, b)) / 2.0
 
     def d_chain(self, n: np.ndarray) -> tuple[float, ...]:
         """(0, 0, c_2, ..., c_9): the pure d-chain contractions of a real n.
@@ -182,7 +199,7 @@ class StructureTensors:
         c2 = float(np.dot(n, n))
         if N == 2:  # d vanishes identically on su(2)
             return (0.0, 0.0, c2) + (0.0,) * 7
-        X = self.to_matrix(n)
+        X = self.basis.expand(n)
         W = np.dot(X, X)
         W.reshape(-1)[::N + 1] -= 2.0 * c2 / N
         c4 = _half_trace(W, W)
@@ -231,9 +248,8 @@ def build_gellmann_basis(dim: int) -> BasisSet:
     is the Pauli basis (x, y, z); for dim = 3, :data:`SU3_STANDARD_TO_GROUPED`
     maps the physics-standard lambda_1..lambda_8 numbering onto this order.
     """
-    if not isinstance(dim, (int, np.integer)) or dim < 2:
-        raise DimensionError(f"basis dimension must be an integer >= 2, got {dim!r}")
-    return BasisSet(dim=int(dim), elements=_gellmann_elements(int(dim)))
+    dim = checked_dim(dim)
+    return BasisSet(dim=dim, elements=_gellmann_elements(dim))
 
 
 def product_basis_labels(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -265,21 +281,12 @@ def build_product_basis(dims) -> BasisSet:
     """
     if len(dims) == 0:
         raise LayoutError("subsystem dimension list must not be empty")
-    return _build_product_basis(_integer_dims(dims))
-
-
-def _integer_dims(dims) -> tuple[int, ...]:
-    """``dims`` as Python ints; a non-integer entry raises, not truncates."""
-    if not all(isinstance(d, (int, np.integer)) for d in dims):
-        raise DimensionError(f"subsystem dimensions must be integers, got {tuple(dims)!r}")
-    return tuple(int(d) for d in dims)
+    return _build_product_basis(tuple(checked_dim(d) for d in dims))
 
 
 @lru_cache(maxsize=None)
 def _build_product_basis(dims: tuple[int, ...]) -> BasisSet:
     for d in dims:
-        if d < 2:
-            raise DimensionError(f"subsystem dimensions must be >= 2, got {d}")
         if d > 3:
             raise DimensionError(f"product bases support qubit/qutrit factors only, got {d}")
     total = int(np.prod(dims))
@@ -320,7 +327,7 @@ def gellmann_tensors(dim: int) -> StructureTensors:
 
 def product_tensors(dims) -> StructureTensors:
     """Cached structure tensors of the product basis for ``dims``."""
-    return _product_tensors(_integer_dims(dims))
+    return _product_tensors(tuple(checked_dim(d) for d in dims))
 
 
 @lru_cache(maxsize=None)

@@ -140,6 +140,14 @@ def test_invariants_unsupported_order(write_doc, capsys, dim, order):
     assert captured.err.startswith("error:") and "--max-order" in captured.err
 
 
+@pytest.mark.parametrize("sweep", ["-1", "0"])
+def test_werner_sweep_below_one_is_refused(capsys, sweep):
+    assert main(["werner", "--sweep", sweep]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--sweep" in captured.err
+
+
 def test_werner_single_point(capsys):
     code, payload = run_json(capsys, ["werner", "--x", "0.6", "--json"])
     assert code == 0

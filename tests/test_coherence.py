@@ -3,6 +3,7 @@ import pytest
 
 from blochvec import (
     CoherenceState,
+    DimensionError,
     DomainError,
     HermiticityError,
     LayoutError,
@@ -10,6 +11,7 @@ from blochvec import (
     StarUndefinedError,
     SU3_STANDARD_TO_GROUPED,
     build_gellmann_basis,
+    build_product_basis,
     from_coherence,
     gellmann_tensors,
     is_pure,
@@ -261,3 +263,24 @@ def test_complex_coherence_vectors_are_refused():
     with pytest.raises(DomainError):
         symmetric_trace_contraction(3, n + 0.2j, gellmann_tensors(3))
     assert CoherenceState(dim=3, n=list(n)).n.dtype == float
+
+
+@pytest.mark.parametrize("dim", [1, 0, -3, 2.0, 3.5, True, "3", None])
+def test_coherence_state_dim_must_be_an_integer_of_at_least_two(dim):
+    with pytest.raises(DimensionError):
+        CoherenceState(dim=dim, n=np.zeros(3))
+
+
+def test_coherence_state_stores_a_python_int_dim():
+    state = CoherenceState(dim=np.int64(3), n=np.zeros(8))
+    assert type(state.dim) is int and state.dim == 3
+
+
+@pytest.mark.parametrize("layout", [(2,), (3,), (4,), (5,), (6,), (2, 2), (3, 3), (2, 2, 2)])
+def test_to_coherence_inverts_from_coherence(layout):
+    basis = build_gellmann_basis(layout[0]) if len(layout) == 1 else build_product_basis(layout)
+    rng = np.random.default_rng(len(basis))
+    for _ in range(20):
+        state = CoherenceState(dim=basis.dim, n=rng.normal(size=len(basis)))
+        back = to_coherence(from_coherence(state, basis), basis)
+        np.testing.assert_allclose(back.n, state.n, rtol=0, atol=1e-14)

@@ -207,6 +207,21 @@ def test_affine_map_basics():
         apply_affine_map(AffineMap.inversion(2), state)
 
 
+def test_affine_map_refuses_complex_parts():
+    with pytest.raises(DomainError):
+        AffineMap(dim=2, T=np.eye(3) * (1 + 0.5j), t=np.zeros(3))
+    with pytest.raises(DomainError):
+        AffineMap(dim=2, T=np.eye(3), t=np.full(3, 0.1j))
+    with pytest.raises(DomainError):  # a complex dtype is refused even when real-valued
+        AffineMap(dim=2, T=np.eye(3, dtype=complex), t=np.zeros(3))
+
+
+@pytest.mark.parametrize("gate", [check_positivity, tridiagonal_symmetric_functions])
+def test_empty_operator_is_a_layout_error(gate):
+    with pytest.raises(LayoutError):
+        gate(np.zeros((0, 0)))
+
+
 def pure_direction_family(a):
     """Coherence state a * u with u the unit vector of the projector
     diag(0, 0, 1): the one-parameter family whose invariants are

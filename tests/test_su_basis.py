@@ -211,9 +211,36 @@ def test_matrix_free_bilinears_match_dense_contraction(layout):
     z = a + 0.5j * b
     for call in (lambda: t.d_bilinear(z, b), lambda: t.d_bilinear(a, z),
                  lambda: t.f_bilinear(z, b), lambda: t.f_bilinear(a, z),
-                 lambda: t.to_matrix(z)):
+                 lambda: t.basis.expand(z)):
         with pytest.raises(DomainError):
             call()
+
+
+@pytest.mark.parametrize("layout", [(2,), (3,), (4,), (5,), (6,), (2, 2), (3, 3), (2, 2, 2)])
+def test_expand_and_overlaps_match_dense_references(layout):
+    basis = build_gellmann_basis(layout[0]) if len(layout) == 1 else build_product_basis(layout)
+    N, k = basis.dim, len(basis)
+    rng = np.random.default_rng(N)
+    for _ in range(5):
+        v = rng.normal(size=k)
+        M = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))  # not Hermitian
+        np.testing.assert_allclose(basis.expand(v),
+                                   np.tensordot(v, basis.elements, axes=(0, 0)),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(basis.overlaps(M),
+                                   np.einsum("ab,iba->i", M, basis.elements).real,
+                                   rtol=0, atol=1e-14)
+    with pytest.raises(LayoutError):
+        basis.expand(np.zeros(k + 1))
+    with pytest.raises(LayoutError):
+        basis.overlaps(np.zeros((N + 1, N + 1)))
+
+
+def test_structure_tensors_hold_no_copy_of_the_basis():
+    basis = build_gellmann_basis(32)
+    t = structure_constants(basis)
+    held = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
+    assert all(np.shares_memory(v, basis.elements) for v in held)
 
 
 def test_qubit_d_bilinear_is_exactly_zero():
