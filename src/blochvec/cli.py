@@ -2,7 +2,8 @@
 sweeps, tangle evaluation, and affine-map scanning.
 
 Exit codes: 0 for PSD (or a pure report command), 2 for NotPSD, 1 for any
-error.  ``BLOCHVEC_TOL`` overrides the default verdict tolerance; every
+error.  The commands that gate (``check``, ``map``, ``werner``) take the
+verdict tolerance from ``--tol``, else from ``BLOCHVEC_TOL``; every
 command accepts ``--json`` for machine-readable output.
 """
 
@@ -38,7 +39,7 @@ from .entanglement import (
     three_tangle,
     tripartite_marginals,
 )
-from .errors import BlochvecError, DomainError, UnsupportedOrderError
+from .errors import EPS_ZERO, BlochvecError, DomainError, UnsupportedOrderError
 from .invariants import (
     MAX_CLOSED_ORDER,
     casimirs,
@@ -56,6 +57,10 @@ from .positivity import (
 from .su_basis import gellmann_tensors, product_tensors
 
 _EXIT_BY_VERDICT = {Verdict.PSD: 0, Verdict.BOUNDARY: 0, Verdict.NOT_PSD: 2}
+
+#: Most x values one ``werner --sweep`` evaluates; a larger count is refused
+#: before any array is allocated.
+MAX_SWEEP = 10_000
 
 
 def _default_tol(args) -> float | None:
@@ -105,9 +110,9 @@ def _check_payload(mat: np.ndarray, tol, verify: bool) -> dict:
     if verify:
         eigs = np.linalg.eigvalsh(mat)
         payload["min_eigenvalue"] = float(eigs.min())
-        payload["positive_eigenvalues"] = int(np.sum(eigs > 1e-9))
+        payload["positive_eigenvalues"] = int(np.sum(eigs > EPS_ZERO))
         payload["eigenvalue_agreement"] = bool(
-            (payload["min_eigenvalue"] >= -1e-9) == (seq.verdict is not Verdict.NOT_PSD)
+            (payload["min_eigenvalue"] >= -EPS_ZERO) == (seq.verdict is not Verdict.NOT_PSD)
             and payload["positive_eigenvalues"] == seq.sign_changes
         )
     return payload
@@ -195,8 +200,11 @@ def _werner_row(x: float, tol) -> dict:
 
 
 def cmd_werner(args) -> int:
-    if args.sweep is not None and args.sweep < 1:
-        raise DomainError(f"--sweep must be at least 1, got {args.sweep}")
+    if args.sweep is not None:
+        if args.sweep < 1:
+            raise DomainError(f"--sweep must be at least 1, got {args.sweep}")
+        if args.sweep > MAX_SWEEP:
+            raise DomainError(f"--sweep must be at most {MAX_SWEEP}, got {args.sweep}")
     tol = _default_tol(args)
     if args.x is not None:
         rows = [_werner_row(args.x, tol)]
@@ -269,9 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=None,
-                       help="verdict tolerance (default: BLOCHVEC_TOL or adaptive)")
+    def common(p, gate=True):
+        if gate:
+            p.add_argument("--tol", type=float, default=None,
+                           help="verdict tolerance (default: BLOCHVEC_TOL or adaptive)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("check", help="positivity gate for a matrix or coherence vector")
@@ -287,20 +296,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--max-order", type=int, default=6, dest="max_order",
                    help="highest trace power (2..9, default 6)")
-    common(p)
+    common(p, gate=False)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("werner", help="Werner-state characteristic coefficients")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--x", type=float, default=None, help="single mixing parameter")
     group.add_argument("--sweep", type=int, default=None,
-                       help="number of evenly spaced x values in [0, 1]")
+                       help=f"number of evenly spaced x values in [0, 1], at most {MAX_SWEEP}")
     common(p)
     p.set_defaults(func=cmd_werner)
 
     p = sub.add_parser("tangle", help="three-qubit residual tangle report")
     p.add_argument("input", help="JSON document with 8 amplitudes")
-    common(p)
+    common(p, gate=False)
     p.set_defaults(func=cmd_tangle)
 
     p = sub.add_parser("map", help="apply an affine coherence map, then check")

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    EPS_HERM,
+    EPS_ZERO,
     DomainError,
     HermiticityError,
     LayoutError,
@@ -29,8 +31,6 @@ from .errors import (
     StarUndefinedError,
 )
 from .su_basis import BasisSet, StructureTensors, checked_dim
-
-EPS_NORM = 1e-9
 
 
 def coherence_scale(dim: int) -> float:
@@ -71,10 +71,10 @@ class CoherenceState:
         return float(self.n @ self.n)
 
 
-def require_hermitian(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def require_hermitian(rho: np.ndarray) -> np.ndarray:
     """Return rho as a complex array, raising unless it is Hermitian.
 
-    The tolerance scales with the largest entry: tol * max(1, |rho|_max).
+    The tolerance scales with the largest entry: EPS_HERM * max(1, |rho|_max).
     A NaN or infinite entry makes that largest entry NaN or infinite and
     raises :class:`DomainError` before the residual is formed.
     """
@@ -86,22 +86,22 @@ def require_hermitian(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         raise DomainError("operator has non-finite entries")
     scale = max(1.0, peak)
     resid = np.abs(rho - rho.conj().T).max()
-    if not resid <= tol * scale < math.inf:
+    if not resid <= EPS_HERM * scale < math.inf:
         raise HermiticityError(f"operator is not Hermitian (residual {resid:.2e})")
     return rho
 
 
-def to_coherence(rho: np.ndarray, basis: BasisSet, *, herm_tol: float = 1e-10,
-                 trace_tol: float = 1e-9) -> CoherenceState:
+def to_coherence(rho: np.ndarray, basis: BasisSet) -> CoherenceState:
     """Expand a trace-one Hermitian operator over ``basis``.
 
     n_i = sqrt(N/(2(N-1))) Tr(rho lam_i); at N = 3 this is the familiar
-    (sqrt(3)/2) Tr(rho lam_i).
+    (sqrt(3)/2) Tr(rho lam_i).  Hermiticity is checked by
+    :func:`require_hermitian`, and |Tr rho - 1| must not exceed EPS_ZERO.
     """
-    rho = require_hermitian(rho, tol=herm_tol)
+    rho = require_hermitian(rho)
     overlaps = basis.overlaps(rho)  # refuses an operator of another dimension
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > EPS_ZERO:
         raise NormalizationError(f"operator trace {tr:.6g} is not 1")
     N = basis.dim
     return CoherenceState(dim=N, n=np.sqrt(N / (2.0 * (N - 1))) * overlaps)
@@ -126,18 +126,17 @@ def star(a: np.ndarray, b: np.ndarray, tensors: StructureTensors) -> np.ndarray:
     return coherence_scale(N) / (N - 2) * tensors.d_bilinear(a, b)
 
 
-def is_pure(state: CoherenceState, tensors: StructureTensors,
-            tol: float = EPS_NORM) -> bool:
-    """True iff |n.n - 1| <= tol and (for N >= 3) |n*n - n|_inf <= tol.
+def is_pure(state: CoherenceState, tensors: StructureTensors) -> bool:
+    """True iff |n.n - 1| <= EPS_ZERO and (for N >= 3) |n*n - n|_inf <= EPS_ZERO.
 
     For N = 2 only the norm condition applies; the surface of the Bloch
     sphere is exactly the pure states.
     """
-    if abs(state.norm_squared - 1.0) > tol:
+    if abs(state.norm_squared - 1.0) > EPS_ZERO:
         return False
     if state.dim == 2:
         return True
-    return np.abs(star(state.n, state.n, tensors) - state.n).max() <= tol
+    return np.abs(star(state.n, state.n, tensors) - state.n).max() <= EPS_ZERO
 
 
 def mutual_angle(s1: CoherenceState, s2: CoherenceState) -> float:
@@ -154,9 +153,8 @@ def mutual_angle(s1: CoherenceState, s2: CoherenceState) -> float:
     return float(np.arccos(cosang))
 
 
-def orthogonal_states(s1: CoherenceState, s2: CoherenceState,
-                      tol: float = EPS_NORM) -> bool:
-    """Orthogonality predicate for pure states: n1.n2 = -1/(N-1) within tol."""
+def orthogonal_states(s1: CoherenceState, s2: CoherenceState) -> bool:
+    """Orthogonality predicate for pure states: n1.n2 = -1/(N-1) within EPS_ZERO."""
     if s1.dim != s2.dim:
         raise LayoutError("states have different dimensions")
-    return abs(float(s1.n @ s2.n) + 1.0 / (s1.dim - 1)) <= tol
+    return abs(float(s1.n @ s2.n) + 1.0 / (s1.dim - 1)) <= EPS_ZERO

@@ -159,13 +159,12 @@ def _correlation_operator(C: np.ndarray, lamA: np.ndarray, lamB: np.ndarray) -> 
     return np.einsum("ij,iab,jcd->acbd", C, lamA, lamB).reshape(dA * dB, dA * dB)
 
 
-def extract_correlation(rho: np.ndarray, layout: CompositeLayout,
-                        herm_tol: float = 1e-10) -> CorrelationBlock:
+def extract_correlation(rho: np.ndarray, layout: CompositeLayout) -> CorrelationBlock:
     """Bare-convention marginal vectors and correlation matrix of a bipartite
     state."""
     if len(layout.dims) != 2:
         raise LayoutError(f"correlation blocks are bipartite, got dims {layout.dims}")
-    rho = require_hermitian(layout.check_matrix(rho), tol=herm_tol)
+    rho = require_hermitian(layout.check_matrix(rho))
     dA, dB = layout.dims
     basisA, basisB = build_gellmann_basis(dA), build_gellmann_basis(dB)
     rho4 = rho.reshape(dA, dB, dA, dB)

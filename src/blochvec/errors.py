@@ -1,9 +1,33 @@
-"""Exception types raised by the library.
+"""Exception types raised by the library, and the tolerances that decide
+when they are raised.
 
 All errors derive from :class:`BlochvecError` (itself a ``ValueError``) so
 callers can catch everything from this package with one handler while still
 being able to distinguish failure kinds.
+
+Every zero test in the package reads one of the four constants below; no
+other cutoff is written anywhere.  Only the verdict band can be changed by
+a caller, through the ``tol`` of :func:`~blochvec.positivity_verdict` and
+:func:`~blochvec.check_positivity` (the CLI's ``--tol`` and
+``BLOCHVEC_TOL``).
 """
+
+#: Largest Hermiticity residual max|A - A^dag| accepted, relative to
+#: max(1, largest entry); also the default of :meth:`BasisSet.validate`.
+EPS_HERM = 1e-10
+
+#: Absolute "counts as zero" cutoff: the trace-one check, the pure-state and
+#: orthogonality predicates, the degeneracy classifiers, the smallest
+#: eigenvalue accepted as PSD before a matrix square root, the S_2 clamp of
+#: the three-tangle, the CKW slack and the CLI's ``--verify`` eigenvalues.
+EPS_ZERO = 1e-9
+
+#: Default verdict band: S_k counts as zero when |S_k| <= EPS_POS times the
+#: last non-negligible coefficient.
+EPS_POS = 1e-9
+
+#: Largest |<psi|psi> - 1| accepted for a ket.
+EPS_KET = 1e-12
 
 
 class BlochvecError(ValueError):

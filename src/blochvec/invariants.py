@@ -29,6 +29,7 @@ import numpy as np
 
 from .coherence import CoherenceState, coherence_scale
 from .errors import (
+    EPS_ZERO,
     DimensionError,
     DomainError,
     LayoutError,
@@ -174,22 +175,23 @@ class Degeneracy3(enum.Enum):
     NON_DEGENERATE = "NonDegenerate"
 
 
-def classify_degeneracy_3(c2: float, c3: float, tol: float = 1e-9) -> Degeneracy3:
+def classify_degeneracy_3(c2: float, c3: float) -> Degeneracy3:
     """Spectrum-degeneracy diagnosis for a three-level state from c_2, c_3.
 
     A degenerate pair forces c_3 = -(c_2)^(3/2) when the pair is larger
     than the remaining eigenvalue and +(c_2)^(3/2) when smaller; c_2 = 0
-    means a fully degenerate spectrum.
+    means a fully degenerate spectrum.  Each relation holds when it is met
+    within EPS_ZERO (relative to max(1, c_2^(3/2)) for the c_3 tests).
     """
-    if c2 < -tol:
+    if c2 < -EPS_ZERO:
         raise DomainError(f"c2 = n.n must be nonnegative, got {c2}")
-    if c2 <= tol:
+    if c2 <= EPS_ZERO:
         return Degeneracy3.THREE_FOLD_DEGENERATE
     bound = c2**1.5
     scale = max(1.0, bound)
-    if abs(c3 + bound) <= tol * scale:
+    if abs(c3 + bound) <= EPS_ZERO * scale:
         return Degeneracy3.TWO_LARGE_ONE_SMALL
-    if abs(c3 - bound) <= tol * scale:
+    if abs(c3 - bound) <= EPS_ZERO * scale:
         return Degeneracy3.TWO_SMALL_ONE_LARGE
     return Degeneracy3.NON_DEGENERATE
 
@@ -213,7 +215,7 @@ def _abbb_reference_constants() -> tuple[float, float]:
     return abs(cas[3]) / cas[2] ** 1.5, cas[4] / cas[2] ** 2
 
 
-def classify_degeneracy_4(cas: CasimirSet, tol: float = 1e-9) -> Degeneracy4:
+def classify_degeneracy_4(cas: CasimirSet) -> Degeneracy4:
     """Degeneracy pattern of a four-level spectrum from c_2, c_3, c_4.
 
     Spectrum (a, b, b, b) makes every c_i proportional to |n|^i, with
@@ -221,7 +223,8 @@ def classify_degeneracy_4(cas: CasimirSet, tol: float = 1e-9) -> Degeneracy4:
     (a, a, b, b) zeroes every Casimir beyond the quadratic.  Spectra of
     the form (a, b, c, c) or non-degenerate ones are reported unresolved.
     The fully degenerate state (n = 0) trivially matches the (a, b, b, b)
-    proportionality and is reported as such.
+    proportionality and is reported as such.  Relations are tested to
+    EPS_ZERO relative to max(1, c_2^2).
     """
     if cas.dim != 4:
         raise DimensionError(f"four-level classifier needs dim 4, got {cas.dim}")
@@ -229,9 +232,9 @@ def classify_degeneracy_4(cas: CasimirSet, tol: float = 1e-9) -> Degeneracy4:
         raise UnsupportedOrderError("classifier needs c2, c3 and c4")
     c2, c3, c4 = cas[2], cas[3], cas[4]
     k3, k4 = _abbb_reference_constants()
-    scale = max(1.0, c2**2)
-    if abs(abs(c3) - k3 * c2**1.5) <= tol * scale and abs(c4 - k4 * c2**2) <= tol * scale:
+    band = EPS_ZERO * max(1.0, c2**2)
+    if abs(abs(c3) - k3 * c2**1.5) <= band and abs(c4 - k4 * c2**2) <= band:
         return Degeneracy4.PATTERN_ABBB
-    if c2 > tol and abs(c3) <= tol * scale and abs(c4) <= tol * scale:
+    if c2 > EPS_ZERO and abs(c3) <= band and abs(c4) <= band:
         return Degeneracy4.PATTERN_AABB
     return Degeneracy4.UNRESOLVED

@@ -34,10 +34,8 @@ from .coherence import (
     from_coherence,
     require_hermitian,
 )
-from .errors import DimensionError, DomainError, LayoutError
-from .su_basis import BasisSet, StructureTensors
-
-EPS_POS = 1e-9
+from .errors import EPS_POS, DomainError, LayoutError
+from .su_basis import BasisSet, StructureTensors, checked_dim
 
 
 class Verdict(enum.Enum):
@@ -93,10 +91,10 @@ def matrix_trace_powers(mat: np.ndarray, up_to: int) -> np.ndarray:
     return traces
 
 
-def symmetric_functions(mat: np.ndarray, *, herm_tol: float = 1e-10) -> np.ndarray:
+def symmetric_functions(mat: np.ndarray) -> np.ndarray:
     """S_1..S_N of a Hermitian matrix (hermiticity is checked and required:
     the sign-change eigenvalue count assumes a real spectrum)."""
-    mat = require_hermitian(mat, tol=herm_tol)
+    mat = require_hermitian(mat)
     return newton_symmetric_functions(matrix_trace_powers(mat, mat.shape[0]))
 
 
@@ -133,8 +131,8 @@ def positivity_verdict(S, *, tol: float | None = None) -> SymFnSequence:
 
     A coefficient counts as zero when it is negligible at its own scale:
     |S_k| <= tol * |last non-negligible coefficient| (with S_0 = 1 as the
-    anchor and tol defaulting to 1e-9).  The magnitudes of the S_k shrink
-    combinatorially with k, so a fixed absolute cutoff would either miss
+    anchor and tol defaulting to EPS_POS = 1e-9).  The magnitudes of the
+    S_k shrink combinatorially with k, so a fixed absolute cutoff would miss
     honest tiny determinants or keep pure roundoff on degenerate spectra;
     the running band tracks the eigenvalue-counting cutoff at every scale.
 
@@ -175,10 +173,9 @@ def positivity_verdict(S, *, tol: float | None = None) -> SymFnSequence:
     return SymFnSequence(dim=S.size, S=S, sign_changes=changes, verdict=verdict)
 
 
-def check_positivity(mat: np.ndarray, *, tol: float | None = None,
-                     herm_tol: float = 1e-10) -> SymFnSequence:
+def check_positivity(mat: np.ndarray, *, tol: float | None = None) -> SymFnSequence:
     """Full gate for a Hermitian matrix: power traces, Newton, verdict."""
-    return positivity_verdict(symmetric_functions(mat, herm_tol=herm_tol), tol=tol)
+    return positivity_verdict(symmetric_functions(mat), tol=tol)
 
 
 def _tridiagonal(mat: np.ndarray) -> tuple[list[float], list[float]]:
@@ -216,7 +213,7 @@ def _tridiagonal(mat: np.ndarray) -> tuple[list[float], list[float]]:
     return diag, off2
 
 
-def tridiagonal_symmetric_functions(mat: np.ndarray, *, herm_tol: float = 1e-10) -> np.ndarray:
+def tridiagonal_symmetric_functions(mat: np.ndarray) -> np.ndarray:
     """S_1..S_N of a Hermitian matrix by La Budde's method: Householder
     reduction to tridiagonal form, then the recurrence over leading blocks
 
@@ -225,7 +222,7 @@ def tridiagonal_symmetric_functions(mat: np.ndarray, *, herm_tol: float = 1e-10)
     with e_0 = 1.  No power traces and no eigenvalues are formed, so small
     S_k keep their sign where Newton's identities lose it (from N = 9 on).
     """
-    a, b2 = _tridiagonal(require_hermitian(mat, tol=herm_tol))
+    a, b2 = _tridiagonal(require_hermitian(mat))
     prev, cur = [1.0], [1.0, a[0]]  # e^(0), e^(1)
     for k in range(1, len(a)):
         nxt = cur + [0.0]
@@ -237,14 +234,14 @@ def tridiagonal_symmetric_functions(mat: np.ndarray, *, herm_tol: float = 1e-10)
     return np.array(cur[1:])
 
 
-def check_positivity_coherence(state: CoherenceState, tensors: StructureTensors,
-                               *, tol: float | None = None) -> SymFnSequence:
+def check_positivity_coherence(state: CoherenceState,
+                               tensors: StructureTensors) -> SymFnSequence:
     """Positivity gate of the trace-one operator represented by a coherence
     vector: rho is rebuilt by :func:`from_coherence` (one
     :meth:`BasisSet.expand` over ``tensors.basis``) and its S_k are taken
     from :func:`tridiagonal_symmetric_functions`."""
     rho = from_coherence(state, tensors.basis)
-    return positivity_verdict(tridiagonal_symmetric_functions(rho), tol=tol)
+    return positivity_verdict(tridiagonal_symmetric_functions(rho))
 
 
 @dataclass(frozen=True)
@@ -310,8 +307,7 @@ def diagonal_family_matrix(N: int, a: float) -> np.ndarray:
     return np.diag(diag).astype(complex) / N
 
 
-def inversion_bound_check(a: float, b: float, N: int, *,
-                          tol: float | None = None) -> bool:
+def inversion_bound_check(a: float, b: float, N: int) -> bool:
     """True iff inverting the diagonal-family state with weight b stays PSD.
 
     The family member (1/N)[1 + a diag(1, ..., 1, -(N-1))] must itself be a
@@ -319,11 +315,10 @@ def inversion_bound_check(a: float, b: float, N: int, *,
     rho -> (1/N)(b 1 - c n.lam) is gated through the S_k test.  Closed form
     of the admissible region: b >= max(a, (1-N) a).
     """
-    if N < 2:
-        raise DimensionError(f"need N >= 2, got {N}")
+    N = checked_dim(N)
     if not -1.0 - 1e-12 <= a <= 1.0 / (N - 1) + 1e-12:
         raise DomainError(f"family parameter must satisfy 1/(N-1) >= a >= -1, got {a}")
     diag = np.full(N, b - a)
     diag[-1] = b + (N - 1) * a
     image = np.diag(diag).astype(complex) / N
-    return check_positivity(image, tol=tol).is_psd
+    return check_positivity(image).is_psd

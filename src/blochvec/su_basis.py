@@ -33,9 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, InconsistentBasisError, LayoutError
-
-EPS_HERM = 1e-10
+from .errors import EPS_HERM, DimensionError, DomainError, InconsistentBasisError, LayoutError
 
 #: Index of the physics-standard su(3) Gell-Mann matrix lambda_k (k = 1..8)
 #: inside the grouped ordering used here.  E.g. standard lambda_3 =
@@ -109,7 +107,9 @@ class BasisSet:
         """Raise :class:`InconsistentBasisError` unless all invariants hold.
 
         Checks hermiticity, tracelessness and pairwise trace orthogonality
-        Tr(lam_i lam_j) = 2 delta_ij, each to ``tol``.
+        Tr(lam_i lam_j) = 2 delta_ij, each to ``tol``.  For Hermitian
+        elements Tr(lam_i lam_j) is the real dot product of rows i and j of
+        the (Re, Im) view that :meth:`expand` and :meth:`overlaps` use.
         """
         elems = self.elements
         herm = np.abs(elems - elems.conj().transpose(0, 2, 1)).max()
@@ -118,8 +118,7 @@ class BasisSet:
         traces = np.abs(np.einsum("iaa->i", elems)).max()
         if traces > tol:
             raise InconsistentBasisError(f"non-traceless basis element (residual {traces:.2e})")
-        k = len(self)
-        gram = elems.reshape(k, -1) @ elems.transpose(0, 2, 1).reshape(k, -1).T
+        gram = np.dot(self._rows, self._rows.T)
         resid = np.abs(gram - 2.0 * np.eye(len(self))).max()
         if resid > tol:
             raise InconsistentBasisError(f"basis not trace-orthonormal (residual {resid:.2e})")
@@ -349,14 +348,18 @@ def basis_to_json(basis: BasisSet) -> dict:
 
 
 def basis_from_json(doc: dict) -> BasisSet:
-    """Inverse of :func:`basis_to_json`."""
+    """Inverse of :func:`basis_to_json`.  The basis is validated, so elements
+    that are not Hermitian, traceless and trace-orthonormal raise
+    :class:`InconsistentBasisError`."""
     elems = np.array(
         [[[complex(re, im) for re, im in row] for row in mat] for mat in doc["elements"]]
     )
     labels = doc.get("labels")
-    return BasisSet(
+    basis = BasisSet(
         dim=int(doc["dim"]),
         elements=elems,
         labels=tuple(tuple(lab) for lab in labels) if labels is not None else None,
         subsystem_dims=tuple(doc["subsystem_dims"]) if "subsystem_dims" in doc else None,
     )
+    basis.validate()
+    return basis

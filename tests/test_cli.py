@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from blochvec import cli
 from blochvec.cli import main
 from blochvec.documents import (
     amplitudes_document,
@@ -312,3 +313,24 @@ def test_malformed_tol_env_exits_1(write_doc, capsys, monkeypatch):
     monkeypatch.setenv("BLOCHVEC_TOL", "abc")
     assert main(["check", write_doc(matrix_document(np.eye(2) / 2))]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_werner_sweep_above_limit_is_refused(capsys, monkeypatch):
+    def refuse(x, tol):
+        raise AssertionError("a refused sweep evaluated a row")
+
+    monkeypatch.setattr(cli, "_werner_row", refuse)
+    assert main(["werner", "--sweep", str(cli.MAX_SWEEP + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--sweep" in captured.err
+
+
+def test_werner_sweep_at_limit_is_accepted(capsys, monkeypatch):
+    def stub(x, tol):
+        return {"x": x, "S3": 0.0, "S4": 0.0, "S3_pt": 0.0, "S4_pt": 0.0, "ppt": True}
+
+    monkeypatch.setattr(cli, "_werner_row", stub)
+    code, payload = run_json(capsys, ["werner", "--sweep", str(cli.MAX_SWEEP), "--json"])
+    assert code == 0
+    assert len(payload["rows"]) == cli.MAX_SWEEP == 10_000

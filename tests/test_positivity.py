@@ -388,3 +388,11 @@ def test_newton_route_fails_where_the_coherence_gate_holds():
         newton = check_positivity(mat)
         newton_wrong += (newton.verdict, newton.sign_changes) != want
     assert newton_wrong > 0
+
+
+@pytest.mark.parametrize("N", [2.5, 3.0, "4"])
+def test_inversion_bound_check_refuses_non_integer_dimensions(N):
+    from blochvec import DimensionError
+
+    with pytest.raises(DimensionError):
+        inversion_bound_check(0.0, 1.0, N)

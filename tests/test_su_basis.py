@@ -375,3 +375,10 @@ def test_basis_json_round_trip():
     assert restored.dim == basis.dim
     assert restored.labels == basis.labels
     np.testing.assert_array_equal(restored.elements, basis.elements)
+
+
+def test_basis_from_json_refuses_an_invalid_basis():
+    doc = basis_to_json(build_gellmann_basis(2))
+    doc["elements"][0] = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]  # [[0, 1], [0, 0]]
+    with pytest.raises(InconsistentBasisError):
+        basis_from_json(doc)
