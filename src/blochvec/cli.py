@@ -10,7 +10,7 @@ command accepts ``--json`` for machine-readable output.
 from __future__ import annotations
 
 import argparse
-import itertools
+import dataclasses
 import json
 import os
 import sys
@@ -33,12 +33,7 @@ from .documents import (
     parse_map_document,
     parse_matrix_document,
 )
-from .entanglement import (
-    ckw_inequality_check,
-    concurrence_squared,
-    three_tangle,
-    tripartite_marginals,
-)
+from .entanglement import tangle_report
 from .errors import EPS_ZERO, BlochvecError, DomainError, UnsupportedOrderError
 from .invariants import (
     MAX_CLOSED_ORDER,
@@ -229,29 +224,14 @@ def cmd_werner(args) -> int:
 
 
 def cmd_tangle(args) -> int:
-    psi = parse_amplitudes_document(load_json(args.input))
-    tau = three_tangle(psi)
-    _, _, _, rho_ab, rho_ac = tripartite_marginals(psi)
-    lhs, rhs, holds = ckw_inequality_check(psi)
-    taus = []
-    for perm in itertools.permutations(range(3)):
-        taus.append(three_tangle(psi.reshape(2, 2, 2).transpose(perm).reshape(-1)))
-    payload = {
-        "tau": tau,
-        "c2_ab": concurrence_squared(rho_ab),
-        "c2_ac": concurrence_squared(rho_ac),
-        "ckw_lhs": lhs,
-        "ckw_rhs": rhs,
-        "ckw_holds": holds,
-        "permutation_spread": float(max(taus) - min(taus)),
-    }
+    report = tangle_report(parse_amplitudes_document(load_json(args.input)))
     lines = [
-        f"tau: {tau:.12g}",
-        f"C^2_AB: {payload['c2_ab']:.12g}   C^2_AC: {payload['c2_ac']:.12g}",
-        f"CKW: lhs={lhs:.12g} <= rhs={rhs:.12g}: {holds}",
-        f"permutation spread: {payload['permutation_spread']:.3e}",
+        f"tau: {report.tau:.12g}",
+        f"C^2_AB: {report.c2_ab:.12g}   C^2_AC: {report.c2_ac:.12g}",
+        f"CKW: lhs={report.ckw_lhs:.12g} <= rhs={report.ckw_rhs:.12g}: {report.ckw_holds}",
+        f"permutation spread: {report.permutation_spread:.3e}",
     ]
-    _emit(payload, args.json, lines)
+    _emit(dataclasses.asdict(report), args.json, lines)
     return 0
 
 

@@ -18,10 +18,8 @@ import numpy as np
 from .coherence import CoherenceState, require_hermitian
 from .errors import DomainError, LayoutError
 from .su_basis import (
-    BasisSet,
     StructureTensors,
     build_gellmann_basis,
-    build_product_basis,
     product_basis_labels,
 )
 
@@ -63,9 +61,6 @@ class CompositeLayout:
             norm2 = np.prod([2.0 if v else float(d) for d, v in zip(self.dims, lab)])
             scales[i] = np.sqrt(2.0 / norm2)
         return scales
-
-    def basis(self) -> BasisSet:
-        return build_product_basis(self.dims)
 
     def check_matrix(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)

@@ -92,28 +92,32 @@ def concurrence_squared(rho: np.ndarray) -> float:
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]) ** 2)
 
 
-def _check_tripartite(psi: np.ndarray) -> np.ndarray:
+def _pure_state(psi: np.ndarray) -> np.ndarray:
+    """|psi><psi| of a three-qubit ket with 8 finite amplitudes and
+    |<psi|psi> - 1| <= EPS_KET."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.shape != (8,):
         raise LayoutError(f"need 8 amplitudes for three qubits, got {psi.shape}")
+    if not np.isfinite(psi).all():
+        raise DomainError("ket amplitudes must be finite")
     norm = float(np.vdot(psi, psi).real)
-    if abs(norm - 1.0) > EPS_KET:
+    if not abs(norm - 1.0) <= EPS_KET:
         raise NormalizationError(f"state norm^2 = {norm:.12g} is not 1")
-    return psi
+    return np.outer(psi, psi.conj())
+
+
+def _marginals(psi: np.ndarray, *keeps) -> list[np.ndarray]:
+    """One reduced state of |psi><psi| per tuple of kept qubits."""
+    rho = _pure_state(psi)
+    return [partial_trace(rho, _THREE_QUBITS, keep) for keep in keeps]
 
 
 def tripartite_marginals(psi: np.ndarray):
     """(rho_A, rho_B, rho_C, rho_AB, rho_AC) of a pure three-qubit state.
 
-    The ket must hold 8 amplitudes with |<psi|psi> - 1| <= EPS_KET.
+    The ket must hold 8 finite amplitudes with |<psi|psi> - 1| <= EPS_KET.
     """
-    psi = _check_tripartite(psi)
-    rho = np.outer(psi, psi.conj())
-
-    def keep(*subsystems):
-        return partial_trace(rho, _THREE_QUBITS, subsystems)
-
-    return keep(0), keep(1), keep(2), keep(0, 1), keep(0, 2)
+    return tuple(_marginals(psi, (0,), (1,), (2,), (0, 1), (0, 2)))
 
 
 @dataclass(frozen=True)
@@ -151,24 +155,74 @@ def schmidt_trace_relation(psi: np.ndarray) -> SchmidtCheck:
                         det_lhs=det_lhs, det_rhs=det_rhs)
 
 
-def three_tangle(psi: np.ndarray) -> float:
-    """Residual tangle tau = 4 sqrt(S_2(rho_AB rho~_AB)) of a pure state.
-
-    S_2 can be pushed slightly negative by roundoff at tau = 0; values in
-    [-EPS_ZERO, 0) are clamped, anything lower raises.
-    """
-    _, _, _, rho_ab, _ = tripartite_marginals(psi)
-    m = rho_ab @ spin_flip(rho_ab)
+def _pair_tangle(rho_pair: np.ndarray) -> float:
+    """tau = 4 sqrt(S_2(rho rho~)) from a two-qubit marginal of a pure state."""
+    m = rho_pair @ spin_flip(rho_pair)
     s2 = 0.5 * (np.trace(m) ** 2 - np.trace(m @ m)).real
     if s2 < -EPS_ZERO:
         raise ConsistencyError(f"S_2 of rho rho~ is negative beyond tolerance: {s2:.3e}")
     return float(4.0 * np.sqrt(max(s2, 0.0)))
 
 
+def _ckw(c2_ab: float, c2_ac: float, rho_a: np.ndarray) -> tuple[float, float, bool]:
+    """(lhs, rhs, holds) for C^2_AB + C^2_AC <= 4 det(rho_A) + EPS_ZERO."""
+    lhs = c2_ab + c2_ac
+    rhs = float(4.0 * np.linalg.det(rho_a).real)
+    return lhs, rhs, lhs <= rhs + EPS_ZERO
+
+
+def _swap_qubits(rho_pair: np.ndarray) -> np.ndarray:
+    """rho_BA from rho_AB: the two-qubit marginal with its factors exchanged."""
+    return rho_pair.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+
+
+def three_tangle(psi: np.ndarray) -> float:
+    """Residual tangle tau = 4 sqrt(S_2(rho_AB rho~_AB)) of a pure state.
+
+    S_2 can be pushed slightly negative by roundoff at tau = 0; values in
+    [-EPS_ZERO, 0) are clamped, anything lower raises.
+    """
+    (rho_ab,) = _marginals(psi, (0, 1))
+    return _pair_tangle(rho_ab)
+
+
 def ckw_inequality_check(psi: np.ndarray) -> tuple[float, float, bool]:
     """(lhs, rhs, holds) for C^2_AB + C^2_AC <= 4 det(rho_A), allowing a
     slack of EPS_ZERO."""
-    rho_a, _, _, rho_ab, rho_ac = tripartite_marginals(psi)
-    lhs = concurrence_squared(rho_ab) + concurrence_squared(rho_ac)
-    rhs = float(4.0 * np.linalg.det(rho_a).real)
-    return lhs, rhs, lhs <= rhs + EPS_ZERO
+    rho_a, rho_ab, rho_ac = _marginals(psi, (0,), (0, 1), (0, 2))
+    return _ckw(concurrence_squared(rho_ab), concurrence_squared(rho_ac), rho_a)
+
+
+@dataclass(frozen=True)
+class TangleReport:
+    """Every number of the ``blochvec tangle`` report, in its JSON order.
+
+    ``permutation_spread`` is max - min of tau over the six orderings of
+    the qubits; tau is permutation invariant, so it measures roundoff.
+    """
+
+    tau: float
+    c2_ab: float
+    c2_ac: float
+    ckw_lhs: float
+    ckw_rhs: float
+    ckw_holds: bool
+    permutation_spread: float
+
+
+def tangle_report(psi: np.ndarray) -> TangleReport:
+    """tau, both concurrences, both CKW sides and the permutation spread
+    of a pure three-qubit state, from rho_A, rho_AB, rho_AC and rho_BC.
+
+    Permuting the qubits of the ket (A B C -> P Q R) only moves tau onto
+    the marginal rho_PQ, so the six orderings read rho_AB, rho_AC, rho_BC
+    and their qubit swaps.  Each tau is clamped as in :func:`three_tangle`.
+    """
+    rho_a, rho_ab, rho_ac, rho_bc = _marginals(psi, (0,), (0, 1), (0, 2), (1, 2))
+    c2_ab, c2_ac = concurrence_squared(rho_ab), concurrence_squared(rho_ac)
+    lhs, rhs, holds = _ckw(c2_ab, c2_ac, rho_a)
+    # orderings ABC, ACB, BAC, BCA, CAB, CBA
+    taus = [_pair_tangle(pair) for pair in (
+        rho_ab, rho_ac, _swap_qubits(rho_ab), rho_bc, _swap_qubits(rho_ac), _swap_qubits(rho_bc))]
+    return TangleReport(tau=taus[0], c2_ab=c2_ab, c2_ac=c2_ac, ckw_lhs=lhs, ckw_rhs=rhs,
+                        ckw_holds=holds, permutation_spread=float(max(taus) - min(taus)))

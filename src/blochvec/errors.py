@@ -19,7 +19,8 @@ EPS_HERM = 1e-10
 #: Absolute "counts as zero" cutoff: the trace-one check, the pure-state and
 #: orthogonality predicates, the degeneracy classifiers, the smallest
 #: eigenvalue accepted as PSD before a matrix square root, the S_2 clamp of
-#: the three-tangle, the CKW slack and the CLI's ``--verify`` eigenvalues.
+#: the three-tangle, the CKW slack, the range slack of the inversion family's
+#: parameter and the CLI's ``--verify`` eigenvalues.
 EPS_ZERO = 1e-9
 
 #: Default verdict band: S_k counts as zero when |S_k| <= EPS_POS times the

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -202,26 +201,14 @@ class Degeneracy4(enum.Enum):
     UNRESOLVED = "Unresolved"
 
 
-@lru_cache(maxsize=1)
-def _abbb_reference_constants() -> tuple[float, float]:
-    """(|c3|/c2^1.5, c4/c2^2) measured on a reference (a, b, b, b) state."""
-    from .su_basis import build_gellmann_basis, gellmann_tensors
-    from .coherence import to_coherence
-
-    basis = build_gellmann_basis(4)
-    tensors = gellmann_tensors(4)
-    rho = np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex)
-    cas = casimirs(to_coherence(rho, basis), tensors, up_to=4)
-    return abs(cas[3]) / cas[2] ** 1.5, cas[4] / cas[2] ** 2
-
-
 def classify_degeneracy_4(cas: CasimirSet) -> Degeneracy4:
     """Degeneracy pattern of a four-level spectrum from c_2, c_3, c_4.
 
-    Spectrum (a, b, b, b) makes every c_i proportional to |n|^i, with
-    proportionality constants calibrated on a reference diagonal state;
-    (a, a, b, b) zeroes every Casimir beyond the quadratic.  Spectra of
-    the form (a, b, c, c) or non-degenerate ones are reported unresolved.
+    Spectrum (a, b, b, b) has n = t n_pure on the line through a pure
+    state, where every c_m equals 1 (see :func:`casimirs`), so c_m = t^m:
+    |c_3| = c_2^(3/2) and c_4 = c_2^2.  (a, a, b, b) zeroes every Casimir
+    beyond the quadratic.  Spectra of the form (a, b, c, c) or
+    non-degenerate ones are reported unresolved.
     The fully degenerate state (n = 0) trivially matches the (a, b, b, b)
     proportionality and is reported as such.  Relations are tested to
     EPS_ZERO relative to max(1, c_2^2).
@@ -231,9 +218,8 @@ def classify_degeneracy_4(cas: CasimirSet) -> Degeneracy4:
     if not {2, 3, 4} <= set(cas.values):
         raise UnsupportedOrderError("classifier needs c2, c3 and c4")
     c2, c3, c4 = cas[2], cas[3], cas[4]
-    k3, k4 = _abbb_reference_constants()
     band = EPS_ZERO * max(1.0, c2**2)
-    if abs(abs(c3) - k3 * c2**1.5) <= band and abs(c4 - k4 * c2**2) <= band:
+    if abs(abs(c3) - c2**1.5) <= band and abs(c4 - c2**2) <= band:
         return Degeneracy4.PATTERN_ABBB
     if c2 > EPS_ZERO and abs(c3) <= band and abs(c4) <= band:
         return Degeneracy4.PATTERN_AABB

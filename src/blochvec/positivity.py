@@ -34,7 +34,7 @@ from .coherence import (
     from_coherence,
     require_hermitian,
 )
-from .errors import EPS_POS, DomainError, LayoutError
+from .errors import EPS_POS, EPS_ZERO, DomainError, LayoutError
 from .su_basis import BasisSet, StructureTensors, checked_dim
 
 
@@ -311,12 +311,12 @@ def inversion_bound_check(a: float, b: float, N: int) -> bool:
     """True iff inverting the diagonal-family state with weight b stays PSD.
 
     The family member (1/N)[1 + a diag(1, ..., 1, -(N-1))] must itself be a
-    state, which restricts a to [-1, 1/(N-1)]; its image under
-    rho -> (1/N)(b 1 - c n.lam) is gated through the S_k test.  Closed form
-    of the admissible region: b >= max(a, (1-N) a).
+    state, which restricts a to [-1, 1/(N-1)], widened by EPS_ZERO at both
+    ends; its image under rho -> (1/N)(b 1 - c n.lam) is gated through the
+    S_k test.  Closed form of the admissible region: b >= max(a, (1-N) a).
     """
     N = checked_dim(N)
-    if not -1.0 - 1e-12 <= a <= 1.0 / (N - 1) + 1e-12:
+    if not -1.0 - EPS_ZERO <= a <= 1.0 / (N - 1) + EPS_ZERO:
         raise DomainError(f"family parameter must satisfy 1/(N-1) >= a >= -1, got {a}")
     diag = np.full(N, b - a)
     diag[-1] = b + (N - 1) * a

@@ -18,6 +18,39 @@ def dense_tensors(tensors, tol=1e-12):
     return f, d
 
 
+# Random states and unitaries for the scans in the tests.
+def _ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via the QR decomposition of a Ginibre matrix."""
+    q, r = np.linalg.qr(_ginibre(n, rng))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def haar_state(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unit ket of dimension n."""
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return psi / np.linalg.norm(psi)
+
+
+def random_density_matrix(n: int, rng: np.random.Generator,
+                          rank: int | None = None) -> np.ndarray:
+    """Trace-one PSD matrix G G^dag / Tr(...) with Ginibre G of given rank."""
+    g = _ginibre(n, rng)[:, : (rank or n)]
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_hermitian_trace_one(n: int, rng: np.random.Generator,
+                               spread: float = 1.0) -> np.ndarray:
+    """Hermitian matrix with unit trace and generally indefinite spectrum."""
+    g = _ginibre(n, rng)
+    h = (g + g.conj().T) * (spread / 2.0)
+    return h + (1.0 - np.trace(h).real) / n * np.eye(n)
+
+
 def _hermitize(m):
     return 0.5 * (m + m.conj().T)
 
@@ -65,3 +98,18 @@ def tangle_oracle(psi):
     return (c2_a_bc
             - pair_concurrence_squared_oracle(psi, ('A', 'B'))
             - pair_concurrence_squared_oracle(psi, ('A', 'C')))
+
+
+def hyperdeterminant_tangle(psi):
+    """Coffman-Kundu-Wootters closed form 4 |d1 - 2 d2 + 4 d3| of the
+    amplitudes a_ijk: four times the modulus of Cayley's hyperdeterminant,
+    symmetric under every permutation of the qubits."""
+    a = np.asarray(psi, dtype=complex).reshape(2, 2, 2)
+    pairs = [(a[0, 0, 0], a[1, 1, 1]), (a[0, 0, 1], a[1, 1, 0]),
+             (a[0, 1, 0], a[1, 0, 1]), (a[1, 0, 0], a[0, 1, 1])]
+    products = [x * y for x, y in pairs]
+    d1 = sum(p**2 for p in products)
+    d2 = sum(products[i] * products[j] for i in range(4) for j in range(i + 1, 4))
+    d3 = (a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
+          + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0])
+    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))

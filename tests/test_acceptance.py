@@ -40,14 +40,16 @@ from blochvec import (
     werner_symfns,
 )
 from blochvec.positivity import matrix_trace_powers
-from blochvec.sampling import (
+
+from conftest import (
+    EXAMPLE_3X3,
+    dense_tensors,
     haar_state,
     random_density_matrix,
     random_hermitian_trace_one,
     random_unitary,
+    tangle_oracle,
 )
-
-from conftest import EXAMPLE_3X3, dense_tensors, tangle_oracle
 
 
 def report(num, text):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from blochvec import cli
+from blochvec import cli, entanglement
 from blochvec.cli import main
 from blochvec.documents import (
     amplitudes_document,
@@ -13,7 +13,13 @@ from blochvec.documents import (
     matrix_document,
 )
 
-from conftest import EXAMPLE_3X3
+from conftest import (
+    EXAMPLE_3X3,
+    haar_state,
+    hyperdeterminant_tangle,
+    pair_concurrence_squared_oracle,
+    tangle_oracle,
+)
 
 
 @pytest.fixture
@@ -196,6 +202,43 @@ def test_tangle_product_state(write_doc, capsys):
     assert code == 0
     for key in ("tau", "c2_ab", "c2_ac", "ckw_lhs", "ckw_rhs"):
         assert payload[key] == pytest.approx(0.0, abs=1e-8)
+
+
+def test_tangle_haar_kets_match_oracles(write_doc, capsys):
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        psi = haar_state(8, rng)
+        code, payload = run_json(capsys, ["tangle", write_doc(amplitudes_document(psi)), "--json"])
+        assert code == 0
+        assert payload["tau"] == pytest.approx(tangle_oracle(psi), abs=1e-8)
+        assert payload["tau"] == pytest.approx(hyperdeterminant_tangle(psi), abs=1e-8)
+        c2_ab = pair_concurrence_squared_oracle(psi, ("A", "B"))
+        c2_ac = pair_concurrence_squared_oracle(psi, ("A", "C"))
+        assert payload["c2_ab"] == pytest.approx(c2_ab, abs=1e-7)
+        assert payload["c2_ac"] == pytest.approx(c2_ac, abs=1e-7)
+        assert payload["ckw_lhs"] == pytest.approx(c2_ab + c2_ac, abs=1e-7)
+        assert payload["ckw_rhs"] - payload["ckw_lhs"] == pytest.approx(payload["tau"], abs=1e-7)
+        assert payload["ckw_holds"] is True
+        assert payload["permutation_spread"] <= 1e-12
+
+
+def test_tangle_takes_four_partial_traces(write_doc, capsys, monkeypatch):
+    """rho_A, rho_AB, rho_AC and rho_BC feed the whole report."""
+    kept = []
+    real = entanglement.partial_trace
+
+    def counting(rho, layout, keep):
+        kept.append(tuple(keep))
+        return real(rho, layout, keep)
+
+    monkeypatch.setattr(entanglement, "partial_trace", counting)
+    ghz = np.zeros(8)
+    ghz[0] = ghz[7] = 1 / np.sqrt(2)
+    for psi in (ghz, haar_state(8, np.random.default_rng(3))):
+        kept.clear()
+        assert main(["tangle", write_doc(amplitudes_document(psi)), "--json"]) == 0
+        capsys.readouterr()
+        assert len(kept) <= 4
 
 
 def test_tangle_unnormalized_exits_1(write_doc, capsys):

@@ -20,7 +20,8 @@ from blochvec import (
     star,
     to_coherence,
 )
-from blochvec.sampling import haar_state, random_density_matrix
+
+from conftest import haar_state, random_density_matrix, random_unitary
 
 LAM3 = SU3_STANDARD_TO_GROUPED[2]
 LAM8 = SU3_STANDARD_TO_GROUPED[7]
@@ -212,8 +213,6 @@ def test_mutual_angle_zero_vector():
 def test_random_orthogonal_pairs(dim):
     rng = np.random.default_rng(60 + dim)
     basis = build_gellmann_basis(dim)
-    from blochvec.sampling import random_unitary
-
     for _ in range(40):
         u = random_unitary(dim, rng)
         s1 = to_coherence(np.outer(u[:, 0], u[:, 0].conj()), basis)

@@ -22,9 +22,8 @@ from blochvec import (
     werner_state,
     werner_symfns,
 )
-from blochvec.sampling import random_density_matrix, random_unitary
 
-from conftest import dense_tensors
+from conftest import dense_tensors, random_density_matrix, random_unitary
 
 TWO_QUBITS = CompositeLayout(dims=(2, 2))
 SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)

@@ -12,10 +12,12 @@ from blochvec import (
     concurrence_squared_bound,
     schmidt_trace_relation,
     spin_flip,
+    tangle_report,
     three_tangle,
 )
 from blochvec.entanglement import tripartite_marginals
-from blochvec.sampling import haar_state, random_density_matrix, random_unitary
+
+from conftest import haar_state, random_density_matrix, random_unitary
 
 GHZ = np.zeros(8, dtype=complex)
 GHZ[0] = GHZ[7] = 1 / np.sqrt(2)
@@ -151,6 +153,22 @@ def test_three_tangle_permutation_invariance():
                 for perm in itertools.permutations(range(3))]
         assert max(taus) - min(taus) <= 1e-8
         assert -1e-12 <= min(taus) and max(taus) <= 1.0 + 1e-9
+
+
+def test_tangle_report_matches_the_single_functions():
+    """The report reads the six orderings off swapped marginals; each value
+    is bitwise the one the permuted ket gives through three_tangle."""
+    rng = np.random.default_rng(71)
+    for psi in [GHZ, W_STATE, KET000] + [haar_state(8, rng) for _ in range(30)]:
+        report = tangle_report(psi)
+        taus = [three_tangle(permuted(psi, perm))
+                for perm in itertools.permutations(range(3))]
+        assert report.tau == taus[0]
+        assert report.permutation_spread == max(taus) - min(taus)
+        assert (report.ckw_lhs, report.ckw_rhs, report.ckw_holds) == ckw_inequality_check(psi)
+        _, _, _, rho_ab, rho_ac = tripartite_marginals(psi)
+        assert report.c2_ab == concurrence_squared(rho_ab)
+        assert report.c2_ac == concurrence_squared(rho_ac)
 
 
 def test_three_tangle_local_unitary_invariance():

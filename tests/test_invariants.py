@@ -22,9 +22,8 @@ from blochvec import (
     trace_power_closed,
 )
 from blochvec.positivity import matrix_trace_powers
-from blochvec.sampling import haar_state, random_density_matrix, random_unitary
 
-from conftest import dense_tensors
+from conftest import dense_tensors, haar_state, random_density_matrix, random_unitary
 
 
 def diag_state(spectrum):

@@ -29,7 +29,8 @@ from blochvec import (
     universal_inversion,
     universal_inversion_matrix,
 )
-from blochvec.sampling import (
+
+from conftest import (
     haar_state,
     random_density_matrix,
     random_hermitian_trace_one,

@@ -14,15 +14,23 @@ from blochvec import errors
 from blochvec.cli import main
 from blochvec.coherence import require_hermitian, to_coherence
 from blochvec.documents import amplitudes_document, dump_json, map_document, matrix_document
-from blochvec.entanglement import three_tangle, tripartite_marginals
+from blochvec.entanglement import (
+    ckw_inequality_check,
+    schmidt_trace_relation,
+    tangle_report,
+    three_tangle,
+    tripartite_marginals,
+)
 from blochvec.errors import (
     EPS_HERM,
     EPS_KET,
     EPS_POS,
     EPS_ZERO,
+    DomainError,
     HermiticityError,
     NormalizationError,
 )
+from blochvec.positivity import inversion_bound_check
 from blochvec.su_basis import build_gellmann_basis
 
 ALLOWED_TOLERANCES = {
@@ -65,7 +73,11 @@ def _ket(excess):
     return psi
 
 
-@pytest.mark.parametrize("fn", [tripartite_marginals, three_tangle])
+KET_FUNCTIONS = [tripartite_marginals, three_tangle, ckw_inequality_check,
+                 schmidt_trace_relation, tangle_report]
+
+
+@pytest.mark.parametrize("fn", KET_FUNCTIONS)
 def test_ket_norm_cutoff_edges(fn):
     fn(_ket(0.5 * EPS_KET))
     fn(_ket(-0.5 * EPS_KET))
@@ -73,6 +85,27 @@ def test_ket_norm_cutoff_edges(fn):
         fn(_ket(2.0 * EPS_KET))
     with pytest.raises(NormalizationError):
         fn(_ket(-2.0 * EPS_KET))
+
+
+@pytest.mark.parametrize("fn", KET_FUNCTIONS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_ket_non_finite_amplitudes_are_refused(fn, bad):
+    psi = _ket(0.0)
+    psi[3] = bad
+    with pytest.raises(DomainError):
+        fn(psi)
+    with pytest.raises(DomainError):
+        fn(np.full(8, bad))
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 9])
+def test_inversion_family_range_edges(N):
+    top = 1.0 / (N - 1)
+    for a in (top + 0.5 * EPS_ZERO, -1.0 - 0.5 * EPS_ZERO):
+        inversion_bound_check(a, 1.0, N)
+    for a in (top + 2.0 * EPS_ZERO, -1.0 - 2.0 * EPS_ZERO):
+        with pytest.raises(DomainError):
+            inversion_bound_check(a, 1.0, N)
 
 
 def _public_callables():
