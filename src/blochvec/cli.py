@@ -37,10 +37,9 @@ from .entanglement import tangle_report
 from .errors import EPS_ZERO, BlochvecError, DomainError, UnsupportedOrderError
 from .invariants import (
     MAX_CLOSED_ORDER,
-    casimirs,
     classify_degeneracy_3,
     classify_degeneracy_4,
-    trace_power_closed,
+    closed_invariants,
 )
 from .positivity import (
     AffineMap,
@@ -156,14 +155,15 @@ def cmd_invariants(args) -> int:
         state = to_coherence(matrix, tensors.basis)
     # The "adjoint" column is the direct route: powers of the rebuilt rho.
     direct = matrix_trace_powers(from_coherence(state, tensors.basis), m)
+    report = closed_invariants(state, tensors)
     rows = {}
     max_disc = 0.0
     for k in range(2, m + 1):
-        closed = trace_power_closed(state, k, tensors)
+        closed = report.trace_power(k)
         adjoint = float(direct[k - 1])
         rows[k] = {"closed": closed, "adjoint": adjoint}
         max_disc = max(max_disc, abs(closed - adjoint))
-    cas = casimirs(state, tensors, up_to=min(dim, m, 9) if dim >= 3 else 2)
+    cas = report.casimirs(min(dim, m) if dim >= 3 else 2)
     payload = {
         "dim": dim,
         "trace_powers": {str(k): v for k, v in rows.items()},

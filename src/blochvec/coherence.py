@@ -55,7 +55,7 @@ class CoherenceState:
         object.__setattr__(self, "dim", checked_dim(self.dim))
         if np.iscomplexobj(self.n):
             raise DomainError("coherence vectors are real; got a complex vector")
-        vec = np.asarray(self.n, dtype=float)
+        vec = np.array(self.n, dtype=float)  # a frozen copy: the caller's array stays writable
         if vec.shape != (self.dim**2 - 1,):
             raise LayoutError(
                 f"coherence vector for dim {self.dim} must have length "

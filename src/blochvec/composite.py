@@ -5,8 +5,9 @@ Two normalization conventions deliberately coexist.  The flat coherence
 vector of a composite uses the rescaled product basis (Tr lam^2 = 2), while
 correlation blocks use bare tensor products of single-subsystem matrices,
 so their entries are plain expectation values such as Tr(rho sigma_i x
-sigma_j).  The per-element conversion factors live on
-:class:`CompositeLayout`.
+sigma_j).  A flat element is its bare tensor product times
+sqrt(2 / Tr((bare product)^2)) (see
+:func:`~blochvec.su_basis.build_product_basis`).
 """
 
 from __future__ import annotations
@@ -46,21 +47,6 @@ class CompositeLayout:
     @property
     def labels(self) -> tuple[tuple[int, ...], ...]:
         return product_basis_labels(self.dims)
-
-    @property
-    def index_of(self) -> dict[tuple[int, ...], int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
-    @property
-    def element_scales(self) -> np.ndarray:
-        """Scale of each flat basis element relative to the bare tensor
-        product: sqrt(2 / Tr((x lam)^2))."""
-        labels = self.labels
-        scales = np.empty(len(labels))
-        for i, lab in enumerate(labels):
-            norm2 = np.prod([2.0 if v else float(d) for d, v in zip(self.dims, lab)])
-            scales[i] = np.sqrt(2.0 / norm2)
-        return scales
 
     def check_matrix(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)

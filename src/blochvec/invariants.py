@@ -11,17 +11,17 @@ one, contraction formulas for the fully symmetrized traces
     T_k(n) = Tr_sym(lam_{i_1} ... lam_{i_k}) n_{i_1} ... n_{i_k}
            = Tr((n . lam)^k),
 
-built from the d-chain contractions of n (:meth:`StructureTensors.d_chain`,
-traces of N x N operator products, computed once per state), then sums
-the binomial expansion of Tr(rho^m).  The two routes share only the
-basis; agreement with direct eigenvalue sums is enforced by the test
-suite.
+built once per state by :func:`closed_invariants` from the d-chain of n
+(:meth:`StructureTensors.d_chain`), then sums the binomial expansion of
+Tr(rho^m).  The two routes share only the basis; agreement with direct
+eigenvalue sums is enforced by the test suite.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -40,53 +40,93 @@ from .su_basis import BasisSet, StructureTensors
 MAX_CLOSED_ORDER = 9
 
 
-def _sym_trace_values(n: np.ndarray, tensors: StructureTensors) -> list[float]:
-    """[T_0, ..., T_9] with T_k = Tr((n.lam)^k) from closed contractions."""
+@dataclass(frozen=True)
+class CasimirSet:
+    """Casimir invariant values c_m of one state, keyed by order m."""
+
+    dim: int
+    values: dict[int, float]
+
+    def __getitem__(self, m: int) -> float:
+        return self.values[m]
+
+
+@dataclass(frozen=True)
+class ClosedInvariants:
+    """The closed invariants of one coherence state, from one d-chain:
+    ``chain`` = (0, 0, c_2, ..., c_9) of :meth:`StructureTensors.d_chain`,
+    ``T`` = (T_0, ..., T_9), e.g. T_2 = 2 n.n and T_3 = 2 d_ijk n_i n_j n_k,
+    and ``S234`` of :func:`~blochvec.positivity.closed_S234`.  The methods
+    take orders that their public views have checked."""
+
+    dim: int
+    chain: tuple[float, ...]
+    T: tuple[float, ...]
+    S234: tuple[float, float, float]
+
+    def trace_power(self, m: int) -> float:
+        """Tr(rho^m) of :func:`trace_power_closed`."""
+        N, c = self.dim, coherence_scale(self.dim)
+        return float(sum(comb(m, k) * c**k * self.T[k] for k in range(m + 1)) / N**m)
+
+    def casimirs(self, up_to: int) -> CasimirSet:
+        """c_2 .. c_up_to of :func:`casimirs`."""
+        N = self.dim
+        kappa = coherence_scale(N) / (N - 2) if N > 2 else 0.0
+        return CasimirSet(N, {m: kappa ** (m - 2) * self.chain[m] for m in range(2, up_to + 1)})
+
+
+def closed_invariants(state: CoherenceState, tensors: StructureTensors) -> ClosedInvariants:
+    """The closed invariants of ``state``; :class:`LayoutError` unless
+    ``tensors`` has the state's dimension.  The report of the last state
+    asked for is kept, so the views (:func:`trace_power_closed`,
+    :func:`casimirs`, :func:`~blochvec.positivity.closed_S234`) that read
+    one state in a row compute its d-chain once."""
+    if state.dim != tensors.dim:
+        raise LayoutError("state and tensors must share one dimension")
+    return _closed_invariants(tensors, state.n.tobytes())
+
+
+@lru_cache(maxsize=1)
+def _closed_invariants(tensors: StructureTensors, n_bytes: bytes) -> ClosedInvariants:
+    """The report of :func:`closed_invariants`, keyed by the bytes of n."""
     N = tensors.dim
-    c = tensors.d_chain(n)
-    p, wn, ww = c[2], c[3], c[4]
-    return [
+    ch = tensors.d_chain(np.frombuffer(n_bytes))
+    p, wn, ww = ch[2], ch[3], ch[4]
+    T = (
         float(N),
         0.0,
         2.0 * p,
         2.0 * wn,
         (4.0 / N) * p**2 + 2.0 * ww,
-        (8.0 / N) * p * wn + 2.0 * c[5],
-        (8.0 / N**2) * p**3 + (12.0 / N) * p * ww + 2.0 * c[6],
+        (8.0 / N) * p * wn + 2.0 * ch[5],
+        (8.0 / N**2) * p**3 + (12.0 / N) * p * ww + 2.0 * ch[6],
         (24.0 / N**2) * p**2 * wn
-        + (12.0 / N) * p * c[5]
+        + (12.0 / N) * p * ch[5]
         + (4.0 / N) * wn * ww
-        + 2.0 * c[7],
+        + 2.0 * ch[7],
         (16.0 / N**3) * p**4
         + (48.0 / N**2) * p**2 * ww
         + (4.0 / N) * ww**2
-        + (16.0 / N) * p * c[6]
-        + 2.0 * c[8],
+        + (16.0 / N) * p * ch[6]
+        + 2.0 * ch[8],
         (64.0 / N**3) * p**3 * wn
         + (32.0 / N**2) * p * ww * wn
-        + (48.0 / N**2) * p**2 * c[5]
-        + (8.0 / N) * ww * c[5]
-        + (16.0 / N) * p * c[7]
-        + 2.0 * c[9],
-    ]
-
-
-def symmetric_trace_contraction(k: int, n: np.ndarray,
-                                tensors: StructureTensors) -> float:
-    """The symmetrized k-factor trace contracted with n, for k in 2..9.
-
-    For example T_2 = 2 n.n, T_3 = 2 d_ijk n_i n_j n_k, and
-    T_5 = (4/N)(delta d + delta d) + 2 d_ijm d_kln d_mnq contracted with
-    five copies of n.
-    """
-    if not 2 <= k <= MAX_CLOSED_ORDER:
-        raise UnsupportedOrderError(f"symmetric traces implemented for k in 2..9, got {k}")
-    if np.iscomplexobj(n):
-        raise DomainError("symmetric traces take a real vector; got a complex one")
-    n = np.asarray(n, dtype=float)
-    if n.shape != (tensors.dim**2 - 1,):
-        raise LayoutError(f"vector must have length {tensors.dim**2 - 1}")
-    return _sym_trace_values(n, tensors)[k]
+        + (48.0 / N**2) * p**2 * ch[5]
+        + (8.0 / N) * ww * ch[5]
+        + (16.0 / N) * p * ch[7]
+        + 2.0 * ch[9],
+    )
+    c = coherence_scale(N)
+    S2 = (N - 1) / (2.0 * N) * (1.0 - p)
+    S3 = (N - 1) / (6.0 * N**2) * ((N - 2) * (1.0 - 3.0 * p) + 2.0 * c * wn)
+    S4 = (N - 1) / (24.0 * N**3) * (
+        (N - 2) * (N - 3) * (1.0 - 6.0 * p)
+        + 8.0 * (N - 3) * c * wn
+        + 3.0 * (N - 1) * (N - 2) * p**2
+        - 6.0 * c**2 * ww
+    )
+    return ClosedInvariants(dim=N, chain=ch, T=T, S234=(S2, S3, S4))
 
 
 def trace_power_closed(state: CoherenceState, m: int,
@@ -99,23 +139,7 @@ def trace_power_closed(state: CoherenceState, m: int,
     """
     if not 2 <= m <= MAX_CLOSED_ORDER:
         raise UnsupportedOrderError(f"closed trace powers implemented for m in 2..9, got {m}")
-    if state.dim != tensors.dim:
-        raise LayoutError("state and tensors must share one dimension")
-    N = state.dim
-    c = coherence_scale(N)
-    T = _sym_trace_values(state.n, tensors)
-    return float(sum(comb(m, k) * c**k * T[k] for k in range(m + 1)) / N**m)
-
-
-@dataclass(frozen=True)
-class CasimirSet:
-    """Casimir invariant values c_m of one state, keyed by order m."""
-
-    dim: int
-    values: dict[int, float]
-
-    def __getitem__(self, m: int) -> float:
-        return self.values[m]
+    return closed_invariants(state, tensors).trace_power(m)
 
 
 def casimirs(state: CoherenceState, tensors: StructureTensors,
@@ -127,9 +151,8 @@ def casimirs(state: CoherenceState, tensors: StructureTensors,
     (c/(N-2))^(m-2) so that the star-product convention of c_2, c_3
     extends: every c_m equals 1 on pure states.
     """
-    N = state.dim
-    if tensors.dim != N:
-        raise LayoutError("state and tensors must share one dimension")
+    report = closed_invariants(state, tensors)
+    N = report.dim
     if up_to < 2:
         raise UnsupportedOrderError("casimir order starts at 2")
     if up_to >= 3 and N < 3:
@@ -138,10 +161,7 @@ def casimirs(state: CoherenceState, tensors: StructureTensors,
         raise UnsupportedOrderError(
             f"casimir order limited to min(N, 9) = {min(N, MAX_CLOSED_ORDER)}, got {up_to}"
         )
-    chains = tensors.d_chain(state.n)
-    kappa = coherence_scale(N) / (N - 2) if N > 2 else 0.0
-    values = {m: kappa ** (m - 2) * chains[m] for m in range(2, up_to + 1)}
-    return CasimirSet(dim=N, values=values)
+    return report.casimirs(up_to)
 
 
 def casimir_operator(m: int, basis: BasisSet) -> np.ndarray:

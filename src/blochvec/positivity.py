@@ -30,11 +30,11 @@ import numpy as np
 
 from .coherence import (
     CoherenceState,
-    coherence_scale,
     from_coherence,
     require_hermitian,
 )
 from .errors import EPS_POS, EPS_ZERO, DomainError, LayoutError
+from .invariants import closed_invariants
 from .su_basis import BasisSet, StructureTensors, checked_dim
 
 
@@ -54,7 +54,7 @@ class SymFnSequence:
     verdict: Verdict
 
     def __post_init__(self):
-        S = np.asarray(self.S, dtype=float)
+        S = np.array(self.S, dtype=float)  # a frozen copy: the caller's array stays writable
         S.setflags(write=False)
         object.__setattr__(self, "S", S)
 
@@ -108,22 +108,10 @@ def closed_S234(state: CoherenceState, tensors: StructureTensors) -> tuple[float
 
     Terms are evaluated as raw d-contractions with explicit (N-2), (N-3)
     factors, so S_3 = S_4 = 0 identically at N = 2 and S_4 = 0 at N = 3
-    without ever dividing by N - 2 or N - 3.
+    without ever dividing by N - 2 or N - 3.  The values are those of
+    :func:`~blochvec.invariants.closed_invariants`.
     """
-    if state.dim != tensors.dim:
-        raise LayoutError("state and tensors must share one dimension")
-    N = state.dim
-    c = coherence_scale(N)
-    p, wn, ww = tensors.d_chain(state.n)[2:5]
-    S2 = (N - 1) / (2.0 * N) * (1.0 - p)
-    S3 = (N - 1) / (6.0 * N**2) * ((N - 2) * (1.0 - 3.0 * p) + 2.0 * c * wn)
-    S4 = (N - 1) / (24.0 * N**3) * (
-        (N - 2) * (N - 3) * (1.0 - 6.0 * p)
-        + 8.0 * (N - 3) * c * wn
-        + 3.0 * (N - 1) * (N - 2) * p**2
-        - 6.0 * c**2 * ww
-    )
-    return S2, S3, S4
+    return closed_invariants(state, tensors).S234
 
 
 def positivity_verdict(S, *, tol: float | None = None) -> SymFnSequence:
@@ -256,8 +244,8 @@ class AffineMap:
         k = self.dim**2 - 1
         if np.iscomplexobj(self.T) or np.iscomplexobj(self.t):
             raise DomainError("affine maps of coherence vectors are real; got a complex T or t")
-        T = np.asarray(self.T, dtype=float)
-        t = np.asarray(self.t, dtype=float)
+        T = np.array(self.T, dtype=float)  # frozen copies, as in CoherenceState
+        t = np.array(self.t, dtype=float)
         if T.shape != (k, k) or t.shape != (k,):
             raise LayoutError(f"affine map for dim {self.dim} needs a {k}x{k} matrix "
                               f"and a length-{k} vector")

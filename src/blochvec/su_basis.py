@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product as iproduct
+from math import prod
 from typing import Optional
 
 import numpy as np
@@ -41,6 +42,10 @@ from .errors import EPS_HERM, DimensionError, DomainError, InconsistentBasisErro
 #: is element 7.
 SU3_STANDARD_TO_GROUPED = (0, 3, 6, 1, 4, 2, 5, 7)
 
+#: Largest N a basis is built for (its N^2 - 1 dense N x N elements take
+#: 268 MB at N = 64); a larger N raises DimensionError before allocating.
+MAX_BASIS_DIM = 64
+
 
 def checked_dim(dim) -> int:
     """``dim`` as a Python int; raises :class:`DimensionError` unless it is
@@ -48,6 +53,11 @@ def checked_dim(dim) -> int:
     if not isinstance(dim, (int, np.integer)) or dim < 2:
         raise DimensionError(f"dimension must be an integer >= 2, got {dim!r}")
     return int(dim)
+
+
+def _admit_basis_dim(dim: int) -> None:
+    if dim > MAX_BASIS_DIM:
+        raise DimensionError(f"bases are built up to N = {MAX_BASIS_DIM}, got N = {dim}")
 
 
 @dataclass(frozen=True)
@@ -137,19 +147,13 @@ class StructureTensors:
     :meth:`BasisSet.expand` and :meth:`BasisSet.overlaps`.  The bilinears
     take real vectors; a complex one raises :class:`DomainError`.  This is
     the only representation of f and d: no (N^2 - 1)^3 array is ever built,
-    and no array besides the basis itself is held.
-
-    The one mutable attribute is a one-entry memo of :meth:`d_chain`, the
-    pair (bytes of n, chain).  It is read once and replaced as one tuple,
-    never updated in place, so a thread sees either the old pair or the
-    new one, and a hit returns exactly what a fresh computation would.
-    Instances are otherwise read-only and safe to share between threads.
+    and no array besides the basis itself is held.  Every method is a pure
+    function of its arguments, so instances are safe to share.
     """
 
     def __init__(self, basis: BasisSet):
         self.basis = basis
         self.dim = basis.dim
-        self._chain_memo: tuple[Optional[bytes], tuple[float, ...]] = (None, ())
 
     def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The N x N matrix (a.lam)(b.lam) for real a, b."""
@@ -172,28 +176,17 @@ class StructureTensors:
         With w = d(n,n,.) and A = d(w,w,.),
 
             c_2 = n.n, c_3 = w.n, c_4 = w.w, c_5 = A.n, c_6 = A.w,
-            c_7 = d(A,w,.).n, c_8 = A.A, c_9 = d(A,A,.).n.
+            c_7 = d(A,w,.).n, c_8 = A.A, c_9 = d(A,A,.).n,
 
-        The chain of the last n asked for is kept, so taking several
-        invariants of one state in a row computes it once.
+        from three N x N products.  By the product rule X = n.lam squares
+        to (2/N)(n.n) 1 + w.lam, so W = X^2 - (2 c_2/N) 1 is w.lam and
+        A.lam = W^2 - (2 c_4/N) 1; every contraction a.b is then
+        Tr((a.lam)(b.lam))/2, c_7 = Re Tr(XAW)/2 and c_9 = Tr(XAA)/2, with
+        no projection onto the basis.
         """
+        if np.iscomplexobj(n):
+            raise DomainError("the d-chain takes a real vector; got a complex one")
         n = np.asarray(n, dtype=float)
-        key = n.tobytes()
-        memo = self._chain_memo
-        if memo[0] == key:
-            return memo[1]
-        chain = self._d_chain(n)
-        self._chain_memo = (key, chain)
-        return chain
-
-    def _d_chain(self, n: np.ndarray) -> tuple[float, ...]:
-        """The chain of :meth:`d_chain` from three N x N products.
-
-        By the product rule X = n.lam squares to (2/N)(n.n) 1 + w.lam, so
-        W = X^2 - (2 c_2/N) 1 is w.lam and A.lam = W^2 - (2 c_4/N) 1; every
-        contraction a.b is then Tr((a.lam)(b.lam))/2, c_7 = Re Tr(XAW)/2
-        and c_9 = Tr(XAA)/2, with no projection onto the basis.
-        """
         N = self.dim
         c2 = float(np.dot(n, n))
         if N == 2:  # d vanishes identically on su(2)
@@ -246,8 +239,10 @@ def build_gellmann_basis(dim: int) -> BasisSet:
     matrices sqrt(2/(m(m+1))) diag(1, ..., 1, -m, 0, ...).  For dim = 2 this
     is the Pauli basis (x, y, z); for dim = 3, :data:`SU3_STANDARD_TO_GROUPED`
     maps the physics-standard lambda_1..lambda_8 numbering onto this order.
+    ``dim`` is held to :data:`MAX_BASIS_DIM`.
     """
     dim = checked_dim(dim)
+    _admit_basis_dim(dim)
     return BasisSet(dim=dim, elements=_gellmann_elements(dim))
 
 
@@ -276,7 +271,8 @@ def build_product_basis(dims) -> BasisSet:
     Gell-Mann bases (identity allowed per factor, the all-identity label
     excluded), each rescaled so that Tr(lam_i lam_j) = 2 delta_ij.  For two
     qubits each element carries a 1/sqrt(2) and the ordering matches
-    :func:`product_basis_labels`.
+    :func:`product_basis_labels`.  The product of ``dims`` is held to
+    :data:`MAX_BASIS_DIM`.
     """
     if len(dims) == 0:
         raise LayoutError("subsystem dimension list must not be empty")
@@ -288,7 +284,8 @@ def _build_product_basis(dims: tuple[int, ...]) -> BasisSet:
     for d in dims:
         if d > 3:
             raise DimensionError(f"product bases support qubit/qutrit factors only, got {d}")
-    total = int(np.prod(dims))
+    total = prod(dims)
+    _admit_basis_dim(total)
     factors = {d: build_gellmann_basis(d).elements for d in set(dims)}
     labels = product_basis_labels(dims)
     mats = []

@@ -369,6 +369,30 @@ def test_werner_sweep_above_limit_is_refused(capsys, monkeypatch):
     assert captured.err.startswith("error:") and "--sweep" in captured.err
 
 
+@pytest.mark.parametrize("command", ["check", "invariants"])
+def test_oversized_coherence_document_is_refused(write_doc, capsys, command):
+    import tracemalloc
+
+    # five qutrits pass the parser; their product basis would be 59048
+    # elements of 243 x 243, about 56 GB
+    dims = (3,) * 5
+    path = write_doc(coherence_document(np.zeros(243**2 - 1), 243, dims))
+    tracemalloc.start()
+    try:
+        cli._load_document(path)
+        parsing = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        code = main([command, path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "up to N = 64" in captured.err
+    assert peak - parsing < 1 << 20  # refused before any basis work
+
+
 def test_werner_sweep_at_limit_is_accepted(capsys, monkeypatch):
     def stub(x, tol):
         return {"x": x, "S3": 0.0, "S4": 0.0, "S3_pt": 0.0, "S4_pt": 0.0, "ppt": True}

@@ -252,16 +252,25 @@ def test_non_finite_entries_raise_domain_error_without_warnings():
 
 
 def test_complex_coherence_vectors_are_refused():
-    from blochvec import symmetric_trace_contraction
-
     with pytest.raises(DomainError):
         CoherenceState(dim=2, n=[0.1 + 0.5j, 0.0, 0.0])
     with pytest.raises(DomainError):  # a complex dtype is refused even when real-valued
         CoherenceState(dim=3, n=np.zeros(8, dtype=complex))
     n = np.random.default_rng(8).normal(size=8)
-    with pytest.raises(DomainError):
-        symmetric_trace_contraction(3, n + 0.2j, gellmann_tensors(3))
+    for dim in (2, 3):  # the qubit chain never expands n, and still refuses it
+        with pytest.raises(DomainError):
+            gellmann_tensors(dim).d_chain(n[:dim**2 - 1] + 0.2j)
     assert CoherenceState(dim=3, n=list(n)).n.dtype == float
+
+
+def test_coherence_state_owns_a_frozen_copy_of_n():
+    n = np.zeros(8)
+    state = CoherenceState(dim=3, n=n)
+    assert n.flags.writeable
+    assert not np.shares_memory(n, state.n)
+    assert not state.n.flags.writeable
+    n[0] = 0.5  # the caller's array stays theirs
+    assert state.n[0] == 0.0
 
 
 @pytest.mark.parametrize("dim", [1, 0, -3, 2.0, 3.5, True, "3", None])

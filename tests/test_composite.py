@@ -33,8 +33,11 @@ SINGLET = np.outer(SINGLET_KET, SINGLET_KET).astype(complex)
 def test_layout_two_qubits_matches_product_basis():
     basis = build_product_basis((2, 2))
     assert TWO_QUBITS.labels == basis.labels
-    np.testing.assert_allclose(TWO_QUBITS.element_scales, np.full(15, 1 / np.sqrt(2)))
-    assert TWO_QUBITS.index_of[(2, 0)] == 1  # sigma_y x 1 sits second
+    # sigma_y x 1 sits second, scaled by 1/sqrt(2) to Tr(lam^2) = 2 like every element
+    assert TWO_QUBITS.labels[1] == (2, 0)
+    sigma_y = np.array([[0, -1j], [1j, 0]])
+    np.testing.assert_allclose(basis.elements[1], np.kron(sigma_y, np.eye(2)) / np.sqrt(2),
+                               atol=1e-15)
 
 
 def test_partial_trace_product_state():

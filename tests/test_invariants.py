@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from blochvec import (
+    CoherenceState,
     Degeneracy3,
     Degeneracy4,
     DomainError,
+    LayoutError,
     StarUndefinedError,
     UnsupportedOrderError,
     build_gellmann_basis,
@@ -14,10 +16,10 @@ from blochvec import (
     classify_degeneracy_4,
     check_positivity_coherence,
     closed_S234,
+    closed_invariants,
     from_coherence,
     gellmann_tensors,
     structure_constants,
-    symmetric_trace_contraction,
     to_coherence,
     trace_power_closed,
 )
@@ -100,16 +102,16 @@ def test_invariant_sweep_computes_the_d_chain_once(monkeypatch):
         raise AssertionError("d_bilinear called on a closed-invariant path")
 
     computed = []
-    compute = StructureTensors._d_chain
+    compute = StructureTensors.d_chain
 
     def counted(self, n):
-        computed.append(n.copy())
+        computed.append(np.array(n))
         return compute(self, n)
 
     monkeypatch.setattr(StructureTensors, "d_bilinear", refuse)
-    monkeypatch.setattr(StructureTensors, "_d_chain", counted)
+    monkeypatch.setattr(StructureTensors, "d_chain", counted)
     basis = build_gellmann_basis(9)
-    tensors = structure_constants(basis)  # a fresh instance: empty memo
+    tensors = structure_constants(basis)  # a fresh instance: no report kept for it
     state = to_coherence(random_density_matrix(9, np.random.default_rng(9)), basis)
     closed_S234(state, tensors)
     casimirs(state, tensors, up_to=9)
@@ -123,13 +125,65 @@ def test_symmetric_trace_contraction_sees_in_place_changes():
     basis = build_gellmann_basis(4)
     tensors = structure_constants(basis)
     n = np.random.default_rng(4).normal(size=15)
-    before = symmetric_trace_contraction(5, n, tensors)
+    chain = tensors.d_chain(n)
+    before = closed_invariants(CoherenceState(dim=4, n=n), tensors).T[5]
     n[3] += 0.5  # same array object, new contents
-    after = symmetric_trace_contraction(5, n, tensors)
+    assert tensors.d_chain(n) != chain
+    after = closed_invariants(CoherenceState(dim=4, n=n), tensors).T[5]
     assert after != before
-    assert after == symmetric_trace_contraction(5, n.copy(), structure_constants(basis))
+    assert after == closed_invariants(CoherenceState(dim=4, n=n.copy()),
+                                      structure_constants(basis)).T[5]
     power = np.tensordot(n, basis.elements, axes=(0, 0))
     assert after == pytest.approx(np.trace(np.linalg.matrix_power(power, 5)).real, rel=1e-11)
+
+
+def test_closed_invariants_memo_serves_interleaved_states_fresh_values():
+    basis = build_gellmann_basis(5)
+    shared = structure_constants(basis)
+    other = structure_constants(basis)  # same basis, another instance
+    rng = np.random.default_rng(5)
+    a, b = (CoherenceState(dim=5, n=v) for v in rng.normal(size=(2, 24)))
+    fresh = {key: structure_constants(basis).d_chain(s.n) for key, s in (("a", a), ("b", b))}
+    for key, s in (("a", a), ("b", b), ("a", a), ("a", a), ("b", b)):
+        for tensors in (shared, other):
+            report = closed_invariants(s, tensors)
+            assert report.chain == fresh[key]
+            assert report.T[2] == 2.0 * fresh[key][2]
+    with pytest.raises(LayoutError):
+        closed_invariants(a, gellmann_tensors(4))
+
+
+def test_closed_invariants_memo_is_thread_safe():
+    import sys
+    import threading
+
+    basis = build_gellmann_basis(6)
+    shared = structure_constants(basis)
+    rng = np.random.default_rng(6)
+    states = [CoherenceState(dim=6, n=v) for v in rng.normal(size=(2, 35))]
+    want = [closed_invariants(s, structure_constants(basis)) for s in states]
+    workers = 4
+    start = threading.Barrier(workers)
+    wrong = []
+
+    def worker(i):  # every thread alternates the same two states, half out of step
+        start.wait()
+        for j in range(i, i + 400):
+            if closed_invariants(states[j % 2], shared) != want[j % 2]:
+                wrong.append((i, j))
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_trace_power_adjoint_basics():
@@ -152,25 +206,28 @@ def test_symmetric_trace_contraction_matches_dense(dim):
     tensors = gellmann_tensors(dim)
     for _ in range(10):
         n = rng.normal(size=dim * dim - 1)
+        T = closed_invariants(CoherenceState(dim=dim, n=n), tensors).T
         mat = np.tensordot(n, basis.elements, axes=(0, 0))
         power = mat
         for k in range(2, 10):
             power = power @ mat
             exact = np.trace(power).real
-            got = symmetric_trace_contraction(k, n, tensors)
-            assert got == pytest.approx(exact, rel=1e-11, abs=1e-11)
+            assert T[k] == pytest.approx(exact, rel=1e-11, abs=1e-11)
 
 
 def test_symmetric_trace_low_orders():
     tensors = gellmann_tensors(3)
     rng = np.random.default_rng(1)
     n = rng.normal(size=8)
-    assert symmetric_trace_contraction(2, n, tensors) == pytest.approx(2 * n @ n)
+    state = CoherenceState(dim=3, n=n)
+    T = closed_invariants(state, tensors).T
+    assert len(T) == 10 and T[:2] == (3.0, 0.0)
+    assert T[2] == pytest.approx(2 * n @ n)
     d3 = np.einsum("ijk,i,j,k->", dense_tensors(tensors)[1], n, n, n)
-    assert symmetric_trace_contraction(3, n, tensors) == pytest.approx(2 * d3)
-    assert symmetric_trace_contraction(5, np.zeros(8), tensors) == 0.0
+    assert T[3] == pytest.approx(2 * d3)
+    assert closed_invariants(CoherenceState(dim=3, n=np.zeros(8)), tensors).T[5] == 0.0
     with pytest.raises(UnsupportedOrderError):
-        symmetric_trace_contraction(10, n, tensors)
+        trace_power_closed(state, 10, tensors)
 
 
 def test_trace_power_closed_printed_forms():

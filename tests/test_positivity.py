@@ -23,6 +23,7 @@ from blochvec import (
     newton_symmetric_functions,
     positivity_verdict,
     product_tensors,
+    SymFnSequence,
     symmetric_functions,
     to_coherence,
     tridiagonal_symmetric_functions,
@@ -206,6 +207,28 @@ def test_affine_map_basics():
         AffineMap(dim=3, T=np.eye(7), t=np.zeros(8))
     with pytest.raises(LayoutError):
         apply_affine_map(AffineMap.inversion(2), state)
+
+
+def test_affine_map_owns_frozen_copies_of_T_and_t():
+    T, t = np.eye(3), np.zeros(3)
+    mapping = AffineMap(dim=2, T=T, t=t)
+    for mine, held in ((T, mapping.T), (t, mapping.t)):
+        assert mine.flags.writeable
+        assert not np.shares_memory(mine, held)
+        assert not held.flags.writeable
+    T[0, 0] = 5.0
+    assert mapping.T[0, 0] == 1.0
+
+
+def test_verdict_owns_a_frozen_copy_of_S():
+    S = np.array([1.0, 0.25, 0.01])
+    for seq in (positivity_verdict(S),
+                SymFnSequence(dim=3, S=S, sign_changes=3, verdict=Verdict.PSD)):
+        assert S.flags.writeable
+        assert not np.shares_memory(S, seq.S)
+        assert not seq.S.flags.writeable
+    S[2] = -1.0
+    assert seq.S[2] == 0.01
 
 
 def test_affine_map_refuses_complex_parts():

@@ -1,6 +1,5 @@
 import json
 import pathlib
-import sys
 
 import numpy as np
 import pytest
@@ -284,50 +283,10 @@ def test_qubit_d_chain_is_exactly_zero_beyond_c2():
     assert all(c == 0.0 for c in chain[3:]) and len(chain) == 10
 
 
-def test_d_chain_memo_serves_interleaved_states_fresh_values():
-    basis = build_gellmann_basis(5)
-    shared = structure_constants(basis)
-    rng = np.random.default_rng(5)
-    a, b = rng.normal(size=(2, 24))
-    fresh = {key: structure_constants(basis).d_chain(v) for key, v in (("a", a), ("b", b))}
-    for key, v in (("a", a), ("b", b), ("a", a), ("a", a)):
-        assert shared.d_chain(v) == fresh[key]
-
-
-def test_d_chain_memo_is_thread_safe():
-    import threading
-
-    basis = build_gellmann_basis(6)
-    shared = structure_constants(basis)
-    rng = np.random.default_rng(6)
-    states = rng.normal(size=(2, 35))
-    want = [structure_constants(basis).d_chain(v) for v in states]
-    workers = 4
-    start = threading.Barrier(workers)
-    wrong = []
-
-    def worker(i):  # every thread alternates the same two states, half out of step
-        start.wait()
-        for j in range(i, i + 400):
-            if shared.d_chain(states[j % 2]) != want[j % 2]:
-                wrong.append((i, j))
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as possible
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert wrong == []
-
-
 def test_structure_constants_build_no_dense_tensors():
     import tracemalloc
+
+    from blochvec import CoherenceState, closed_invariants
 
     t = structure_constants(build_product_basis((2, 2, 2, 2)))
     dense_bytes = 255**3 * 8  # one dense (N^2-1)^3 tensor: 133 MB
@@ -336,6 +295,7 @@ def test_structure_constants_build_no_dense_tensors():
         return sum(v.nbytes for v in vars(t).values() if isinstance(v, np.ndarray))
 
     before = held()
+    attributes = dict(vars(t))
     assert before < dense_bytes / 50
     v = np.random.default_rng(255).normal(size=255)
     tracemalloc.start()
@@ -348,6 +308,48 @@ def test_structure_constants_build_no_dense_tensors():
         tracemalloc.stop()
     assert peak < dense_bytes / 100  # transient work stays O(N^4)
     assert held() == before  # and the instance keeps nothing new
+    assert vars(t) == attributes
+    closed_invariants(CoherenceState(dim=16, n=v), t)
+    assert vars(t) == attributes  # the invariant memo lives outside the instance
+
+
+@pytest.mark.parametrize("build, arg", [(build_gellmann_basis, 65),
+                                        (build_gellmann_basis, 10**6),
+                                        (build_product_basis, [3] * 4),
+                                        (build_product_basis, [3] * 5),
+                                        (build_product_basis, [2] * 64),
+                                        (gellmann_tensors, 65),
+                                        (product_tensors, [2] * 7)])
+def test_oversized_bases_are_refused_before_allocating(build, arg):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match="up to N = 64"):
+            build(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_bases_at_the_size_limit_are_admitted(monkeypatch):
+    import blochvec.su_basis as su_basis
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted  # the element build starts: past the size check
+
+    assert su_basis.MAX_BASIS_DIM == 64
+    # N = 64 costs 268 MB of elements, so stop each build where it starts
+    monkeypatch.setattr(su_basis, "_gellmann_elements", admitted)
+    monkeypatch.setattr(su_basis, "product_basis_labels", admitted)
+    with pytest.raises(Admitted):
+        su_basis.build_gellmann_basis.__wrapped__(64)
+    with pytest.raises(Admitted):
+        su_basis._build_product_basis.__wrapped__((2,) * 6)
 
 
 def test_structure_constants_reject_bad_basis():
