@@ -35,12 +35,7 @@ from .documents import (
 )
 from .entanglement import tangle_report
 from .errors import EPS_ZERO, BlochvecError, DomainError, UnsupportedOrderError
-from .invariants import (
-    MAX_CLOSED_ORDER,
-    classify_degeneracy_3,
-    classify_degeneracy_4,
-    closed_invariants,
-)
+from .invariants import MAX_CLOSED_ORDER, closed_invariants
 from .positivity import (
     AffineMap,
     Verdict,
@@ -55,6 +50,16 @@ _EXIT_BY_VERDICT = {Verdict.PSD: 0, Verdict.BOUNDARY: 0, Verdict.NOT_PSD: 2}
 #: Most x values one ``werner --sweep`` evaluates; a larger count is refused
 #: before any array is allocated.
 MAX_SWEEP = 10_000
+
+#: The ``invariants`` degeneracy line of a three- or four-level state, by the
+#: multiplicity pattern of :meth:`ClosedInvariants.degeneracy`; any other
+#: pattern, or None, is "Unresolved".
+DEGENERACY_LABELS = {
+    3: {(3,): "ThreeFoldDegenerate", (2, 1): "TwoLargeOneSmall",
+        (1, 2): "TwoSmallOneLarge", (1, 1, 1): "NonDegenerate"},
+    4: {(4,): "PatternABBB", (1, 3): "PatternABBB", (3, 1): "PatternABBB",
+        (2, 2): "PatternAABB"},
+}
 
 
 def _default_tol(args) -> float | None:
@@ -170,10 +175,8 @@ def cmd_invariants(args) -> int:
         "max_discrepancy": max_disc,
         "casimirs": {str(k): v for k, v in sorted(cas.values.items())},
     }
-    if dim == 3:
-        payload["degeneracy"] = classify_degeneracy_3(cas[2], cas[3]).value
-    elif dim == 4:
-        payload["degeneracy"] = classify_degeneracy_4(cas).value
+    if dim in DEGENERACY_LABELS:
+        payload["degeneracy"] = DEGENERACY_LABELS[dim].get(report.degeneracy(), "Unresolved")
     lines = [f"Tr(rho^{k}): closed={v['closed']:.12g}  adjoint={v['adjoint']:.12g}"
              for k, v in rows.items()]
     lines.append(f"max closed/adjoint discrepancy: {max_disc:.3e}")

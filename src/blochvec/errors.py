@@ -17,10 +17,13 @@ a caller, through the ``tol`` of :func:`~blochvec.positivity_verdict` and
 EPS_HERM = 1e-10
 
 #: Absolute "counts as zero" cutoff: the trace-one check, the pure-state and
-#: orthogonality predicates, the degeneracy classifiers, the smallest
-#: eigenvalue accepted as PSD before a matrix square root, the S_2 clamp of
-#: the three-tangle, the CKW slack, the range slack of the inversion family's
-#: parameter and the CLI's ``--verify`` eigenvalues.
+#: orthogonality predicates, the degeneracy rule of
+#: :meth:`ClosedInvariants.degeneracy` (|n| at most EPS_ZERO, Hankel singular
+#: values relative to the largest, and sqrt(EPS_ZERO) for the integrality of
+#: multiplicities), the smallest eigenvalue accepted as PSD before a matrix
+#: square root, the S_2 clamp of the three-tangle, the CKW slack, the range
+#: slack of the inversion family's parameter and the CLI's ``--verify``
+#: eigenvalues.
 EPS_ZERO = 1e-9
 
 #: Default verdict band: S_k counts as zero when |S_k| <= EPS_POS times the

@@ -1,5 +1,5 @@
 """Trace invariants Tr(rho^m) by closed contractions, Casimir invariants,
-and spectrum-degeneracy diagnostics.
+and the multiplicity pattern of the spectrum read from the same report.
 
 Tr(rho^m) has two routes.  The direct one is
 :func:`~blochvec.positivity.matrix_trace_powers` of the rebuilt density
@@ -19,7 +19,6 @@ eigenvalue sums is enforced by the test suite.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -29,8 +28,6 @@ import numpy as np
 from .coherence import CoherenceState, coherence_scale
 from .errors import (
     EPS_ZERO,
-    DimensionError,
-    DomainError,
     LayoutError,
     StarUndefinedError,
     UnsupportedOrderError,
@@ -48,6 +45,9 @@ class CasimirSet:
     values: dict[int, float]
 
     def __getitem__(self, m: int) -> float:
+        if m not in self.values:
+            raise UnsupportedOrderError(
+                f"no Casimir of order {m}; this set holds orders {sorted(self.values)}")
         return self.values[m]
 
 
@@ -56,8 +56,8 @@ class ClosedInvariants:
     """The closed invariants of one coherence state, from one d-chain:
     ``chain`` = (0, 0, c_2, ..., c_9) of :meth:`StructureTensors.d_chain`,
     ``T`` = (T_0, ..., T_9), e.g. T_2 = 2 n.n and T_3 = 2 d_ijk n_i n_j n_k,
-    and ``S234`` of :func:`~blochvec.positivity.closed_S234`.  The methods
-    take orders that their public views have checked."""
+    and ``S234`` of :func:`~blochvec.positivity.closed_S234`.  ``trace_power``
+    and ``casimirs`` take orders that their public views have checked."""
 
     dim: int
     chain: tuple[float, ...]
@@ -74,6 +74,46 @@ class ClosedInvariants:
         N = self.dim
         kappa = coherence_scale(N) / (N - 2) if N > 2 else 0.0
         return CasimirSet(N, {m: kappa ** (m - 2) * self.chain[m] for m in range(2, up_to + 1)})
+
+    def degeneracy(self) -> tuple[int, ...] | None:
+        """Multiplicities of the distinct eigenvalues of rho, largest
+        eigenvalue first, e.g. (1, 2) for (0.8, 0.1, 0.1); None when they do
+        not resolve.  Needs T_0..T_(2N-1), so 2 <= N <= 5.
+
+        rho has eigenvalues (1 + c mu)/N, where T_k = sum_i mu_i^k are the
+        power sums of the eigenvalues mu of n.lam.  Scaled free of |n| to
+        t_k = T_k / s^k, s^2 = T_2 / N, the Hankel matrix H_ij = t_(i+j)
+        (i, j < N) has rank r = the number of distinct mu (Hermite's
+        quadratic form; Basu, Pollack & Roy, *Algorithms in Real Algebraic
+        Geometry*, ch. 4), counted as singular values above EPS_ZERO times
+        the largest.  The distinct mu are the roots of the monic degree-r
+        polynomial orthogonal to t, i.e. the eigenvalues of the symmetric
+        pencil (t_(i+j+1), t_(i+j)) for i, j < r, and their multiplicities
+        are N times the squared first components of its eigenvectors
+        (Golub & Welsch, Math. Comp. 23, 1969), which sum to N.  A pattern
+        is returned only if every multiplicity lies within sqrt(EPS_ZERO)
+        of a positive integer: the rank cutoff acts on squared eigenvalue
+        gaps.  |n| <= EPS_ZERO counts as the maximally mixed state, (N,).
+        """
+        N = self.dim
+        if 2 * N - 1 > MAX_CLOSED_ORDER:
+            raise UnsupportedOrderError(f"degeneracy needs T_0..T_{2 * N - 1}; N <= 5, got {N}")
+        if self.chain[2] <= EPS_ZERO**2:
+            return (N,)
+        t = np.asarray(self.T) / np.sqrt(self.T[2] / N) ** np.arange(len(self.T))
+        H = t[np.add.outer(np.arange(N), np.arange(N + 1))]
+        sv = np.linalg.svd(H[:, :N], compute_uv=False)
+        r = int(np.count_nonzero(sv > EPS_ZERO * sv[0]))
+        try:
+            L = np.linalg.cholesky(H[:r, :r])
+        except np.linalg.LinAlgError:
+            return None
+        _, Q = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, H[:r, 1:r + 1]).T))
+        m = N * Q[0, ::-1] ** 2
+        k = np.rint(m)
+        if np.any(k < 1) or np.any(np.abs(m - k) > np.sqrt(EPS_ZERO)):
+            return None
+        return tuple(int(v) for v in k)
 
 
 def closed_invariants(state: CoherenceState, tensors: StructureTensors) -> ClosedInvariants:
@@ -186,61 +226,3 @@ def casimir_operator(m: int, basis: BasisSet) -> np.ndarray:
         quartic = quartic + np.einsum("bij,bjk->ik", left, left + elems @ lam)
     return quartic / 2.0 - (2.0 / basis.dim) * c2
 
-
-class Degeneracy3(enum.Enum):
-    THREE_FOLD_DEGENERATE = "ThreeFoldDegenerate"
-    TWO_LARGE_ONE_SMALL = "TwoLargeOneSmall"
-    TWO_SMALL_ONE_LARGE = "TwoSmallOneLarge"
-    NON_DEGENERATE = "NonDegenerate"
-
-
-def classify_degeneracy_3(c2: float, c3: float) -> Degeneracy3:
-    """Spectrum-degeneracy diagnosis for a three-level state from c_2, c_3.
-
-    A degenerate pair forces c_3 = -(c_2)^(3/2) when the pair is larger
-    than the remaining eigenvalue and +(c_2)^(3/2) when smaller; c_2 = 0
-    means a fully degenerate spectrum.  Each relation holds when it is met
-    within EPS_ZERO (relative to max(1, c_2^(3/2)) for the c_3 tests).
-    """
-    if c2 < -EPS_ZERO:
-        raise DomainError(f"c2 = n.n must be nonnegative, got {c2}")
-    if c2 <= EPS_ZERO:
-        return Degeneracy3.THREE_FOLD_DEGENERATE
-    bound = c2**1.5
-    scale = max(1.0, bound)
-    if abs(c3 + bound) <= EPS_ZERO * scale:
-        return Degeneracy3.TWO_LARGE_ONE_SMALL
-    if abs(c3 - bound) <= EPS_ZERO * scale:
-        return Degeneracy3.TWO_SMALL_ONE_LARGE
-    return Degeneracy3.NON_DEGENERATE
-
-
-class Degeneracy4(enum.Enum):
-    PATTERN_ABBB = "PatternABBB"
-    PATTERN_AABB = "PatternAABB"
-    UNRESOLVED = "Unresolved"
-
-
-def classify_degeneracy_4(cas: CasimirSet) -> Degeneracy4:
-    """Degeneracy pattern of a four-level spectrum from c_2, c_3, c_4.
-
-    Spectrum (a, b, b, b) has n = t n_pure on the line through a pure
-    state, where every c_m equals 1 (see :func:`casimirs`), so c_m = t^m:
-    |c_3| = c_2^(3/2) and c_4 = c_2^2.  (a, a, b, b) zeroes every Casimir
-    beyond the quadratic.  Spectra of the form (a, b, c, c) or
-    non-degenerate ones are reported unresolved.
-    The fully degenerate state (n = 0) trivially matches the (a, b, b, b)
-    proportionality and is reported as such.  Relations are tested to
-    EPS_ZERO relative to max(1, c_2^2).
-    """
-    if cas.dim != 4:
-        raise DimensionError(f"four-level classifier needs dim 4, got {cas.dim}")
-    if not {2, 3, 4} <= set(cas.values):
-        raise UnsupportedOrderError("classifier needs c2, c3 and c4")
-    c2, c3, c4 = cas[2], cas[3], cas[4]
-    band = EPS_ZERO * max(1.0, c2**2)
-    if abs(abs(c3) - c2**1.5) <= band and abs(c4 - c2**2) <= band:
-        return Degeneracy4.PATTERN_ABBB
-    if c2 > EPS_ZERO and abs(c3) <= band and abs(c4) <= band:
-        return Degeneracy4.PATTERN_AABB
-    return Degeneracy4.UNRESOLVED

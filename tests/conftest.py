@@ -1,5 +1,20 @@
+import os
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants of the code under test while pytest
+    # collects; keep that cache in a temporary directory, not the checkout
+    config.hypothesis_home = tempfile.mkdtemp(prefix="hypothesis-")
+    os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", config.hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.hypothesis_home, ignore_errors=True)
 
 
 def dense_tensors(tensors, tol=1e-12):

@@ -18,6 +18,7 @@ from blochvec import (
     check_positivity,
     check_positivity_coherence,
     casimirs,
+    closed_invariants,
     ckw_inequality_check,
     correlation_det,
     extract_correlation,
@@ -205,6 +206,46 @@ def test_criterion_06_inverter_bound():
               f"|n| = {np.linalg.norm(state.n):.4f}, inversion NotPSD")
 
 
+def multiplicity_patterns(n):
+    """Every ordered tuple of positive integers summing to n."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in multiplicity_patterns(n - first):
+            yield (first,) + rest
+
+
+def patterned_spectrum(pattern, rel_gaps, width):
+    """Trace-one spectrum whose distinct values, largest first, repeat by
+    ``pattern`` and sit ``rel_gaps`` (fractions of ``width``) apart."""
+    values = 1.0 - np.r_[0.0, np.cumsum(rel_gaps)]
+    spec = np.repeat(values, pattern)
+    return (spec - spec.mean()) * width + 1.0 / spec.size
+
+
+def gap_layouts(r):
+    """Relative gaps between r distinct values: one gap g at each place,
+    and for r >= 4 every run of r - 2 adjacent gaps g (a cluster of r - 1
+    distinct values), each g down to the resolution of README.md."""
+    if r < 2:
+        yield ()
+        return
+    if r == 2:
+        yield (1.0,)
+        return
+    for g in (1e-1, 1e-2, 1e-3, 3e-4):
+        for j in range(r - 1):
+            gaps = np.full(r - 1, (1.0 - g) / (r - 2))
+            gaps[j] = g
+            yield tuple(gaps)
+    if r >= 4:
+        g = 1e-2 if r == 4 else 5e-2
+        for j in range(2):
+            gaps = np.full(r - 1, g)
+            gaps[(r - 2) * j] = 1.0 - (r - 2) * g
+            yield tuple(gaps)
+
+
 def test_criterion_07_degeneracy_diagnostics():
     tensors = gellmann_tensors(3)
     basis = build_gellmann_basis(3)
@@ -217,9 +258,12 @@ def test_criterion_07_degeneracy_diagnostics():
             spec[[i for i in range(3) if i not in positions]] = odd_value
             u = random_unitary(3, rng)
             rho = u @ np.diag(spec).astype(complex) @ u.conj().T
-            cas = casimirs(to_coherence(rho, basis), tensors, up_to=3)
+            state = to_coherence(rho, basis)
+            cas = casimirs(state, tensors, up_to=3)
             expected = -cas[2] ** 1.5 if pair_larger else cas[2] ** 1.5
             worst_pair = max(worst_pair, abs(cas[3] - expected))
+            pattern = (2, 1) if pair_larger else (1, 2)
+            assert closed_invariants(state, tensors).degeneracy() == pattern
     assert worst_pair <= 1e-9
 
     worst_identity = 0.0
@@ -232,8 +276,26 @@ def test_criterion_07_degeneracy_diagnostics():
                               for i, j in itertools.combinations(range(3), 2)])
         worst_identity = max(worst_identity, abs(lhs - rhs))
     assert worst_identity <= 1e-9
+
+    # every multiplicity pattern at N = 3..5, Haar-rotated, from the
+    # closed invariants alone; widths 0.8/N to 1e-6 test the scale-free rule
+    wrong, spectra = [], 0
+    for dim in (3, 4, 5):
+        basis_n, tensors_n = build_gellmann_basis(dim), gellmann_tensors(dim)
+        for pattern in multiplicity_patterns(dim):
+            for rel_gaps in gap_layouts(len(pattern)):
+                for width in (0.8 / dim, 1e-3, 1e-6):
+                    spec = patterned_spectrum(pattern, rel_gaps, width)
+                    u = random_unitary(dim, rng)
+                    rho = u @ np.diag(spec).astype(complex) @ u.conj().T
+                    found = closed_invariants(to_coherence(rho, basis_n), tensors_n).degeneracy()
+                    spectra += 1
+                    if found != pattern:
+                        wrong.append((pattern, rel_gaps, width, found))
+    assert wrong == []
     report(7, f"degenerate-pair residual {worst_pair:.1e}, "
-              f"discriminant identity residual {worst_identity:.1e}")
+              f"discriminant identity residual {worst_identity:.1e}, "
+              f"{spectra} patterned spectra at N = 3..5 exact")
 
 
 def test_criterion_08_local_invariants():

@@ -322,6 +322,29 @@ def test_invariants_four_level_degeneracy_line(write_doc, capsys):
     assert payload["degeneracy"] == "PatternAABB"
 
 
+def test_invariants_near_maximally_mixed_pair_is_not_threefold(write_doc, capsys):
+    # one degenerate pair, all invariants beyond the quadratic below EPS_ZERO
+    path = write_doc(matrix_document(np.diag([0.25, 0.25, 0.2501, 0.2499])))
+    assert main(["invariants", path]) == 0
+    out = capsys.readouterr().out
+    assert "degeneracy: Unresolved" in out
+    assert "PatternABBB" not in out
+
+
+@pytest.mark.parametrize("spectrum", [
+    [0.5, 0.3, 0.2], [0.8, 0.1, 0.1], [1 / 3 + 1e-5, 1 / 3, 1 / 3 - 1e-5],
+    [0.5, 0.5, 0.0, 0.0], [0.1, 0.3, 0.3, 0.3], [0.4, 0.3, 0.2, 0.1],
+])
+def test_invariants_label_does_not_depend_on_max_order(write_doc, capsys, spectrum):
+    path = write_doc(matrix_document(np.diag(spectrum)))
+    labels = set()
+    for order in ("2", "3", "6"):
+        code, payload = run_json(capsys, ["invariants", path, "--json", "--max-order", order])
+        assert code == 0
+        labels.add(payload["degeneracy"])
+    assert len(labels) == 1
+
+
 def test_tol_env_override(write_doc, capsys, monkeypatch):
     # slightly indefinite matrix: strict tolerance rejects, loose accepts
     mat = np.diag([0.6, 0.4 + 5e-7, -5e-7])

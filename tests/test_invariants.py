@@ -3,17 +3,12 @@ import pytest
 
 from blochvec import (
     CoherenceState,
-    Degeneracy3,
-    Degeneracy4,
-    DomainError,
     LayoutError,
     StarUndefinedError,
     UnsupportedOrderError,
     build_gellmann_basis,
     casimir_operator,
     casimirs,
-    classify_degeneracy_3,
-    classify_degeneracy_4,
     check_positivity_coherence,
     closed_S234,
     closed_invariants,
@@ -23,6 +18,7 @@ from blochvec import (
     to_coherence,
     trace_power_closed,
 )
+from blochvec.cli import DEGENERACY_LABELS
 from blochvec.positivity import matrix_trace_powers
 
 from conftest import dense_tensors, haar_state, random_density_matrix, random_unitary
@@ -336,13 +332,10 @@ def test_casimir_errors():
         trace_power_closed(state, 0, gellmann_tensors(2))
 
 
-def test_classifier_input_errors():
-    from blochvec import CasimirSet, DimensionError
-
-    with pytest.raises(DimensionError):
-        classify_degeneracy_4(CasimirSet(dim=3, values={2: 0.1, 3: 0.0, 4: 0.0}))
-    with pytest.raises(UnsupportedOrderError):
-        classify_degeneracy_4(CasimirSet(dim=4, values={2: 0.1, 3: 0.0}))
+def test_missing_casimir_order_names_the_held_orders():
+    cas = casimirs(diag_state([0.5, 0.3, 0.2]), gellmann_tensors(3), up_to=2)
+    with pytest.raises(UnsupportedOrderError, match=r"order 3.*orders \[2\]"):
+        cas[3]
 
 
 @pytest.mark.parametrize("dim", range(2, 6))
@@ -441,32 +434,55 @@ def test_cubic_casimir_operator_memory():
     assert peak < 99**3 * 8 / 10  # a tenth of one dense (N^2-1)^3 float array
 
 
+def degeneracy_label(spec):
+    """The CLI's degeneracy line for a diagonal state."""
+    dim = len(spec)
+    report = closed_invariants(diag_state(spec), gellmann_tensors(dim))
+    return DEGENERACY_LABELS[dim].get(report.degeneracy(), "Unresolved")
+
+
 def test_classify_degeneracy_3():
-    tensors = gellmann_tensors(3)
-    for spec, expected in [
-        ([0.5, 0.5, 0.0], Degeneracy3.TWO_LARGE_ONE_SMALL),
-        ([1 / 3, 1 / 3, 1 / 3], Degeneracy3.THREE_FOLD_DEGENERATE),
-        ([0.5, 0.3, 0.2], Degeneracy3.NON_DEGENERATE),
-        ([0.8, 0.1, 0.1], Degeneracy3.TWO_SMALL_ONE_LARGE),
+    for spec, pattern, label in [
+        ([0.5, 0.5, 0.0], (2, 1), "TwoLargeOneSmall"),
+        ([1 / 3, 1 / 3, 1 / 3], (3,), "ThreeFoldDegenerate"),
+        ([0.5, 0.3, 0.2], (1, 1, 1), "NonDegenerate"),
+        ([0.8, 0.1, 0.1], (1, 2), "TwoSmallOneLarge"),
+        # split by 1e-5 around 1/3: c_2 and c_3 are below EPS_ZERO here
+        ([1 / 3 + 1e-5, 1 / 3, 1 / 3 - 1e-5], (1, 1, 1), "NonDegenerate"),
     ]:
-        cas = casimirs(diag_state(spec), tensors, up_to=3)
-        assert classify_degeneracy_3(cas[2], cas[3]) is expected
+        report = closed_invariants(diag_state(spec), gellmann_tensors(3))
+        assert report.degeneracy() == pattern, spec
+        assert degeneracy_label(spec) == label, spec
     # explicit values on the (1/2, 1/2, 0) spectrum
-    cas = casimirs(diag_state([0.5, 0.5, 0.0]), tensors, up_to=3)
+    cas = casimirs(diag_state([0.5, 0.5, 0.0]), gellmann_tensors(3), up_to=3)
     assert cas[2] == pytest.approx(0.25, abs=1e-12)
     assert cas[3] == pytest.approx(-0.125, abs=1e-12)
-    with pytest.raises(DomainError):
-        classify_degeneracy_3(-1.0, 0.0)
 
 
 def test_classify_degeneracy_4():
-    tensors = gellmann_tensors(4)
-    for spec, expected in [
-        ([1.0, 0.0, 0.0, 0.0], Degeneracy4.PATTERN_ABBB),
-        ([0.1, 0.3, 0.3, 0.3], Degeneracy4.PATTERN_ABBB),
-        ([0.5, 0.5, 0.0, 0.0], Degeneracy4.PATTERN_AABB),
-        ([0.35, 0.35, 0.15, 0.15], Degeneracy4.PATTERN_AABB),
-        ([0.4, 0.3, 0.2, 0.1], Degeneracy4.UNRESOLVED),
+    for spec, pattern, label in [
+        ([1.0, 0.0, 0.0, 0.0], (1, 3), "PatternABBB"),
+        ([0.1, 0.3, 0.3, 0.3], (3, 1), "PatternABBB"),
+        ([0.25, 0.25, 0.25, 0.25], (4,), "PatternABBB"),
+        ([0.5, 0.5, 0.0, 0.0], (2, 2), "PatternAABB"),
+        ([0.35, 0.35, 0.15, 0.15], (2, 2), "PatternAABB"),
+        ([0.4, 0.3, 0.2, 0.1], (1, 1, 1, 1), "Unresolved"),
+        ([0.4, 0.3, 0.15, 0.15], (1, 1, 2), "Unresolved"),
+        # one pair near the maximally mixed state, not a threefold eigenvalue
+        ([0.25, 0.25, 0.2501, 0.2499], (1, 2, 1), "Unresolved"),
     ]:
-        cas = casimirs(diag_state(spec), tensors, up_to=4)
-        assert classify_degeneracy_4(cas) is expected, spec
+        report = closed_invariants(diag_state(spec), gellmann_tensors(4))
+        assert report.degeneracy() == pattern, spec
+        assert degeneracy_label(spec) == label, spec
+
+
+def test_degeneracy_range_and_edges():
+    assert closed_invariants(diag_state([0.7, 0.3]), gellmann_tensors(2)).degeneracy() == (1, 1)
+    assert closed_invariants(diag_state([0.5, 0.5]), gellmann_tensors(2)).degeneracy() == (2,)
+    # a split of 1e-10 leaves |n| below EPS_ZERO, which counts as maximally
+    # mixed; the pattern of a larger |n| is read scale-free
+    for eps, pattern in [(1e-10, (5,)), (1e-7, (1, 3, 1)), (1e-2, (1, 3, 1))]:
+        spec = np.full(5, 0.2) + eps * np.array([1.0, 0.0, 0.0, 0.0, -1.0])
+        assert closed_invariants(diag_state(spec), gellmann_tensors(5)).degeneracy() == pattern
+    with pytest.raises(UnsupportedOrderError):
+        closed_invariants(diag_state(np.full(6, 1 / 6)), gellmann_tensors(6)).degeneracy()
