@@ -43,7 +43,7 @@ from .positivity import (
     check_positivity,
     matrix_trace_powers,
 )
-from .su_basis import gellmann_tensors, product_tensors
+from .su_basis import build_gellmann_basis, build_product_basis
 
 _EXIT_BY_VERDICT = {Verdict.PSD: 0, Verdict.BOUNDARY: 0, Verdict.NOT_PSD: 2}
 
@@ -82,12 +82,12 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
             print(line)
 
 
-def _tensors_for(doc):
+def _basis_for(doc):
     """Coherence components of a composite document live in the product
     basis; the reconstructed operator depends on that choice."""
     if doc.dims is not None:
-        return product_tensors(doc.dims)
-    return gellmann_tensors(doc.dim)
+        return build_product_basis(doc.dims)
+    return build_gellmann_basis(doc.dim)
 
 
 def _load_document(path: str):
@@ -137,7 +137,7 @@ def cmd_check(args) -> int:
     if matrix is not None and not args.invert:
         mat = matrix
     else:
-        basis = _tensors_for(doc).basis
+        basis = _basis_for(doc)
         if state is None:
             state = to_coherence(matrix, basis)
         if args.invert:
@@ -155,12 +155,12 @@ def cmd_invariants(args) -> int:
             f"--max-order must lie in 2..{MAX_CLOSED_ORDER}, got {m}")
     doc, matrix, state = _load_document(args.input)
     dim = doc.dim
-    tensors = _tensors_for(doc)
+    basis = _basis_for(doc)
     if state is None:
-        state = to_coherence(matrix, tensors.basis)
+        state = to_coherence(matrix, basis)
     # The "adjoint" column is the direct route: powers of the rebuilt rho.
-    direct = matrix_trace_powers(from_coherence(state, tensors.basis), m)
-    report = closed_invariants(state, tensors)
+    direct = matrix_trace_powers(from_coherence(state, basis), m)
+    report = closed_invariants(state, basis)
     rows = {}
     max_disc = 0.0
     for k in range(2, m + 1):
@@ -241,7 +241,7 @@ def cmd_tangle(args) -> int:
 def cmd_map(args) -> int:
     dim_map, T, t = parse_map_document(load_json(args.map))
     doc, matrix, state = _load_document(args.input)
-    basis = _tensors_for(doc).basis
+    basis = _basis_for(doc)
     if state is None:
         state = to_coherence(matrix, basis)
     image = apply_affine_map(AffineMap(dim=dim_map, T=T, t=t), state)

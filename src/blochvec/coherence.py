@@ -10,8 +10,11 @@ under the star product
 
     (a * b)_k = c/(N-2) sum_ij d_ijk a_i b_j.
 
-:func:`from_coherence` and :func:`to_coherence` are :meth:`BasisSet.expand`
-and :meth:`BasisSet.overlaps` with these scales.
+Every function here takes the one basis type,
+:class:`~blochvec.su_basis.BasisSet`: :func:`from_coherence` and
+:func:`to_coherence` are its :meth:`~BasisSet.expand` and
+:meth:`~BasisSet.overlaps` with these scales, and :func:`star` is its
+:meth:`~BasisSet.d_bilinear` with the prefactor above.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
     NormalizationError,
     StarUndefinedError,
 )
-from .su_basis import BasisSet, StructureTensors, checked_dim
+from .su_basis import BasisSet, admit_dim, checked_dim
 
 
 def coherence_scale(dim: int) -> float:
@@ -74,13 +77,18 @@ class CoherenceState:
 def require_hermitian(rho: np.ndarray) -> np.ndarray:
     """Return rho as a complex array, raising unless it is Hermitian.
 
-    The tolerance scales with the largest entry: EPS_HERM * max(1, |rho|_max).
-    A NaN or infinite entry makes that largest entry NaN or infinite and
-    raises :class:`DomainError` before the residual is formed.
+    This is the input check of every operator route, the gates included,
+    so an N above :data:`~blochvec.su_basis.MAX_BASIS_DIM` raises
+    :class:`DimensionError` here, before the matrix is copied or read.
+    The tolerance scales with the largest entry: EPS_HERM * max(1,
+    |rho|_max).  A NaN or infinite entry makes that largest entry NaN or
+    infinite and raises :class:`DomainError` before the residual is formed.
     """
+    shape = np.shape(rho)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+        raise LayoutError(f"operator must be a nonempty square matrix, got shape {shape}")
+    admit_dim(shape[0])
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.size == 0:
-        raise LayoutError(f"operator must be a nonempty square matrix, got shape {rho.shape}")
     peak = np.abs(rho).max()
     if not peak < math.inf:  # refused before rho - rho^dag can warn on inf - inf
         raise DomainError("operator has non-finite entries")
@@ -114,19 +122,19 @@ def from_coherence(state: CoherenceState, basis: BasisSet) -> np.ndarray:
     return (np.eye(N, dtype=complex) + coherence_scale(N) * basis.expand(state.n)) / N
 
 
-def star(a: np.ndarray, b: np.ndarray, tensors: StructureTensors) -> np.ndarray:
+def star(a: np.ndarray, b: np.ndarray, basis: BasisSet) -> np.ndarray:
     """Star product (a * b)_k = c/(N-2) d_ijk a_i b_j; symmetric in a, b.
 
     Undefined at N = 2 where d vanishes identically and the prefactor is
     singular.
     """
-    N = tensors.dim
+    N = basis.dim
     if N < 3:
         raise StarUndefinedError("star product requires N >= 3 (d = 0 for qubits)")
-    return coherence_scale(N) / (N - 2) * tensors.d_bilinear(a, b)
+    return coherence_scale(N) / (N - 2) * basis.d_bilinear(a, b)
 
 
-def is_pure(state: CoherenceState, tensors: StructureTensors) -> bool:
+def is_pure(state: CoherenceState, basis: BasisSet) -> bool:
     """True iff |n.n - 1| <= EPS_ZERO and (for N >= 3) |n*n - n|_inf <= EPS_ZERO.
 
     For N = 2 only the norm condition applies; the surface of the Bloch
@@ -136,7 +144,7 @@ def is_pure(state: CoherenceState, tensors: StructureTensors) -> bool:
         return False
     if state.dim == 2:
         return True
-    return np.abs(star(state.n, state.n, tensors) - state.n).max() <= EPS_ZERO
+    return np.abs(star(state.n, state.n, basis) - state.n).max() <= EPS_ZERO
 
 
 def mutual_angle(s1: CoherenceState, s2: CoherenceState) -> float:

@@ -18,11 +18,7 @@ import numpy as np
 
 from .coherence import CoherenceState, require_hermitian
 from .errors import DomainError, LayoutError
-from .su_basis import (
-    StructureTensors,
-    build_gellmann_basis,
-    product_basis_labels,
-)
+from .su_basis import BasisSet, build_gellmann_basis, product_basis_labels
 
 
 @dataclass(frozen=True)
@@ -160,9 +156,8 @@ def local_invariant_quadratic(block: CorrelationBlock) -> float:
     return float(np.sum(block.C**2))
 
 
-def local_invariant_cubic(block: CorrelationBlock,
-                          tensors_a: StructureTensors,
-                          tensors_b: StructureTensors) -> float:
+def local_invariant_cubic(block: CorrelationBlock, basis_a: BasisSet,
+                          basis_b: BasisSet) -> float:
     """The d-tensor contraction sum d_ijk d_lmn C_il C_jm C_kn.
 
     Computed as (Tr Z^3 + Tr (Z^T_B)^3)/8 with Z = sum_ij C_ij lam_i x mu_j:
@@ -172,9 +167,9 @@ def local_invariant_cubic(block: CorrelationBlock,
     for the nonvanishing qubit analogue.
     """
     dA, dB = block.layout.dims
-    if tensors_a.dim != dA or tensors_b.dim != dB:
-        raise LayoutError("structure tensors must match the subsystem dimensions")
-    lam, mu = tensors_a.basis.elements, tensors_b.basis.elements
+    if basis_a.dim != dA or basis_b.dim != dB:
+        raise LayoutError("bases must match the subsystem dimensions")
+    lam, mu = basis_a.elements, basis_b.elements
     z = _correlation_operator(block.C, lam, mu)
     zt = _correlation_operator(block.C, lam, mu.transpose(0, 2, 1))  # Z^T_B
     return float(np.trace(z @ z @ z).real + np.trace(zt @ zt @ zt).real) / 8.0

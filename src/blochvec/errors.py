@@ -5,15 +5,16 @@ All errors derive from :class:`BlochvecError` (itself a ``ValueError``) so
 callers can catch everything from this package with one handler while still
 being able to distinguish failure kinds.
 
-Every zero test in the package reads one of the four constants below; no
-other cutoff is written anywhere.  Only the verdict band can be changed by
-a caller, through the ``tol`` of :func:`~blochvec.positivity_verdict` and
-:func:`~blochvec.check_positivity` (the CLI's ``--tol`` and
-``BLOCHVEC_TOL``).
+Every zero test in the package reads one of the four ``EPS_*`` cutoffs
+below; no other cutoff is written anywhere.  Only the verdict band can be
+changed by a caller, through the ``tol`` of
+:func:`~blochvec.positivity_verdict` and :func:`~blochvec.check_positivity`
+(the CLI's ``--tol`` and ``BLOCHVEC_TOL``), up to :data:`MAX_TOL`.
 """
 
 #: Largest Hermiticity residual max|A - A^dag| accepted, relative to
-#: max(1, largest entry); also the default of :meth:`BasisSet.validate`.
+#: max(1, largest entry); also the default of :meth:`BasisSet.validate`,
+#: which runs whenever a ``BasisSet`` is made.
 EPS_HERM = 1e-10
 
 #: Absolute "counts as zero" cutoff: the trace-one check, the pure-state and
@@ -29,6 +30,12 @@ EPS_ZERO = 1e-9
 #: Default verdict band: S_k counts as zero when |S_k| <= EPS_POS times the
 #: last non-negligible coefficient.
 EPS_POS = 1e-9
+
+#: Largest verdict band a caller may set; a larger ``tol`` raises
+#: :class:`DomainError`.  A band of ``tol`` treats eigenvalues within about
+#: ``tol`` of the spectrum's scale as zero, so a much looser band calls
+#: clearly indefinite states Boundary (diag(0.5, 0.75, -0.25) at 0.5).
+MAX_TOL = 1e-3
 
 #: Largest |<psi|psi> - 1| accepted for a ket.
 EPS_KET = 1e-12

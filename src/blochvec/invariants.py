@@ -12,9 +12,10 @@ one, contraction formulas for the fully symmetrized traces
            = Tr((n . lam)^k),
 
 built once per state by :func:`closed_invariants` from the d-chain of n
-(:meth:`StructureTensors.d_chain`), then sums the binomial expansion of
-Tr(rho^m).  The two routes share only the basis; agreement with direct
-eigenvalue sums is enforced by the test suite.
+(:meth:`BasisSet.d_chain`: the basis applies its own d tensor), then sums
+the binomial expansion of Tr(rho^m).  The two routes share only the
+basis; agreement with direct eigenvalue sums is enforced by the test
+suite.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     StarUndefinedError,
     UnsupportedOrderError,
 )
-from .su_basis import BasisSet, StructureTensors
+from .su_basis import BasisSet
 
 MAX_CLOSED_ORDER = 9
 
@@ -54,7 +55,7 @@ class CasimirSet:
 @dataclass(frozen=True)
 class ClosedInvariants:
     """The closed invariants of one coherence state, from one d-chain:
-    ``chain`` = (0, 0, c_2, ..., c_9) of :meth:`StructureTensors.d_chain`,
+    ``chain`` = (0, 0, c_2, ..., c_9) of :meth:`BasisSet.d_chain`,
     ``T`` = (T_0, ..., T_9), e.g. T_2 = 2 n.n and T_3 = 2 d_ijk n_i n_j n_k,
     and ``S234`` of :func:`~blochvec.positivity.closed_S234`.  ``trace_power``
     and ``casimirs`` take orders that their public views have checked."""
@@ -116,22 +117,23 @@ class ClosedInvariants:
         return tuple(int(v) for v in k)
 
 
-def closed_invariants(state: CoherenceState, tensors: StructureTensors) -> ClosedInvariants:
+def closed_invariants(state: CoherenceState, basis: BasisSet) -> ClosedInvariants:
     """The closed invariants of ``state``; :class:`LayoutError` unless
-    ``tensors`` has the state's dimension.  The report of the last state
+    ``basis`` has the state's dimension.  The report of the last state
     asked for is kept, so the views (:func:`trace_power_closed`,
     :func:`casimirs`, :func:`~blochvec.positivity.closed_S234`) that read
     one state in a row compute its d-chain once."""
-    if state.dim != tensors.dim:
-        raise LayoutError("state and tensors must share one dimension")
-    return _closed_invariants(tensors, state.n.tobytes())
+    if state.dim != basis.dim:
+        raise LayoutError("state and basis must share one dimension")
+    return _closed_invariants(basis, state.n.tobytes())
 
 
 @lru_cache(maxsize=1)
-def _closed_invariants(tensors: StructureTensors, n_bytes: bytes) -> ClosedInvariants:
-    """The report of :func:`closed_invariants`, keyed by the bytes of n."""
-    N = tensors.dim
-    ch = tensors.d_chain(np.frombuffer(n_bytes))
+def _closed_invariants(basis: BasisSet, n_bytes: bytes) -> ClosedInvariants:
+    """The report of :func:`closed_invariants`, keyed by the basis (by
+    identity) and the bytes of n."""
+    N = basis.dim
+    ch = basis.d_chain(np.frombuffer(n_bytes))
     p, wn, ww = ch[2], ch[3], ch[4]
     T = (
         float(N),
@@ -169,8 +171,7 @@ def _closed_invariants(tensors: StructureTensors, n_bytes: bytes) -> ClosedInvar
     return ClosedInvariants(dim=N, chain=ch, T=T, S234=(S2, S3, S4))
 
 
-def trace_power_closed(state: CoherenceState, m: int,
-                       tensors: StructureTensors) -> float:
+def trace_power_closed(state: CoherenceState, m: int, basis: BasisSet) -> float:
     """Tr(rho^m) = (1/N^m) sum_k C(m,k) c^k T_k, for m in 2..9.
 
     T_0 = N and T_1 = 0; for m = 2, 3 this reduces to
@@ -179,11 +180,10 @@ def trace_power_closed(state: CoherenceState, m: int,
     """
     if not 2 <= m <= MAX_CLOSED_ORDER:
         raise UnsupportedOrderError(f"closed trace powers implemented for m in 2..9, got {m}")
-    return closed_invariants(state, tensors).trace_power(m)
+    return closed_invariants(state, basis).trace_power(m)
 
 
-def casimirs(state: CoherenceState, tensors: StructureTensors,
-             up_to: int) -> CasimirSet:
+def casimirs(state: CoherenceState, basis: BasisSet, up_to: int) -> CasimirSet:
     """Casimir invariants c_2 .. c_up_to of a state.
 
     c_2 = n.n and c_3 = (n*n).n; for m >= 4, c_m is the pure d-chain term
@@ -191,7 +191,7 @@ def casimirs(state: CoherenceState, tensors: StructureTensors,
     (c/(N-2))^(m-2) so that the star-product convention of c_2, c_3
     extends: every c_m equals 1 on pure states.
     """
-    report = closed_invariants(state, tensors)
+    report = closed_invariants(state, basis)
     N = report.dim
     if up_to < 2:
         raise UnsupportedOrderError("casimir order starts at 2")

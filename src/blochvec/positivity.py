@@ -33,9 +33,9 @@ from .coherence import (
     from_coherence,
     require_hermitian,
 )
-from .errors import EPS_POS, EPS_ZERO, DomainError, LayoutError
+from .errors import EPS_POS, EPS_ZERO, MAX_TOL, DomainError, LayoutError
 from .invariants import closed_invariants
-from .su_basis import BasisSet, StructureTensors, checked_dim
+from .su_basis import BasisSet, checked_dim
 
 
 class Verdict(enum.Enum):
@@ -98,7 +98,7 @@ def symmetric_functions(mat: np.ndarray) -> np.ndarray:
     return newton_symmetric_functions(matrix_trace_powers(mat, mat.shape[0]))
 
 
-def closed_S234(state: CoherenceState, tensors: StructureTensors) -> tuple[float, float, float]:
+def closed_S234(state: CoherenceState, basis: BasisSet) -> tuple[float, float, float]:
     """(S_2, S_3, S_4) of a trace-one operator straight from its coherence vector.
 
     S_2 = (N-1)/(2N) [1 - n.n],
@@ -111,7 +111,7 @@ def closed_S234(state: CoherenceState, tensors: StructureTensors) -> tuple[float
     without ever dividing by N - 2 or N - 3.  The values are those of
     :func:`~blochvec.invariants.closed_invariants`.
     """
-    return closed_invariants(state, tensors).S234
+    return closed_invariants(state, basis).S234
 
 
 def positivity_verdict(S, *, tol: float | None = None) -> SymFnSequence:
@@ -119,7 +119,8 @@ def positivity_verdict(S, *, tol: float | None = None) -> SymFnSequence:
 
     A coefficient counts as zero when it is negligible at its own scale:
     |S_k| <= tol * |last non-negligible coefficient| (with S_0 = 1 as the
-    anchor and tol defaulting to EPS_POS = 1e-9).  The magnitudes of the
+    anchor and tol defaulting to EPS_POS = 1e-9; a tol outside
+    [0, MAX_TOL] raises :class:`DomainError`).  The magnitudes of the
     S_k shrink combinatorially with k, so a fixed absolute cutoff would miss
     honest tiny determinants or keep pure roundoff on degenerate spectra;
     the running band tracks the eigenvalue-counting cutoff at every scale.
@@ -135,8 +136,8 @@ def positivity_verdict(S, *, tol: float | None = None) -> SymFnSequence:
     if S.ndim != 1 or S.size == 0:
         raise DomainError("need a nonempty coefficient sequence")
     band = EPS_POS if tol is None else tol
-    if not 0.0 <= band < math.inf:
-        raise DomainError(f"verdict tolerance must be finite and >= 0, got {band}")
+    if not 0.0 <= band <= MAX_TOL:
+        raise DomainError(f"verdict tolerance must lie in [0, {MAX_TOL}], got {band}")
     ref = 1.0
     changes = 0
     previous_sign = 1.0  # sign of the leading coefficient
@@ -222,13 +223,12 @@ def tridiagonal_symmetric_functions(mat: np.ndarray) -> np.ndarray:
     return np.array(cur[1:])
 
 
-def check_positivity_coherence(state: CoherenceState,
-                               tensors: StructureTensors) -> SymFnSequence:
+def check_positivity_coherence(state: CoherenceState, basis: BasisSet) -> SymFnSequence:
     """Positivity gate of the trace-one operator represented by a coherence
     vector: rho is rebuilt by :func:`from_coherence` (one
-    :meth:`BasisSet.expand` over ``tensors.basis``) and its S_k are taken
-    from :func:`tridiagonal_symmetric_functions`."""
-    rho = from_coherence(state, tensors.basis)
+    :meth:`BasisSet.expand`) and its S_k are taken from
+    :func:`tridiagonal_symmetric_functions`."""
+    rho = from_coherence(state, basis)
     return positivity_verdict(tridiagonal_symmetric_functions(rho))
 
 

@@ -1,4 +1,5 @@
-"""Orthogonal traceless Hermitian bases for su(N) and their structure tensors.
+"""Orthogonal traceless Hermitian bases for su(N), which also apply their
+structure tensors.
 
 Conventions used throughout the package:
 
@@ -22,6 +23,9 @@ off-diagonal, diagonal), and scaled tensor products of single-system bases
 for composites of qubits and qutrits.  :meth:`BasisSet.expand` (v -> v.lam)
 and :meth:`BasisSet.overlaps` (M -> Re Tr(M lam_i)) are the one transform
 between coefficient vectors and N x N operators that every module uses.
+:class:`BasisSet` is the one basis type: it is validated when it is made,
+and its :meth:`~BasisSet.d_bilinear`, :meth:`~BasisSet.f_bilinear` and
+:meth:`~BasisSet.d_chain` apply f and d through N x N products.
 """
 
 from __future__ import annotations
@@ -55,19 +59,35 @@ def checked_dim(dim) -> int:
     return int(dim)
 
 
-def _admit_basis_dim(dim: int) -> None:
+def admit_dim(dim: int) -> None:
+    """Raise :class:`DimensionError` if ``dim`` exceeds :data:`MAX_BASIS_DIM`:
+    the one size limit of bases and of the operators that are gated."""
     if dim > MAX_BASIS_DIM:
-        raise DimensionError(f"bases are built up to N = {MAX_BASIS_DIM}, got N = {dim}")
+        raise DimensionError(f"operators and bases are supported up to N = {MAX_BASIS_DIM}, "
+                             f"got N = {dim}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisSet:
-    """An ordered family of N^2 - 1 traceless Hermitian matrices.
+    """An ordered family of N^2 - 1 traceless Hermitian matrices with
+    Tr(lam_i lam_j) = 2 delta_ij, and the f and d tensors they define.
 
     ``elements`` has shape (N^2 - 1, N, N).  For product bases ``labels``
     records, per element, the tuple of single-subsystem basis indices
     (0 meaning the identity factor) and ``subsystem_dims`` the factor
-    dimensions.
+    dimensions.  Every instance is checked by :meth:`validate` when it is
+    made.  Instances compare and hash by identity, so one can key a cache.
+
+    f and d are applied through N x N products instead of being stored.
+    For real a and b the product rule gives
+
+        Tr((a.lam)(b.lam) lam_k) / 2 = d(a, b)_k + i f(a, b)_k,
+
+    so each bilinear costs two expansions a.lam, b.lam, one N x N product
+    and one projection onto the basis, all O(N^4), through :meth:`expand`
+    and :meth:`overlaps`.  The bilinears take real vectors; a complex one
+    raises :class:`DomainError`.  No (N^2 - 1)^3 array is ever built, and
+    every method is a pure function of its arguments.
     """
 
     dim: int
@@ -90,6 +110,7 @@ class BasisSet:
         # expand and overlaps call np.dot on it rather than @: same BLAS
         # call, less overhead on the small operands of the coherence route.
         object.__setattr__(self, "_rows", elems.view(float).reshape(len(elems), -1))
+        self.validate()
 
     def __len__(self):
         return self.elements.shape[0]
@@ -133,42 +154,20 @@ class BasisSet:
         if resid > tol:
             raise InconsistentBasisError(f"basis not trace-orthonormal (residual {resid:.2e})")
 
-
-class StructureTensors:
-    """The f (antisymmetric) and d (symmetric) tensors of a basis, applied
-    through N x N products instead of being stored.
-
-    For real a and b the product rule gives
-
-        Tr((a.lam)(b.lam) lam_k) / 2 = d(a, b)_k + i f(a, b)_k,
-
-    so each bilinear costs two expansions a.lam, b.lam, one N x N product
-    and one projection onto the basis, all O(N^4), through
-    :meth:`BasisSet.expand` and :meth:`BasisSet.overlaps`.  The bilinears
-    take real vectors; a complex one raises :class:`DomainError`.  This is
-    the only representation of f and d: no (N^2 - 1)^3 array is ever built,
-    and no array besides the basis itself is held.  Every method is a pure
-    function of its arguments, so instances are safe to share.
-    """
-
-    def __init__(self, basis: BasisSet):
-        self.basis = basis
-        self.dim = basis.dim
-
     def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The N x N matrix (a.lam)(b.lam) for real a, b."""
-        return np.dot(self.basis.expand(a), self.basis.expand(b))
+        return np.dot(self.expand(a), self.expand(b))
 
     def d_bilinear(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vector d_ijk a_i b_j (the raw, prefactor-free star product)."""
         product = self._product(a, b)  # refuses complex a, b first
         if self.dim == 2:  # d vanishes identically on su(2)
             return np.zeros(3)
-        return self.basis.overlaps(product) / 2.0
+        return self.overlaps(product) / 2.0
 
     def f_bilinear(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vector f_ijk a_i b_j (antisymmetric in a, b)."""
-        return self.basis.overlaps(-1j * self._product(a, b)) / 2.0
+        return self.overlaps(-1j * self._product(a, b)) / 2.0
 
     def d_chain(self, n: np.ndarray) -> tuple[float, ...]:
         """(0, 0, c_2, ..., c_9): the pure d-chain contractions of a real n.
@@ -191,7 +190,7 @@ class StructureTensors:
         c2 = float(np.dot(n, n))
         if N == 2:  # d vanishes identically on su(2)
             return (0.0, 0.0, c2) + (0.0,) * 7
-        X = self.basis.expand(n)
+        X = self.expand(n)
         W = np.dot(X, X)
         W.reshape(-1)[::N + 1] -= 2.0 * c2 / N
         c4 = _half_trace(W, W)
@@ -242,7 +241,7 @@ def build_gellmann_basis(dim: int) -> BasisSet:
     ``dim`` is held to :data:`MAX_BASIS_DIM`.
     """
     dim = checked_dim(dim)
-    _admit_basis_dim(dim)
+    admit_dim(dim)
     return BasisSet(dim=dim, elements=_gellmann_elements(dim))
 
 
@@ -285,7 +284,7 @@ def _build_product_basis(dims: tuple[int, ...]) -> BasisSet:
         if d > 3:
             raise DimensionError(f"product bases support qubit/qutrit factors only, got {d}")
     total = prod(dims)
-    _admit_basis_dim(total)
+    admit_dim(total)
     factors = {d: build_gellmann_basis(d).elements for d in set(dims)}
     labels = product_basis_labels(dims)
     mats = []
@@ -302,33 +301,10 @@ def _build_product_basis(dims: tuple[int, ...]) -> BasisSet:
                     subsystem_dims=dims)
 
 
-def structure_constants(basis: BasisSet) -> StructureTensors:
-    """The f and d tensors of ``basis``, after checking its invariants.
-
-    f_ijk = Tr([lam_i, lam_j] lam_k) / (4i) and
-    d_ijk = Tr({lam_i, lam_j} lam_k) / 4; the 1/4 normalization is forced by
-    the commutation relations together with Tr(lam_i lam_j) = 2 delta_ij.
-    Both are applied through the product rule on N x N matrices (see
-    :class:`StructureTensors`), never stored entry by entry.
-    """
-    basis.validate()
-    return StructureTensors(basis)
-
-
-@lru_cache(maxsize=None)
-def gellmann_tensors(dim: int) -> StructureTensors:
-    """Cached structure tensors of the grouped Gell-Mann basis."""
-    return structure_constants(build_gellmann_basis(dim))
-
-
-def product_tensors(dims) -> StructureTensors:
-    """Cached structure tensors of the product basis for ``dims``."""
-    return _product_tensors(tuple(checked_dim(d) for d in dims))
-
-
-@lru_cache(maxsize=None)
-def _product_tensors(dims: tuple[int, ...]) -> StructureTensors:
-    return structure_constants(build_product_basis(dims))
+#: The two cached builders under the names of the structure-tensor API, for
+#: callers written against those names.
+gellmann_tensors = build_gellmann_basis
+product_tensors = build_product_basis
 
 
 def basis_to_json(basis: BasisSet) -> dict:
@@ -352,11 +328,9 @@ def basis_from_json(doc: dict) -> BasisSet:
         [[[complex(re, im) for re, im in row] for row in mat] for mat in doc["elements"]]
     )
     labels = doc.get("labels")
-    basis = BasisSet(
+    return BasisSet(
         dim=int(doc["dim"]),
         elements=elems,
         labels=tuple(tuple(lab) for lab in labels) if labels is not None else None,
         subsystem_dims=tuple(doc["subsystem_dims"]) if "subsystem_dims" in doc else None,
     )
-    basis.validate()
-    return basis

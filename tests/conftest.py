@@ -1,6 +1,7 @@
 import os
 import shutil
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -17,11 +18,21 @@ def pytest_unconfigure(config):
     shutil.rmtree(config.hypothesis_home, ignore_errors=True)
 
 
-def dense_tensors(tensors, tol=1e-12):
+@pytest.hookimpl(hookwrapper=True, tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    # on a failing example hypothesis imports libcst to suggest a patch, and
+    # that import warns about mypy_extensions; with warnings as errors the
+    # warning would end the session instead of reporting the failure
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="mypy_extensions", category=DeprecationWarning)
+        yield
+
+
+def dense_tensors(basis, tol=1e-12):
     """Reference (f, d) as dense (N^2 - 1)^3 arrays, from traces of the
-    basis elements of ``tensors``: f_ijk = Tr([l_i, l_j] l_k)/(4i) and
+    elements of ``basis``: f_ijk = Tr([l_i, l_j] l_k)/(4i) and
     d_ijk = Tr({l_i, l_j} l_k)/4, entries below ``tol`` set to zero."""
-    elems = tensors.basis.elements
+    elems = basis.elements
     prod = np.einsum("iab,jbc->ijac", elems, elems)
     comm = prod - prod.transpose(1, 0, 2, 3)
     anti = prod + prod.transpose(1, 0, 2, 3)

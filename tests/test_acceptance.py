@@ -23,7 +23,6 @@ from blochvec import (
     correlation_det,
     extract_correlation,
     from_coherence,
-    gellmann_tensors,
     inversion_bound_check,
     local_invariant_cubic,
     local_invariant_quadratic,
@@ -31,7 +30,6 @@ from blochvec import (
     partial_transpose,
     schmidt_trace_relation,
     star,
-    structure_constants,
     symmetric_functions,
     three_tangle,
     to_coherence,
@@ -86,14 +84,13 @@ def test_criterion_02_closed_trace_powers():
     for dim in range(2, 7):
         rng = np.random.default_rng(2000 + dim)
         basis = build_gellmann_basis(dim)
-        tensors = gellmann_tensors(dim)
         for _ in range(100):
             rho = random_density_matrix(dim, rng)
             state = to_coherence(rho, basis)
             eigs = np.linalg.eigvalsh(rho)
             for m in range(2, 10):
                 oracle = float(np.sum(eigs**m))
-                closed = trace_power_closed(state, m, tensors)
+                closed = trace_power_closed(state, m, basis)
                 adjoint = matrix_trace_powers(from_coherence(state, basis), m)[m - 1]
                 worst_closed = max(worst_closed, abs(closed - oracle))
                 worst_adjoint = max(worst_adjoint, abs(closed - adjoint))
@@ -110,14 +107,13 @@ def test_criterion_03_pure_state_conditions():
     for dim in range(3, 7):
         rng = np.random.default_rng(3000 + dim)
         basis = build_gellmann_basis(dim)
-        tensors = gellmann_tensors(dim)
         for _ in range(200):
             psi = haar_state(dim, rng)
             state = to_coherence(np.outer(psi, psi.conj()), basis)
             worst_norm = max(worst_norm, abs(state.norm_squared - 1.0))
             worst_star = max(worst_star,
-                             np.abs(star(state.n, state.n, tensors) - state.n).max())
-            seq = check_positivity_coherence(state, tensors)
+                             np.abs(star(state.n, state.n, basis) - state.n).max())
+            seq = check_positivity_coherence(state, basis)
             worst_s = max(worst_s, np.abs(seq.S[1:]).max())
     assert worst_norm <= 1e-9
     assert worst_star <= 1e-9
@@ -247,7 +243,6 @@ def gap_layouts(r):
 
 
 def test_criterion_07_degeneracy_diagnostics():
-    tensors = gellmann_tensors(3)
     basis = build_gellmann_basis(3)
     rng = np.random.default_rng(7000)
     worst_pair = 0.0
@@ -259,18 +254,18 @@ def test_criterion_07_degeneracy_diagnostics():
             u = random_unitary(3, rng)
             rho = u @ np.diag(spec).astype(complex) @ u.conj().T
             state = to_coherence(rho, basis)
-            cas = casimirs(state, tensors, up_to=3)
+            cas = casimirs(state, basis, up_to=3)
             expected = -cas[2] ** 1.5 if pair_larger else cas[2] ** 1.5
             worst_pair = max(worst_pair, abs(cas[3] - expected))
             pattern = (2, 1) if pair_larger else (1, 2)
-            assert closed_invariants(state, tensors).degeneracy() == pattern
+            assert closed_invariants(state, basis).degeneracy() == pattern
     assert worst_pair <= 1e-9
 
     worst_identity = 0.0
     for _ in range(200):
         spec = rng.dirichlet(np.ones(3))
         cas = casimirs(to_coherence(np.diag(spec).astype(complex), basis),
-                       tensors, up_to=3)
+                       basis, up_to=3)
         lhs = cas[2] ** 3 - cas[3] ** 2
         rhs = 6.75 * np.prod([(spec[i] - spec[j]) ** 2
                               for i, j in itertools.combinations(range(3), 2)])
@@ -281,14 +276,14 @@ def test_criterion_07_degeneracy_diagnostics():
     # closed invariants alone; widths 0.8/N to 1e-6 test the scale-free rule
     wrong, spectra = [], 0
     for dim in (3, 4, 5):
-        basis_n, tensors_n = build_gellmann_basis(dim), gellmann_tensors(dim)
+        basis_n = build_gellmann_basis(dim)
         for pattern in multiplicity_patterns(dim):
             for rel_gaps in gap_layouts(len(pattern)):
                 for width in (0.8 / dim, 1e-3, 1e-6):
                     spec = patterned_spectrum(pattern, rel_gaps, width)
                     u = random_unitary(dim, rng)
                     rho = u @ np.diag(spec).astype(complex) @ u.conj().T
-                    found = closed_invariants(to_coherence(rho, basis_n), tensors_n).degeneracy()
+                    found = closed_invariants(to_coherence(rho, basis_n), basis_n).degeneracy()
                     spectra += 1
                     if found != pattern:
                         wrong.append((pattern, rel_gaps, width, found))
@@ -317,15 +312,15 @@ def test_criterion_08_local_invariants():
     assert worst <= 1e-9
 
     layout3 = CompositeLayout(dims=(3, 3))
-    t3 = gellmann_tensors(3)
+    qutrit = build_gellmann_basis(3)
     worst_cubic = 0.0
     for _ in range(200):
         rho = random_density_matrix(9, rng)
         block = extract_correlation(rho, layout3)
-        value = local_invariant_cubic(block, t3, t3)
+        value = local_invariant_cubic(block, qutrit, qutrit)
         u = np.kron(random_unitary(3, rng), random_unitary(3, rng))
         rot = extract_correlation(u @ rho @ u.conj().T, layout3)
-        worst_cubic = max(worst_cubic, abs(local_invariant_cubic(rot, t3, t3) - value))
+        worst_cubic = max(worst_cubic, abs(local_invariant_cubic(rot, qutrit, qutrit) - value))
     assert worst_cubic <= 1e-9
     report(8, f"two-qubit invariants drift {worst:.1e}, "
               f"qutrit cubic drift {worst_cubic:.1e}")
@@ -362,7 +357,7 @@ def test_criterion_09_three_tangle():
 
 
 def test_criterion_10_structure_tensors():
-    _, d = dense_tensors(structure_constants(build_product_basis((2, 2))))
+    _, d = dense_tensors(build_product_basis((2, 2)))
     listed = {
         (1, 4, 7): 1, (1, 5, 8): 1, (1, 6, 9): 1,
         (2, 4, 10): 1, (2, 5, 11): 1, (2, 6, 12): 1,
@@ -379,7 +374,7 @@ def test_criterion_10_structure_tensors():
     worst_recon = 0.0
     for dim in range(2, 7):
         basis = build_gellmann_basis(dim)
-        f, d = dense_tensors(gellmann_tensors(dim))
+        f, d = dense_tensors(basis)
         elems = basis.elements
         prods = np.einsum("iab,jbc->ijac", elems, elems)
         recon = (2.0 / dim) * np.einsum("ij,ab->ijab", np.eye(len(basis)), np.eye(dim)) \

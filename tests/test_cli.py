@@ -416,6 +416,32 @@ def test_oversized_coherence_document_is_refused(write_doc, capsys, command):
     assert peak - parsing < 1 << 20  # refused before any basis work
 
 
+def test_oversized_matrix_document_is_refused(write_doc, capsys):
+    import tracemalloc
+
+    path = write_doc(matrix_document(np.eye(65) / 65))
+    tracemalloc.start()
+    try:
+        cli._load_document(path)
+        parsing = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        code = main(["check", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "up to N = 64" in captured.err
+    assert peak - parsing < 1 << 20  # refused before any gate work
+
+
+def test_matrix_document_at_the_size_limit_is_checked(write_doc, capsys):
+    code, payload = run_json(capsys, ["check", write_doc(matrix_document(np.eye(64) / 64)),
+                                      "--json"])
+    assert (code, payload["dim"], payload["verdict"]) == (0, 64, "PSD")
+
+
 def test_werner_sweep_at_limit_is_accepted(capsys, monkeypatch):
     def stub(x, tol):
         return {"x": x, "S3": 0.0, "S4": 0.0, "S3_pt": 0.0, "S4_pt": 0.0, "ppt": True}

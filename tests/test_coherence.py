@@ -13,7 +13,6 @@ from blochvec import (
     build_gellmann_basis,
     build_product_basis,
     from_coherence,
-    gellmann_tensors,
     is_pure,
     mutual_angle,
     orthogonal_states,
@@ -105,84 +104,79 @@ def test_to_coherence_errors():
 
 def test_star_pure_state_is_idempotent():
     basis = build_gellmann_basis(3)
-    tensors = gellmann_tensors(3)
     state = to_coherence(np.diag([1.0, 0.0, 0.0]).astype(complex), basis)
-    np.testing.assert_allclose(star(state.n, state.n, tensors), state.n, atol=1e-12)
+    np.testing.assert_allclose(star(state.n, state.n, basis), state.n, atol=1e-12)
 
 
 def test_star_zero_and_unit_direction():
-    tensors = gellmann_tensors(3)
+    basis = build_gellmann_basis(3)
     zero = np.zeros(8)
-    assert np.abs(star(zero, zero, tensors)).max() == 0.0
+    assert np.abs(star(zero, zero, basis)).max() == 0.0
     e3 = np.zeros(8)
     e3[LAM3] = 1.0
-    out = star(e3, e3, tensors)
+    out = star(e3, e3, basis)
     # (e3 * e3)_8 = sqrt(3) d_338 with d_338 = 1/sqrt(3)
     assert out[LAM8] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_star_commutes():
     rng = np.random.default_rng(5)
-    tensors = gellmann_tensors(4)
+    basis = build_gellmann_basis(4)
     for _ in range(20):
         a = rng.normal(size=15)
         b = rng.normal(size=15)
-        np.testing.assert_allclose(star(a, b, tensors), star(b, a, tensors), atol=1e-13)
+        np.testing.assert_allclose(star(a, b, basis), star(b, a, basis), atol=1e-13)
 
 
 def test_star_undefined_for_qubits():
     with pytest.raises(StarUndefinedError):
-        star(np.zeros(3), np.zeros(3), gellmann_tensors(2))
+        star(np.zeros(3), np.zeros(3), build_gellmann_basis(2))
     with pytest.raises(LayoutError):
-        star(np.zeros(7), np.zeros(8), gellmann_tensors(3))
+        star(np.zeros(7), np.zeros(8), build_gellmann_basis(3))
 
 
 def test_is_pure_qubit_norm_only():
-    tensors = gellmann_tensors(2)
     basis = build_gellmann_basis(2)
     up = to_coherence(np.diag([1.0, 0.0]).astype(complex), basis)
-    assert is_pure(up, tensors)
-    assert not is_pure(CoherenceState(dim=2, n=0.5 * up.n), tensors)
+    assert is_pure(up, basis)
+    assert not is_pure(CoherenceState(dim=2, n=0.5 * up.n), basis)
     # any unit vector is pure for a qubit
     rng = np.random.default_rng(0)
     v = rng.normal(size=3)
-    assert is_pure(CoherenceState(dim=2, n=v / np.linalg.norm(v)), tensors)
+    assert is_pure(CoherenceState(dim=2, n=v / np.linalg.norm(v)), basis)
 
 
 @pytest.mark.parametrize("dim", range(3, 7))
 def test_haar_pure_states_satisfy_both_conditions(dim):
     rng = np.random.default_rng(40 + dim)
     basis = build_gellmann_basis(dim)
-    tensors = gellmann_tensors(dim)
     for _ in range(50):
         psi = haar_state(dim, rng)
         state = to_coherence(np.outer(psi, psi.conj()), basis)
         assert abs(state.norm_squared - 1.0) <= 1e-9
-        assert np.abs(star(state.n, state.n, tensors) - state.n).max() <= 1e-9
-        assert is_pure(state, tensors)
+        assert np.abs(star(state.n, state.n, basis) - state.n).max() <= 1e-9
+        assert is_pure(state, basis)
 
 
 def test_mixed_states_inside_unit_ball():
     rng = np.random.default_rng(11)
     for dim in range(2, 7):
         basis = build_gellmann_basis(dim)
-        tensors = gellmann_tensors(dim)
         for _ in range(30):
             state = to_coherence(random_density_matrix(dim, rng), basis)
             assert state.norm_squared <= 1.0 + 1e-9
-            assert not is_pure(state, tensors)
+            assert not is_pure(state, basis)
 
 
 def test_norm_one_but_not_pure_direction():
     # n along +lambda_8 has unit norm yet n*n = -n; the matrix it builds,
     # diag(2, 2, -1)/3, is indefinite.
     basis = build_gellmann_basis(3)
-    tensors = gellmann_tensors(3)
     n = np.zeros(8)
     n[LAM8] = 1.0
     state = CoherenceState(dim=3, n=n)
     assert abs(state.norm_squared - 1.0) < 1e-15
-    assert not is_pure(state, tensors)
+    assert not is_pure(state, basis)
     mat = from_coherence(state, basis)
     assert np.linalg.eigvalsh(mat).min() < -0.1
 
@@ -259,7 +253,7 @@ def test_complex_coherence_vectors_are_refused():
     n = np.random.default_rng(8).normal(size=8)
     for dim in (2, 3):  # the qubit chain never expands n, and still refuses it
         with pytest.raises(DomainError):
-            gellmann_tensors(dim).d_chain(n[:dim**2 - 1] + 0.2j)
+            build_gellmann_basis(dim).d_chain(n[:dim**2 - 1] + 0.2j)
     assert CoherenceState(dim=3, n=list(n)).n.dtype == float
 
 

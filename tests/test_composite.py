@@ -6,17 +6,17 @@ from blochvec import (
     DomainError,
     LayoutError,
     Verdict,
+    build_gellmann_basis,
     build_product_basis,
     check_positivity,
     correlation_det,
     extract_correlation,
-    gellmann_tensors,
     local_invariant_cubic,
     local_invariant_quadratic,
     partial_trace,
     partial_transpose,
     partial_transpose_coherence,
-    structure_constants,
+    product_tensors,
     symmetric_functions,
     to_coherence,
     werner_state,
@@ -180,9 +180,9 @@ def test_global_quadratic_conservation():
             assert total == pytest.approx(4 * purity - 1.0, abs=1e-9)
 
 
-def dense_cubic_invariant(block, tensors_a, tensors_b):
+def dense_cubic_invariant(block, basis_a, basis_b):
     """sum d_ijk d_lmn C_il C_jm C_kn from the dense reference tensors."""
-    da, db = dense_tensors(tensors_a)[1], dense_tensors(tensors_b)[1]
+    da, db = dense_tensors(basis_a)[1], dense_tensors(basis_b)[1]
     return float(np.einsum("ijk,lmn,il,jm,kn->", da, db, block.C, block.C, block.C,
                            optimize=True))
 
@@ -191,27 +191,27 @@ def test_cubic_invariant_zero_for_qubits():
     # any qubit factor makes d, and so the invariant, vanish
     rng = np.random.default_rng(31)
     for dims in ((2, 2), (2, 3), (3, 2)):
-        ta, tb = gellmann_tensors(dims[0]), gellmann_tensors(dims[1])
+        basis_a, basis_b = build_gellmann_basis(dims[0]), build_gellmann_basis(dims[1])
         layout = CompositeLayout(dims=dims)
         block = extract_correlation(random_density_matrix(dims[0] * dims[1], rng), layout)
-        assert local_invariant_cubic(block, ta, tb) == pytest.approx(0.0, abs=1e-13), dims
+        assert local_invariant_cubic(block, basis_a, basis_b) == pytest.approx(0.0, abs=1e-13), dims
 
 
 def test_cubic_invariant_matches_dense_contraction():
     rng = np.random.default_rng(41)
     for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        ta, tb = gellmann_tensors(dims[0]), gellmann_tensors(dims[1])
+        basis_a, basis_b = build_gellmann_basis(dims[0]), build_gellmann_basis(dims[1])
         layout = CompositeLayout(dims=dims)
         for _ in range(5):
             block = extract_correlation(random_density_matrix(dims[0] * dims[1], rng), layout)
-            assert local_invariant_cubic(block, ta, tb) == pytest.approx(
-                dense_cubic_invariant(block, ta, tb), abs=1e-14), dims
+            assert local_invariant_cubic(block, basis_a, basis_b) == pytest.approx(
+                dense_cubic_invariant(block, basis_a, basis_b), abs=1e-14), dims
 
 
 def test_cubic_invariant_qutrits():
     layout = CompositeLayout(dims=(3, 3))
-    t3 = gellmann_tensors(3)
-    d3 = dense_tensors(t3)[1]
+    qutrit = build_gellmann_basis(3)
+    d3 = dense_tensors(qutrit)[1]
     d_norm = float(np.einsum("ijk,ijk->", d3, d3))
 
     # isotropic block C = c * 1 contracts to c^3 sum d_ijk^2
@@ -221,15 +221,15 @@ def test_cubic_invariant_qutrits():
     c = 0.42
     iso = CorrelationBlock(layout=layout, nA=np.zeros(8), nB=np.zeros(8),
                            C=c * np.eye(8))
-    assert local_invariant_cubic(iso, t3, t3) == pytest.approx(c**3 * d_norm, abs=1e-10)
+    assert local_invariant_cubic(iso, qutrit, qutrit) == pytest.approx(c**3 * d_norm, abs=1e-10)
 
     for _ in range(10):
         rho = random_density_matrix(9, rng)
         block = extract_correlation(rho, layout)
-        value = local_invariant_cubic(block, t3, t3)
+        value = local_invariant_cubic(block, qutrit, qutrit)
         u = np.kron(random_unitary(3, rng), random_unitary(3, rng))
         rot = extract_correlation(u @ rho @ u.conj().T, layout)
-        assert local_invariant_cubic(rot, t3, t3) == pytest.approx(value, abs=1e-9)
+        assert local_invariant_cubic(rot, qutrit, qutrit) == pytest.approx(value, abs=1e-9)
 
 
 def test_werner_state_entries():
@@ -294,6 +294,6 @@ def test_transposed_werner_has_one_negative_eigenvalue():
 
 
 def test_product_basis_structure_tensor_cache_consistency():
-    # structure_constants on the product basis agrees with the layout scale
-    tensors = structure_constants(build_product_basis((2, 2)))
-    assert tensors.dim == 4
+    # the structure-tensor name serves the one cached product basis
+    basis = build_product_basis((2, 2))
+    assert product_tensors((2, 2)) is basis and basis.dim == 4

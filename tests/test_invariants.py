@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blochvec import (
+    BasisSet,
     CoherenceState,
     LayoutError,
     StarUndefinedError,
@@ -14,7 +15,6 @@ from blochvec import (
     closed_invariants,
     from_coherence,
     gellmann_tensors,
-    structure_constants,
     to_coherence,
     trace_power_closed,
 )
@@ -49,20 +49,20 @@ def test_coherence_route_never_builds_dense_tensors(monkeypatch, tmp_path, capsy
     def refuse_bilinear(*args, **kwargs):
         raise AssertionError("d_bilinear called on the coherence route")
 
-    monkeypatch.setattr(su_basis.StructureTensors, "d_bilinear", refuse_bilinear)
+    monkeypatch.setattr(su_basis.BasisSet, "d_bilinear", refuse_bilinear)
     basis = build_gellmann_basis(10)
     rho = random_density_matrix(10, np.random.default_rng(10))
     eigs = np.linalg.eigvalsh(rho)
-    # the whole route, tensor build included, stays below the size of one
+    # the whole route, a basis check included, stays below the size of one
     # dense (N^2 - 1)^3 float tensor (7.8 MB at N = 10)
     tracemalloc.start()
     try:
-        tensors = structure_constants(basis)
+        fresh = BasisSet(dim=basis.dim, elements=basis.elements)  # validated as it is made
         state = to_coherence(rho, basis)
-        seq = check_positivity_coherence(state, tensors)
-        S2, _, _ = closed_S234(state, tensors)
-        cas = casimirs(state, tensors, up_to=9)
-        closed = [trace_power_closed(state, m, tensors) for m in range(2, 10)]
+        seq = check_positivity_coherence(state, fresh)
+        S2, _, _ = closed_S234(state, fresh)
+        cas = casimirs(state, fresh, up_to=9)
+        closed = [trace_power_closed(state, m, fresh) for m in range(2, 10)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -92,61 +92,61 @@ def test_coherence_route_never_builds_dense_tensors(monkeypatch, tmp_path, capsy
 
 
 def test_invariant_sweep_computes_the_d_chain_once(monkeypatch):
-    from blochvec.su_basis import StructureTensors
-
     def refuse(*args, **kwargs):
         raise AssertionError("d_bilinear called on a closed-invariant path")
 
     computed = []
-    compute = StructureTensors.d_chain
+    compute = BasisSet.d_chain
 
     def counted(self, n):
         computed.append(np.array(n))
         return compute(self, n)
 
-    monkeypatch.setattr(StructureTensors, "d_bilinear", refuse)
-    monkeypatch.setattr(StructureTensors, "d_chain", counted)
+    monkeypatch.setattr(BasisSet, "d_bilinear", refuse)
+    monkeypatch.setattr(BasisSet, "d_chain", counted)
     basis = build_gellmann_basis(9)
-    tensors = structure_constants(basis)  # a fresh instance: no report kept for it
+    # a fresh instance: no report kept for it
+    fresh = BasisSet(dim=basis.dim, elements=basis.elements)
     state = to_coherence(random_density_matrix(9, np.random.default_rng(9)), basis)
-    closed_S234(state, tensors)
-    casimirs(state, tensors, up_to=9)
+    closed_S234(state, fresh)
+    casimirs(state, fresh, up_to=9)
     for m in range(2, 10):
-        trace_power_closed(state, m, tensors)
+        trace_power_closed(state, m, fresh)
     assert len(computed) == 1
     np.testing.assert_array_equal(computed[0], state.n)
 
 
 def test_symmetric_trace_contraction_sees_in_place_changes():
     basis = build_gellmann_basis(4)
-    tensors = structure_constants(basis)
+    fresh = BasisSet(dim=basis.dim, elements=basis.elements)
     n = np.random.default_rng(4).normal(size=15)
-    chain = tensors.d_chain(n)
-    before = closed_invariants(CoherenceState(dim=4, n=n), tensors).T[5]
+    chain = fresh.d_chain(n)
+    before = closed_invariants(CoherenceState(dim=4, n=n), fresh).T[5]
     n[3] += 0.5  # same array object, new contents
-    assert tensors.d_chain(n) != chain
-    after = closed_invariants(CoherenceState(dim=4, n=n), tensors).T[5]
+    assert fresh.d_chain(n) != chain
+    after = closed_invariants(CoherenceState(dim=4, n=n), fresh).T[5]
     assert after != before
     assert after == closed_invariants(CoherenceState(dim=4, n=n.copy()),
-                                      structure_constants(basis)).T[5]
+                                      BasisSet(dim=basis.dim, elements=basis.elements)).T[5]
     power = np.tensordot(n, basis.elements, axes=(0, 0))
     assert after == pytest.approx(np.trace(np.linalg.matrix_power(power, 5)).real, rel=1e-11)
 
 
 def test_closed_invariants_memo_serves_interleaved_states_fresh_values():
     basis = build_gellmann_basis(5)
-    shared = structure_constants(basis)
-    other = structure_constants(basis)  # same basis, another instance
+    shared = BasisSet(dim=basis.dim, elements=basis.elements)
+    other = BasisSet(dim=basis.dim, elements=basis.elements)  # same basis, another instance
     rng = np.random.default_rng(5)
     a, b = (CoherenceState(dim=5, n=v) for v in rng.normal(size=(2, 24)))
-    fresh = {key: structure_constants(basis).d_chain(s.n) for key, s in (("a", a), ("b", b))}
+    fresh = {key: BasisSet(dim=basis.dim, elements=basis.elements).d_chain(s.n)
+             for key, s in (("a", a), ("b", b))}
     for key, s in (("a", a), ("b", b), ("a", a), ("a", a), ("b", b)):
-        for tensors in (shared, other):
-            report = closed_invariants(s, tensors)
+        for instance in (shared, other):
+            report = closed_invariants(s, instance)
             assert report.chain == fresh[key]
             assert report.T[2] == 2.0 * fresh[key][2]
     with pytest.raises(LayoutError):
-        closed_invariants(a, gellmann_tensors(4))
+        closed_invariants(a, build_gellmann_basis(4))
 
 
 def test_closed_invariants_memo_is_thread_safe():
@@ -154,10 +154,10 @@ def test_closed_invariants_memo_is_thread_safe():
     import threading
 
     basis = build_gellmann_basis(6)
-    shared = structure_constants(basis)
+    shared = BasisSet(dim=basis.dim, elements=basis.elements)
     rng = np.random.default_rng(6)
     states = [CoherenceState(dim=6, n=v) for v in rng.normal(size=(2, 35))]
-    want = [closed_invariants(s, structure_constants(basis)) for s in states]
+    want = [closed_invariants(s, BasisSet(dim=basis.dim, elements=basis.elements)) for s in states]
     workers = 4
     start = threading.Barrier(workers)
     wrong = []
@@ -199,10 +199,9 @@ def test_trace_power_adjoint_basics():
 def test_symmetric_trace_contraction_matches_dense(dim):
     rng = np.random.default_rng(20 + dim)
     basis = build_gellmann_basis(dim)
-    tensors = gellmann_tensors(dim)
     for _ in range(10):
         n = rng.normal(size=dim * dim - 1)
-        T = closed_invariants(CoherenceState(dim=dim, n=n), tensors).T
+        T = closed_invariants(CoherenceState(dim=dim, n=n), basis).T
         mat = np.tensordot(n, basis.elements, axes=(0, 0))
         power = mat
         for k in range(2, 10):
@@ -212,18 +211,18 @@ def test_symmetric_trace_contraction_matches_dense(dim):
 
 
 def test_symmetric_trace_low_orders():
-    tensors = gellmann_tensors(3)
+    basis = build_gellmann_basis(3)
     rng = np.random.default_rng(1)
     n = rng.normal(size=8)
     state = CoherenceState(dim=3, n=n)
-    T = closed_invariants(state, tensors).T
+    T = closed_invariants(state, basis).T
     assert len(T) == 10 and T[:2] == (3.0, 0.0)
     assert T[2] == pytest.approx(2 * n @ n)
-    d3 = np.einsum("ijk,i,j,k->", dense_tensors(tensors)[1], n, n, n)
+    d3 = np.einsum("ijk,i,j,k->", dense_tensors(basis)[1], n, n, n)
     assert T[3] == pytest.approx(2 * d3)
-    assert closed_invariants(CoherenceState(dim=3, n=np.zeros(8)), tensors).T[5] == 0.0
+    assert closed_invariants(CoherenceState(dim=3, n=np.zeros(8)), basis).T[5] == 0.0
     with pytest.raises(UnsupportedOrderError):
-        trace_power_closed(state, 10, tensors)
+        trace_power_closed(state, 10, basis)
 
 
 def test_trace_power_closed_printed_forms():
@@ -233,36 +232,34 @@ def test_trace_power_closed_printed_forms():
     for dim in (3, 4, 5):
         rng = np.random.default_rng(dim)
         basis = build_gellmann_basis(dim)
-        tensors = gellmann_tensors(dim)
         state = to_coherence(random_density_matrix(dim, rng), basis)
         p = state.norm_squared
-        c3 = star(state.n, state.n, tensors) @ state.n
-        assert trace_power_closed(state, 2, tensors) == pytest.approx(
+        c3 = star(state.n, state.n, basis) @ state.n
+        assert trace_power_closed(state, 2, basis) == pytest.approx(
             (1 + (dim - 1) * p) / dim, abs=1e-12)
-        assert trace_power_closed(state, 3, tensors) == pytest.approx(
+        assert trace_power_closed(state, 3, basis) == pytest.approx(
             (1 + 3 * (dim - 1) * p + (dim - 1) * (dim - 2) * c3) / dim**2, abs=1e-12)
 
 
 def test_trace_power_closed_example():
     state = diag_state([0.5, 0.3, 0.2])
-    tensors = gellmann_tensors(3)
+    basis = build_gellmann_basis(3)
     # |n|^2 = 0.07 so Tr(rho^2) = (1 + 2 * 0.07)/3 = 0.38 = sum a_i^2
     assert state.norm_squared == pytest.approx(0.07, abs=1e-12)
-    assert trace_power_closed(state, 2, tensors) == pytest.approx(0.38, abs=1e-12)
+    assert trace_power_closed(state, 2, basis) == pytest.approx(0.38, abs=1e-12)
 
 
 @pytest.mark.parametrize("dim", range(2, 7))
 def test_three_route_agreement(dim):
     rng = np.random.default_rng(77 + dim)
     basis = build_gellmann_basis(dim)
-    tensors = gellmann_tensors(dim)
     for _ in range(20):
         rho = random_density_matrix(dim, rng)
         state = to_coherence(rho, basis)
         eigs = np.linalg.eigvalsh(rho)
         for m in range(2, 10):
             oracle = float(np.sum(eigs**m))
-            assert trace_power_closed(state, m, tensors) == pytest.approx(oracle, abs=1e-9)
+            assert trace_power_closed(state, m, basis) == pytest.approx(oracle, abs=1e-9)
             direct = matrix_trace_powers(from_coherence(state, basis), m)[m - 1]
             assert direct == pytest.approx(oracle, abs=1e-9)
 
@@ -273,30 +270,29 @@ def test_routes_agree_in_the_product_basis_too():
 
     rng = np.random.default_rng(101)
     basis = build_product_basis((2, 2))
-    tensors = product_tensors((2, 2))
     for _ in range(10):
         rho = random_density_matrix(4, rng)
         state = toc(rho, basis)
         eigs = np.linalg.eigvalsh(rho)
         for m in range(2, 10):
             oracle = float(np.sum(eigs**m))
-            assert trace_power_closed(state, m, tensors) == pytest.approx(oracle, abs=1e-9)
+            assert trace_power_closed(state, m, basis) == pytest.approx(oracle, abs=1e-9)
             direct = matrix_trace_powers(from_coherence(state, basis), m)[m - 1]
             assert direct == pytest.approx(oracle, abs=1e-9)
-        cas_prod = casimirs(state, tensors, up_to=4)
+        cas_prod = casimirs(state, basis, up_to=4)
         cas_gm = casimirs(to_coherence(rho, build_gellmann_basis(4)),
-                          gellmann_tensors(4), up_to=4)
+                          build_gellmann_basis(4), up_to=4)
         for m in cas_prod.values:
             assert cas_prod[m] == pytest.approx(cas_gm[m], abs=1e-10)
         from blochvec import closed_S234, symmetric_functions
-        s2, s3, s4 = closed_S234(state, tensors)
+        s2, s3, s4 = closed_S234(state, basis)
         S = symmetric_functions(rho)
         assert (s2, s3, s4) == pytest.approx(tuple(S[1:4]), abs=1e-10)
 
 
 def test_casimir_diag_formulas():
     state = diag_state([0.5, 0.3, 0.2])
-    cas = casimirs(state, gellmann_tensors(3), up_to=3)
+    cas = casimirs(state, build_gellmann_basis(3), up_to=3)
     a1, a2, a3 = 0.5, 0.3, 0.2
     c2_expected = a1**2 + a2**2 + a3**2 - a1 * a2 - a1 * a3 - a2 * a3
     assert cas[2] == pytest.approx(c2_expected, abs=1e-12)
@@ -307,7 +303,7 @@ def test_casimir_diag_formulas():
 def test_casimirs_vanish_when_maximally_mixed():
     for dim in (3, 4, 5):
         state = diag_state(np.full(dim, 1.0 / dim))
-        cas = casimirs(state, gellmann_tensors(dim), up_to=min(dim, 5))
+        cas = casimirs(state, build_gellmann_basis(dim), up_to=min(dim, 5))
         assert max(abs(v) for v in cas.values.values()) < 1e-12
 
 
@@ -317,7 +313,7 @@ def test_casimirs_are_one_on_pure_states():
         basis = build_gellmann_basis(dim)
         psi = haar_state(dim, rng)
         state = to_coherence(np.outer(psi, psi.conj()), basis)
-        cas = casimirs(state, gellmann_tensors(dim), up_to=min(dim, 5))
+        cas = casimirs(state, build_gellmann_basis(dim), up_to=min(dim, 5))
         for m, value in cas.values.items():
             assert value == pytest.approx(1.0, abs=1e-9), m
 
@@ -325,15 +321,15 @@ def test_casimirs_are_one_on_pure_states():
 def test_casimir_errors():
     state = diag_state([0.6, 0.4])
     with pytest.raises(StarUndefinedError):
-        casimirs(state, gellmann_tensors(2), up_to=2 + 1)
+        casimirs(state, build_gellmann_basis(2), up_to=2 + 1)
     with pytest.raises(UnsupportedOrderError):
-        casimirs(diag_state(np.full(5, 0.2)), gellmann_tensors(5), up_to=9)
+        casimirs(diag_state(np.full(5, 0.2)), build_gellmann_basis(5), up_to=9)
     with pytest.raises(UnsupportedOrderError):
-        trace_power_closed(state, 0, gellmann_tensors(2))
+        trace_power_closed(state, 0, build_gellmann_basis(2))
 
 
 def test_missing_casimir_order_names_the_held_orders():
-    cas = casimirs(diag_state([0.5, 0.3, 0.2]), gellmann_tensors(3), up_to=2)
+    cas = casimirs(diag_state([0.5, 0.3, 0.2]), build_gellmann_basis(3), up_to=2)
     with pytest.raises(UnsupportedOrderError, match=r"order 3.*orders \[2\]"):
         cas[3]
 
@@ -342,7 +338,6 @@ def test_missing_casimir_order_names_the_held_orders():
 def test_unitary_invariance(dim):
     rng = np.random.default_rng(90 + dim)
     basis = build_gellmann_basis(dim)
-    tensors = gellmann_tensors(dim)
     for _ in range(10):
         rho = random_density_matrix(dim, rng)
         u = random_unitary(dim, rng)
@@ -350,11 +345,11 @@ def test_unitary_invariance(dim):
         s1 = to_coherence(rho, basis)
         s2 = to_coherence(rot, basis)
         for m in range(2, 8):
-            assert trace_power_closed(s1, m, tensors) == pytest.approx(
-                trace_power_closed(s2, m, tensors), abs=1e-9)
+            assert trace_power_closed(s1, m, basis) == pytest.approx(
+                trace_power_closed(s2, m, basis), abs=1e-9)
         if dim >= 3:
-            c1 = casimirs(s1, tensors, up_to=min(dim, 6))
-            c2 = casimirs(s2, tensors, up_to=min(dim, 6))
+            c1 = casimirs(s1, basis, up_to=min(dim, 6))
+            c2 = casimirs(s2, basis, up_to=min(dim, 6))
             for m in c1.values:
                 assert c1[m] == pytest.approx(c2[m], abs=1e-9)
 
@@ -363,29 +358,28 @@ def test_equal_spectra_equal_casimirs_distinct_spectra_differ():
     rng = np.random.default_rng(123)
     dim = 4
     basis = build_gellmann_basis(dim)
-    tensors = gellmann_tensors(dim)
     for _ in range(20):
         rho = random_density_matrix(dim, rng)
         u = random_unitary(dim, rng)
-        c_a = casimirs(to_coherence(rho, basis), tensors, up_to=4)
-        c_b = casimirs(to_coherence(u @ rho @ u.conj().T, basis), tensors, up_to=4)
+        c_a = casimirs(to_coherence(rho, basis), basis, up_to=4)
+        c_b = casimirs(to_coherence(u @ rho @ u.conj().T, basis), basis, up_to=4)
         assert all(c_a[m] == pytest.approx(c_b[m], abs=1e-9) for m in c_a.values)
         other = random_density_matrix(dim, rng)
         spectra_gap = np.abs(np.sort(np.linalg.eigvalsh(rho))
                              - np.sort(np.linalg.eigvalsh(other))).max()
         if spectra_gap > 1e-3:
-            c_c = casimirs(to_coherence(other, basis), tensors, up_to=4)
+            c_c = casimirs(to_coherence(other, basis), basis, up_to=4)
             assert max(abs(c_a[m] - c_c[m]) for m in c_a.values) > 1e-6
 
 
 def test_cubic_bound_identity():
     # |n|^6 - ((n*n).n)^2 = (27/4) (a1-a2)^2 (a1-a3)^2 (a2-a3)^2 >= 0
     rng = np.random.default_rng(55)
-    tensors = gellmann_tensors(3)
+    basis = build_gellmann_basis(3)
     for _ in range(200):
         spec = rng.dirichlet(np.ones(3))
         state = diag_state(spec)
-        cas = casimirs(state, tensors, up_to=3)
+        cas = casimirs(state, basis, up_to=3)
         lhs = cas[2] ** 3 - cas[3] ** 2
         a1, a2, a3 = spec
         rhs = 6.75 * (a1 - a2) ** 2 * (a1 - a3) ** 2 * (a2 - a3) ** 2
@@ -437,7 +431,7 @@ def test_cubic_casimir_operator_memory():
 def degeneracy_label(spec):
     """The CLI's degeneracy line for a diagonal state."""
     dim = len(spec)
-    report = closed_invariants(diag_state(spec), gellmann_tensors(dim))
+    report = closed_invariants(diag_state(spec), build_gellmann_basis(dim))
     return DEGENERACY_LABELS[dim].get(report.degeneracy(), "Unresolved")
 
 
@@ -450,11 +444,11 @@ def test_classify_degeneracy_3():
         # split by 1e-5 around 1/3: c_2 and c_3 are below EPS_ZERO here
         ([1 / 3 + 1e-5, 1 / 3, 1 / 3 - 1e-5], (1, 1, 1), "NonDegenerate"),
     ]:
-        report = closed_invariants(diag_state(spec), gellmann_tensors(3))
+        report = closed_invariants(diag_state(spec), build_gellmann_basis(3))
         assert report.degeneracy() == pattern, spec
         assert degeneracy_label(spec) == label, spec
     # explicit values on the (1/2, 1/2, 0) spectrum
-    cas = casimirs(diag_state([0.5, 0.5, 0.0]), gellmann_tensors(3), up_to=3)
+    cas = casimirs(diag_state([0.5, 0.5, 0.0]), build_gellmann_basis(3), up_to=3)
     assert cas[2] == pytest.approx(0.25, abs=1e-12)
     assert cas[3] == pytest.approx(-0.125, abs=1e-12)
 
@@ -471,18 +465,18 @@ def test_classify_degeneracy_4():
         # one pair near the maximally mixed state, not a threefold eigenvalue
         ([0.25, 0.25, 0.2501, 0.2499], (1, 2, 1), "Unresolved"),
     ]:
-        report = closed_invariants(diag_state(spec), gellmann_tensors(4))
+        report = closed_invariants(diag_state(spec), build_gellmann_basis(4))
         assert report.degeneracy() == pattern, spec
         assert degeneracy_label(spec) == label, spec
 
 
 def test_degeneracy_range_and_edges():
-    assert closed_invariants(diag_state([0.7, 0.3]), gellmann_tensors(2)).degeneracy() == (1, 1)
-    assert closed_invariants(diag_state([0.5, 0.5]), gellmann_tensors(2)).degeneracy() == (2,)
+    assert closed_invariants(diag_state([0.7, 0.3]), build_gellmann_basis(2)).degeneracy() == (1, 1)
+    assert closed_invariants(diag_state([0.5, 0.5]), build_gellmann_basis(2)).degeneracy() == (2,)
     # a split of 1e-10 leaves |n| below EPS_ZERO, which counts as maximally
     # mixed; the pattern of a larger |n| is read scale-free
     for eps, pattern in [(1e-10, (5,)), (1e-7, (1, 3, 1)), (1e-2, (1, 3, 1))]:
         spec = np.full(5, 0.2) + eps * np.array([1.0, 0.0, 0.0, 0.0, -1.0])
-        assert closed_invariants(diag_state(spec), gellmann_tensors(5)).degeneracy() == pattern
+        assert closed_invariants(diag_state(spec), build_gellmann_basis(5)).degeneracy() == pattern
     with pytest.raises(UnsupportedOrderError):
-        closed_invariants(diag_state(np.full(6, 1 / 6)), gellmann_tensors(6)).degeneracy()
+        closed_invariants(diag_state(np.full(6, 1 / 6)), build_gellmann_basis(6)).degeneracy()

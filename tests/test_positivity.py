@@ -18,11 +18,9 @@ from blochvec import (
     check_positivity_coherence,
     closed_S234,
     diagonal_family_matrix,
-    gellmann_tensors,
     inversion_bound_check,
     newton_symmetric_functions,
     positivity_verdict,
-    product_tensors,
     SymFnSequence,
     symmetric_functions,
     to_coherence,
@@ -76,11 +74,10 @@ def test_newton_matches_esp_oracle(dim):
 def test_closed_S234_matches_newton(dim):
     rng = np.random.default_rng(10 + dim)
     basis = build_gellmann_basis(dim)
-    tensors = gellmann_tensors(dim)
     for _ in range(30):
         rho = random_density_matrix(dim, rng)
         state = to_coherence(rho, basis)
-        s2, s3, s4 = closed_S234(state, tensors)
+        s2, s3, s4 = closed_S234(state, basis)
         S = symmetric_functions(rho)
         assert s2 == pytest.approx(S[1], abs=1e-9)
         if dim >= 3:
@@ -94,9 +91,8 @@ def test_closed_S234_matches_newton(dim):
 
 
 def test_closed_S234_special_values():
-    tensors = gellmann_tensors(3)
     mixed = CoherenceState(dim=3, n=np.zeros(8))
-    s2, s3, _ = closed_S234(mixed, tensors)
+    s2, s3, _ = closed_S234(mixed, build_gellmann_basis(3))
     assert s2 == pytest.approx(1 / 3, abs=1e-15)
     assert s3 == pytest.approx(1 / 27, abs=1e-15)
     rng = np.random.default_rng(2)
@@ -104,7 +100,7 @@ def test_closed_S234_special_values():
         basis = build_gellmann_basis(dim)
         psi = haar_state(dim, rng)
         pure = to_coherence(np.outer(psi, psi.conj()), basis)
-        for s in closed_S234(pure, gellmann_tensors(dim)):
+        for s in closed_S234(pure, build_gellmann_basis(dim)):
             assert abs(s) <= 1e-9
 
 
@@ -163,12 +159,11 @@ def test_adjoint_route_verdict_agrees_with_matrix_route():
     rng = np.random.default_rng(6)
     for dim in (3, 4, 5):
         basis = build_gellmann_basis(dim)
-        tensors = gellmann_tensors(dim)
         for _ in range(10):
             rho = random_density_matrix(dim, rng)
             state = to_coherence(rho, basis)
             seq_m = check_positivity(rho)
-            seq_a = check_positivity_coherence(state, tensors)
+            seq_a = check_positivity_coherence(state, basis)
             np.testing.assert_allclose(seq_a.S, seq_m.S, atol=1e-10)
             assert seq_a.verdict == seq_m.verdict
 
@@ -176,17 +171,16 @@ def test_adjoint_route_verdict_agrees_with_matrix_route():
 def test_two_qutrit_pipeline_through_product_basis():
     # a 9-level system through the composite basis: S_1..S_9 via adjoint
     # powers agree with the matrix route and the eigenvalue oracle
-    from blochvec import build_product_basis, product_tensors
+    from blochvec import build_product_basis
     from itertools import combinations
     from math import prod
 
     rng = np.random.default_rng(99)
     basis = build_product_basis((3, 3))
-    tensors = product_tensors((3, 3))
     for _ in range(5):
         rho = random_density_matrix(9, rng)
         state = to_coherence(rho, basis)
-        seq_a = check_positivity_coherence(state, tensors)
+        seq_a = check_positivity_coherence(state, basis)
         seq_m = check_positivity(rho)
         np.testing.assert_allclose(seq_a.S, seq_m.S, atol=1e-10)
         eigs = np.linalg.eigvalsh(rho)
@@ -392,22 +386,22 @@ def hard_states(dim, rng, count):
 @pytest.mark.parametrize("layout", [(9,), (12,), (2, 2, 2, 2), (24,)])
 def test_coherence_gate_matches_eigenvalues_at_large_dim(layout):
     if len(layout) == 1:
-        basis, tensors = build_gellmann_basis(layout[0]), gellmann_tensors(layout[0])
+        basis = build_gellmann_basis(layout[0])
     else:
-        basis, tensors = build_product_basis(layout), product_tensors(layout)
+        basis = build_product_basis(layout)
     rng = np.random.default_rng(sum(layout))
     for mat in hard_states(basis.dim, rng, 4):
-        seq = check_positivity_coherence(to_coherence(mat, basis), tensors)
+        seq = check_positivity_coherence(to_coherence(mat, basis), basis)
         assert (seq.verdict, seq.sign_changes) == eigenvalue_verdict(mat)
 
 
 def test_newton_route_fails_where_the_coherence_gate_holds():
-    basis, tensors = build_gellmann_basis(24), gellmann_tensors(24)
+    basis = build_gellmann_basis(24)
     states = hard_states(24, np.random.default_rng(24), 4)
     newton_wrong = 0
     for mat in states:
         want = eigenvalue_verdict(mat)
-        seq = check_positivity_coherence(to_coherence(mat, basis), tensors)
+        seq = check_positivity_coherence(to_coherence(mat, basis), basis)
         assert (seq.verdict, seq.sign_changes) == want
         newton = check_positivity(mat)
         newton_wrong += (newton.verdict, newton.sign_changes) != want
@@ -420,3 +414,30 @@ def test_inversion_bound_check_refuses_non_integer_dimensions(N):
 
     with pytest.raises(DimensionError):
         inversion_bound_check(0.0, 1.0, N)
+
+
+def test_gates_admit_operators_at_the_size_limit():
+    from blochvec.su_basis import MAX_BASIS_DIM
+
+    assert MAX_BASIS_DIM == 64
+    mixed = np.eye(64) / 64
+    assert check_positivity(mixed).verdict is Verdict.PSD
+    assert positivity_verdict(tridiagonal_symmetric_functions(mixed)).verdict is Verdict.PSD
+
+
+@pytest.mark.parametrize("gate", [check_positivity, symmetric_functions,
+                                  tridiagonal_symmetric_functions])
+def test_gates_refuse_operators_above_the_size_limit(gate):
+    import tracemalloc
+
+    from blochvec import DimensionError
+
+    mixed = np.eye(65, dtype=complex) / 65
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match="up to N = 64"):
+            gate(mixed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mixed.nbytes  # refused before a single copy of the matrix

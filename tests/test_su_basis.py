@@ -18,7 +18,6 @@ from blochvec import (
     build_product_basis,
     gellmann_tensors,
     product_tensors,
-    structure_constants,
 )
 from conftest import dense_tensors
 
@@ -102,30 +101,27 @@ def test_non_integer_subsystem_dims_are_refused():
     for dims in ((2.7, 2), (2, 2.0), (np.float64(3.0), 2)):
         with pytest.raises(DimensionError):
             build_product_basis(dims)
-        with pytest.raises(DimensionError):
-            product_tensors(dims)
         with pytest.raises(LayoutError):
             CompositeLayout(dims=dims)
     # Python and numpy integers are both accepted, as plain ints
     dims = (np.int64(2), np.int32(3))
     assert build_product_basis(dims) is build_product_basis((2, 3))
-    assert product_tensors(dims) is product_tensors((2, 3))
     layout = CompositeLayout(dims=dims)
     assert layout.dims == (2, 3) and all(type(d) is int for d in layout.dims)
 
 
 def test_pauli_structure_constants_are_levi_civita():
-    tensors = gellmann_tensors(2)
+    basis = build_gellmann_basis(2)
     eps = np.zeros((3, 3, 3))
     eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
     eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
-    f, d = dense_tensors(tensors)
+    f, d = dense_tensors(basis)
     np.testing.assert_allclose(f, eps, atol=1e-14)
     assert np.abs(d).max() == 0.0
 
 
 def test_su3_d_components():
-    _, d = dense_tensors(gellmann_tensors(3))
+    _, d = dense_tensors(build_gellmann_basis(3))
     std = SU3_STANDARD_TO_GROUPED
     inv_sqrt3 = 1.0 / np.sqrt(3)
     for a in (1, 2, 3):
@@ -136,7 +132,7 @@ def test_su3_d_components():
 
 def test_su3_full_constant_tables():
     # classic su(3) values in the standard lambda_1..lambda_8 numbering
-    f_dense, d_dense = dense_tensors(gellmann_tensors(3))
+    f_dense, d_dense = dense_tensors(build_gellmann_basis(3))
     std = SU3_STANDARD_TO_GROUPED
 
     def f(a, b, c):
@@ -160,7 +156,7 @@ def test_su3_full_constant_tables():
 
 
 def test_two_qubit_d_components_match_listed_values():
-    _, d = dense_tensors(structure_constants(build_product_basis((2, 2))))
+    _, d = dense_tensors(build_product_basis((2, 2)))
     listed = {  # 1-based triples, values in units of 1/sqrt(2)
         (1, 4, 7): 1, (1, 5, 8): 1, (1, 6, 9): 1,
         (2, 4, 10): 1, (2, 5, 11): 1, (2, 6, 12): 1,
@@ -176,7 +172,7 @@ def test_two_qubit_d_components_match_listed_values():
 
 @pytest.mark.parametrize("dim", range(2, 7))
 def test_tensor_symmetries(dim):
-    f, d = dense_tensors(gellmann_tensors(dim))
+    f, d = dense_tensors(build_gellmann_basis(dim))
     for perm, sign in [((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1),
                        ((1, 2, 0), 1), ((2, 0, 1), 1)]:
         assert np.abs(f - sign * f.transpose(perm)).max() <= 1e-12
@@ -186,7 +182,7 @@ def test_tensor_symmetries(dim):
 @pytest.mark.parametrize("dim", range(2, 7))
 def test_product_rule_reconstruction(dim):
     basis = build_gellmann_basis(dim)
-    f, d = dense_tensors(gellmann_tensors(dim))
+    f, d = dense_tensors(basis)
     elems = basis.elements
     prods = np.einsum("iab,jbc->ijac", elems, elems)
     recon = (2.0 / dim) * np.einsum("ij,ab->ijab", np.eye(len(basis)), np.eye(dim)) \
@@ -196,21 +192,21 @@ def test_product_rule_reconstruction(dim):
 
 @pytest.mark.parametrize("layout", [(2,), (3,), (4,), (5,), (6,), (2, 2), (3, 3), (2, 2, 2)])
 def test_matrix_free_bilinears_match_dense_contraction(layout):
-    t = gellmann_tensors(layout[0]) if len(layout) == 1 else product_tensors(layout)
-    f, d = dense_tensors(t)
-    k = t.dim**2 - 1
+    basis = build_gellmann_basis(layout[0]) if len(layout) == 1 else build_product_basis(layout)
+    f, d = dense_tensors(basis)
+    k = basis.dim**2 - 1
     rng = np.random.default_rng(k)
     for _ in range(5):
         a, b = (v / np.linalg.norm(v) for v in rng.normal(size=(2, k)))
-        np.testing.assert_allclose(t.d_bilinear(a, b), b @ np.tensordot(a, d, axes=(0, 0)),
+        np.testing.assert_allclose(basis.d_bilinear(a, b), b @ np.tensordot(a, d, axes=(0, 0)),
                                    rtol=0, atol=1e-13)
-        np.testing.assert_allclose(t.f_bilinear(a, b), b @ np.tensordot(a, f, axes=(0, 0)),
+        np.testing.assert_allclose(basis.f_bilinear(a, b), b @ np.tensordot(a, f, axes=(0, 0)),
                                    rtol=0, atol=1e-13)
     # complex arguments are refused, not truncated to their real parts
     z = a + 0.5j * b
-    for call in (lambda: t.d_bilinear(z, b), lambda: t.d_bilinear(a, z),
-                 lambda: t.f_bilinear(z, b), lambda: t.f_bilinear(a, z),
-                 lambda: t.basis.expand(z)):
+    for call in (lambda: basis.d_bilinear(z, b), lambda: basis.d_bilinear(a, z),
+                 lambda: basis.f_bilinear(z, b), lambda: basis.f_bilinear(a, z),
+                 lambda: basis.expand(z)):
         with pytest.raises(DomainError):
             call()
 
@@ -236,38 +232,38 @@ def test_expand_and_overlaps_match_dense_references(layout):
 
 
 def test_structure_tensors_hold_no_copy_of_the_basis():
+    # the bilinears and the d-chain work on the element stack itself
     basis = build_gellmann_basis(32)
-    t = structure_constants(basis)
-    held = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
-    assert all(np.shares_memory(v, basis.elements) for v in held)
+    held = [v for v in vars(basis).values() if isinstance(v, np.ndarray)]
+    assert len(held) == 2 and all(np.shares_memory(v, basis.elements) for v in held)
 
 
 def test_qubit_d_bilinear_is_exactly_zero():
-    t = gellmann_tensors(2)
+    basis = build_gellmann_basis(2)
     rng = np.random.default_rng(2)
     a, b = rng.normal(size=(2, 3))
-    assert np.all(t.d_bilinear(a, b) == 0.0)
-    assert t.d_bilinear(a, b).dtype == float
+    assert np.all(basis.d_bilinear(a, b) == 0.0)
+    assert basis.d_bilinear(a, b).dtype == float
 
 
-def _bilinear_chain(n, t):
+def _bilinear_chain(n, basis):
     """[0, 0, c_2, ..., c_9] from d_bilinear and projections, the reference
     the operator-product chain is checked against."""
-    w = t.d_bilinear(n, n)
-    A = t.d_bilinear(w, w)
+    w = basis.d_bilinear(n, n)
+    A = basis.d_bilinear(w, w)
     return [0.0, 0.0, n @ n, w @ n, w @ w, A @ n, A @ w,
-            t.d_bilinear(A, w) @ n, A @ A, t.d_bilinear(A, A) @ n]
+            basis.d_bilinear(A, w) @ n, A @ A, basis.d_bilinear(A, A) @ n]
 
 
 @pytest.mark.parametrize("layout", [(3,), (4,), (5,), (6,), (7,), (8,), (9,),
                                     (2, 2), (3, 3), (2, 2, 2), (2, 2, 2, 2)])
 def test_d_chain_matches_bilinear_chain(layout):
-    t = gellmann_tensors(layout[0]) if len(layout) == 1 else product_tensors(layout)
-    rng = np.random.default_rng(t.dim + 100 * len(layout))
+    basis = build_gellmann_basis(layout[0]) if len(layout) == 1 else build_product_basis(layout)
+    rng = np.random.default_rng(basis.dim + 100 * len(layout))
     for _ in range(5):
-        n = rng.normal(size=t.dim**2 - 1)
+        n = rng.normal(size=basis.dim**2 - 1)
         n *= rng.uniform(0.5, 2.0) / np.linalg.norm(n)
-        got, want = t.d_chain(n), _bilinear_chain(n, t)
+        got, want = basis.d_chain(n), _bilinear_chain(n, basis)
         assert len(got) == 10 and got[:2] == (0.0, 0.0)
         for k in range(2, 10):
             # relative to the value or, where it nearly cancels, to |n|^k
@@ -276,9 +272,9 @@ def test_d_chain_matches_bilinear_chain(layout):
 
 
 def test_qubit_d_chain_is_exactly_zero_beyond_c2():
-    t = gellmann_tensors(2)
+    basis = build_gellmann_basis(2)
     n = np.random.default_rng(3).normal(size=3)
-    chain = t.d_chain(n)
+    chain = basis.d_chain(n)
     assert chain[2] == float(n @ n)
     assert all(c == 0.0 for c in chain[3:]) and len(chain) == 10
 
@@ -288,29 +284,29 @@ def test_structure_constants_build_no_dense_tensors():
 
     from blochvec import CoherenceState, closed_invariants
 
-    t = structure_constants(build_product_basis((2, 2, 2, 2)))
+    basis = build_product_basis((2, 2, 2, 2))
     dense_bytes = 255**3 * 8  # one dense (N^2-1)^3 tensor: 133 MB
 
     def held():
-        return sum(v.nbytes for v in vars(t).values() if isinstance(v, np.ndarray))
+        return sum(v.nbytes for v in vars(basis).values() if isinstance(v, np.ndarray))
 
     before = held()
-    attributes = dict(vars(t))
+    attributes = dict(vars(basis))
     assert before < dense_bytes / 50
     v = np.random.default_rng(255).normal(size=255)
     tracemalloc.start()
     try:
-        t.d_bilinear(v, v)
-        t.f_bilinear(v, np.ones(255))
-        t.d_chain(v)
+        basis.d_bilinear(v, v)
+        basis.f_bilinear(v, np.ones(255))
+        basis.d_chain(v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes / 100  # transient work stays O(N^4)
     assert held() == before  # and the instance keeps nothing new
-    assert vars(t) == attributes
-    closed_invariants(CoherenceState(dim=16, n=v), t)
-    assert vars(t) == attributes  # the invariant memo lives outside the instance
+    assert vars(basis) == attributes
+    closed_invariants(CoherenceState(dim=16, n=v), basis)
+    assert vars(basis) == attributes  # the invariant memo lives outside the instance
 
 
 @pytest.mark.parametrize("build, arg", [(build_gellmann_basis, 65),
@@ -319,7 +315,11 @@ def test_structure_constants_build_no_dense_tensors():
                                         (build_product_basis, [3] * 5),
                                         (build_product_basis, [2] * 64),
                                         (gellmann_tensors, 65),
-                                        (product_tensors, [2] * 7)])
+                                        (product_tensors, [2] * 7)],
+                         ids=["build_gellmann_basis-65", "build_gellmann_basis-1000000",
+                              "build_product_basis-arg2", "build_product_basis-arg3",
+                              "build_product_basis-arg4", "gellmann_tensors-65",
+                              "product_tensors-arg6"])
 def test_oversized_bases_are_refused_before_allocating(build, arg):
     import tracemalloc
 
@@ -356,7 +356,31 @@ def test_structure_constants_reject_bad_basis():
     mats = build_gellmann_basis(2).elements.copy()
     mats[0] = mats[0] * 2.0  # breaks Tr(l^2) = 2
     with pytest.raises(InconsistentBasisError):
-        structure_constants(BasisSet(dim=2, elements=mats))
+        BasisSet(dim=2, elements=mats)  # checked as it is made
+
+
+def test_a_directly_built_basis_is_validated():
+    # a non-Hermitian element would rebuild n = (0.2, 0, 0) as the
+    # non-Hermitian [[0.5, 0.1], [0, 0.5]]
+    mats = build_gellmann_basis(2).elements.copy()
+    mats[0] = [[0, 1], [0, 0]]
+    with pytest.raises(InconsistentBasisError, match="non-Hermitian"):
+        BasisSet(dim=2, elements=mats)
+
+
+def test_basis_sets_compare_and_hash_by_identity():
+    basis = build_gellmann_basis(3)
+    twin = BasisSet(dim=3, elements=basis.elements)
+    assert twin != basis and twin == twin
+    assert len({basis, twin, build_gellmann_basis(3)}) == 2
+
+
+def test_structure_tensor_names_are_the_basis_builders():
+    import blochvec
+
+    assert blochvec.gellmann_tensors is blochvec.build_gellmann_basis
+    assert blochvec.product_tensors is blochvec.build_product_basis
+    assert gellmann_tensors(3) is build_gellmann_basis(3)
 
 
 @pytest.mark.parametrize("name", ["basis_n2.json", "basis_n3.json"])

@@ -26,11 +26,12 @@ from blochvec.errors import (
     EPS_KET,
     EPS_POS,
     EPS_ZERO,
+    MAX_TOL,
     DomainError,
     HermiticityError,
     NormalizationError,
 )
-from blochvec.positivity import inversion_bound_check
+from blochvec.positivity import check_positivity, inversion_bound_check, positivity_verdict
 from blochvec.su_basis import build_gellmann_basis
 
 ALLOWED_TOLERANCES = {
@@ -46,6 +47,40 @@ def test_one_tolerance_table():
     assert (EPS_HERM, EPS_ZERO, EPS_POS, EPS_KET) == (1e-10, 1e-9, 1e-9, 1e-12)
     assert positivity.EPS_POS is errors.EPS_POS
     assert su_basis.EPS_HERM is errors.EPS_HERM
+
+
+# diag(0.5, 0.75, -0.25): S = (1, 0.0625, -0.09375), indefinite
+INDEFINITE = np.diag([0.5, 0.75, -0.25])
+
+
+def test_verdict_band_upper_edge():
+    assert MAX_TOL >= 1e-3  # the CLI tests set the band to 1e-3
+    seq = positivity_verdict([1.0, 0.0625, -0.09375], tol=MAX_TOL)
+    assert seq.verdict.value == "NotPSD"
+    for tol in (np.nextafter(MAX_TOL, 1.0), 0.5, np.inf, np.nan, -1e-12):
+        with pytest.raises(DomainError, match="verdict tolerance"):
+            positivity_verdict([1.0, 0.0625, -0.09375], tol=tol)
+    # a band of 0.5 called this indefinite state Boundary
+    with pytest.raises(DomainError, match="verdict tolerance"):
+        check_positivity(INDEFINITE, tol=0.5)
+    assert check_positivity(INDEFINITE, tol=MAX_TOL).verdict.value == "NotPSD"
+
+
+def test_cli_refuses_a_band_above_the_edge(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "indefinite.json")
+    dump_json(matrix_document(INDEFINITE), path)
+    assert main(["check", path, "--tol", str(MAX_TOL)]) == 2
+    for argv, env in ((["--tol", "0.5"], None), ([], "0.5"),
+                      (["--tol", repr(float(np.nextafter(MAX_TOL, 1.0)))], None)):
+        if env is None:
+            monkeypatch.delenv("BLOCHVEC_TOL", raising=False)
+        else:
+            monkeypatch.setenv("BLOCHVEC_TOL", env)
+        capsys.readouterr()
+        assert main(["check", path] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "verdict tolerance" in captured.err
 
 
 def _off_diagonal(d, peak=0.5):
