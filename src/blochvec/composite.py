@@ -7,38 +7,35 @@ correlation blocks use bare tensor products of single-subsystem matrices,
 so their entries are plain expectation values such as Tr(rho sigma_i x
 sigma_j).  A flat element is its bare tensor product times
 sqrt(2 / Tr((bare product)^2)) (see
-:func:`~blochvec.su_basis.build_product_basis`).
+:func:`~blochvec.su_basis.build_product_basis`, whose dimension rule
+:class:`CompositeLayout` shares).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from .coherence import CoherenceState, require_hermitian
 from .errors import DomainError, LayoutError
-from .su_basis import BasisSet, build_gellmann_basis, product_basis_labels
+from .su_basis import BasisSet, build_gellmann_basis, checked_dims, product_basis_labels
 
 
 @dataclass(frozen=True)
 class CompositeLayout:
-    """Subsystem dimensions plus the label <-> flat-index correspondence."""
+    """Subsystem dimensions, Python ints by :func:`~blochvec.su_basis.checked_dims`
+    so ``total`` is exact, plus the label <-> flat-index correspondence."""
 
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        if not all(isinstance(d, (int, np.integer)) for d in self.dims):
-            raise LayoutError(f"subsystem dimensions must be integers, got {self.dims}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if len(self.dims) == 0:
-            raise LayoutError("subsystem dimension list must not be empty")
-        if any(d < 2 for d in self.dims):
-            raise LayoutError(f"subsystem dimensions must be >= 2, got {self.dims}")
+        object.__setattr__(self, "dims", checked_dims(self.dims))
 
     @property
     def total(self) -> int:
-        return int(np.prod(self.dims))
+        return prod(self.dims)
 
     @property
     def labels(self) -> tuple[tuple[int, ...], ...]:
@@ -66,7 +63,7 @@ def partial_trace(rho: np.ndarray, layout: CompositeLayout, keep) -> np.ndarray:
     for sub in range(k - 1, -1, -1):
         if sub not in keep:
             tensor = np.trace(tensor, axis1=sub, axis2=sub + tensor.ndim // 2)
-    size = int(np.prod([dims[i] for i in keep])) if keep else 1
+    size = prod(dims[i] for i in keep)
     return tensor.reshape(size, size)
 
 

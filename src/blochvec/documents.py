@@ -4,18 +4,21 @@ Complex numbers are always explicit [re, im] pairs; a document carries a
 format tag, the dimension (``dim``) or subsystem dimensions (``dims``),
 and exactly one payload: ``matrix``, ``coherence``, ``amplitudes`` or an
 affine map ``T``/``t`` pair.  Writers and readers round-trip exactly.
+``dim`` and ``dims`` obey the library's :func:`~blochvec.su_basis.checked_dims`;
+:class:`DocumentError` is for format faults, such as a ``dim``/``dims`` clash.
 """
 
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
+from math import prod
 from typing import Optional
 
 import numpy as np
 
 from .errors import BlochvecError
+from .su_basis import checked_dim, checked_dims
 
 FORMAT = "blochvec/1"
 
@@ -89,27 +92,18 @@ def amplitudes_document(psi: np.ndarray) -> dict:
     return {"format": FORMAT, "amplitudes": _complex_to_pairs(psi)}
 
 
-def _dimension(value, what: str) -> int:
-    """A JSON integer >= 2, or a :class:`DocumentError`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DocumentError(f"{what} must be an integer, got {value!r}")
-    if value < 2:
-        raise DocumentError(f"{what} must be >= 2, got {value}")
-    return int(value)
-
-
 def _resolve_dims(doc) -> tuple[int, Optional[tuple[int, ...]]]:
     dims = None
     if "dims" in doc:
-        if not isinstance(doc["dims"], (list, tuple)) or not doc["dims"]:
-            raise DocumentError(f"dims must be a nonempty list, got {doc['dims']!r}")
-        dims = tuple(_dimension(d, "subsystem dimension") for d in doc["dims"])
+        if not isinstance(doc["dims"], (list, tuple)):
+            raise DocumentError(f"dims must be a list, got {doc['dims']!r}")
+        dims = checked_dims(doc["dims"])
     if "dim" in doc:
-        dim = _dimension(doc["dim"], "dim")
-        if dims is not None and int(np.prod(dims)) != dim:
+        dim = checked_dim(doc["dim"])
+        if dims is not None and prod(dims) != dim:
             raise DocumentError(f"dim {dim} inconsistent with dims {dims}")
     elif dims is not None:
-        dim = int(np.prod(dims))
+        dim = prod(dims)
     else:
         raise DocumentError("document carries neither 'dim' nor 'dims'")
     return dim, dims

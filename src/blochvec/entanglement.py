@@ -59,19 +59,18 @@ def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
 
 
 def flip_spectrum_roots(rho: np.ndarray) -> np.ndarray:
-    """Decreasing square roots of the eigenvalues of rho rho~.
+    """Decreasing square roots l_i of the eigenvalues of rho rho~.
 
-    Computed from the Hermitian similarity sqrt(rho) rho~ sqrt(rho), which
-    shares the spectrum of rho rho~ but avoids complex eigenvalue noise.
-    An eigenvalue of rho below -EPS_ZERO raises :class:`DomainError`.
+    They are the singular values of A = sqrt(rho) Y sqrt(rho)*, Y = sigma_y
+    x sigma_y, as A A^dag = sqrt(rho) rho~ sqrt(rho); so a roundoff-level l_i
+    is roundoff, not its square root.  An eigenvalue of rho below -EPS_ZERO
+    raises :class:`DomainError`.
     """
     rho = require_hermitian(rho)
     if rho.shape != (4, 4):
         raise LayoutError(f"need a two-qubit state, got shape {rho.shape}")
     root = _sqrt_psd(rho)
-    sim = root @ spin_flip(rho) @ root
-    vals = np.linalg.eigvalsh(sim)
-    return np.sqrt(np.clip(vals, 0.0, None))[::-1]
+    return np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
 
 
 def concurrence_squared_bound(rho: np.ndarray) -> tuple[float, float]:

@@ -58,7 +58,7 @@ class ClosedInvariants:
     ``chain`` = (0, 0, c_2, ..., c_9) of :meth:`BasisSet.d_chain`,
     ``T`` = (T_0, ..., T_9), e.g. T_2 = 2 n.n and T_3 = 2 d_ijk n_i n_j n_k,
     and ``S234`` of :func:`~blochvec.positivity.closed_S234`.  ``trace_power``
-    and ``casimirs`` take orders that their public views have checked."""
+    and ``casimirs`` refuse the orders that their public views refuse."""
 
     dim: int
     chain: tuple[float, ...]
@@ -67,12 +67,21 @@ class ClosedInvariants:
 
     def trace_power(self, m: int) -> float:
         """Tr(rho^m) of :func:`trace_power_closed`."""
+        if not 2 <= m <= MAX_CLOSED_ORDER:
+            raise UnsupportedOrderError(f"closed trace powers implemented for m in 2..9, got {m}")
         N, c = self.dim, coherence_scale(self.dim)
         return float(sum(comb(m, k) * c**k * self.T[k] for k in range(m + 1)) / N**m)
 
     def casimirs(self, up_to: int) -> CasimirSet:
         """c_2 .. c_up_to of :func:`casimirs`."""
         N = self.dim
+        if up_to < 2:
+            raise UnsupportedOrderError("casimir order starts at 2")
+        if up_to >= 3 and N < 3:
+            raise StarUndefinedError("cubic and higher Casimirs require N >= 3")
+        if up_to > min(N, MAX_CLOSED_ORDER):
+            raise UnsupportedOrderError(f"casimir order limited to min(N, 9) = "
+                                        f"{min(N, MAX_CLOSED_ORDER)}, got {up_to}")
         kappa = coherence_scale(N) / (N - 2) if N > 2 else 0.0
         return CasimirSet(N, {m: kappa ** (m - 2) * self.chain[m] for m in range(2, up_to + 1)})
 
@@ -178,8 +187,6 @@ def trace_power_closed(state: CoherenceState, m: int, basis: BasisSet) -> float:
     Tr(rho^2) = (1/N)[1 + (N-1) n.n] and
     Tr(rho^3) = (1/N^2)[1 + 3(N-1) n.n + (N-1)(N-2) (n*n).n].
     """
-    if not 2 <= m <= MAX_CLOSED_ORDER:
-        raise UnsupportedOrderError(f"closed trace powers implemented for m in 2..9, got {m}")
     return closed_invariants(state, basis).trace_power(m)
 
 
@@ -191,17 +198,7 @@ def casimirs(state: CoherenceState, basis: BasisSet, up_to: int) -> CasimirSet:
     (c/(N-2))^(m-2) so that the star-product convention of c_2, c_3
     extends: every c_m equals 1 on pure states.
     """
-    report = closed_invariants(state, basis)
-    N = report.dim
-    if up_to < 2:
-        raise UnsupportedOrderError("casimir order starts at 2")
-    if up_to >= 3 and N < 3:
-        raise StarUndefinedError("cubic and higher Casimirs require N >= 3")
-    if up_to > min(N, MAX_CLOSED_ORDER):
-        raise UnsupportedOrderError(
-            f"casimir order limited to min(N, 9) = {min(N, MAX_CLOSED_ORDER)}, got {up_to}"
-        )
-    return report.casimirs(up_to)
+    return closed_invariants(state, basis).casimirs(up_to)
 
 
 def casimir_operator(m: int, basis: BasisSet) -> np.ndarray:

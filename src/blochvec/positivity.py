@@ -234,13 +234,14 @@ def check_positivity_coherence(state: CoherenceState, basis: BasisSet) -> SymFnS
 
 @dataclass(frozen=True)
 class AffineMap:
-    """A map of coherence vectors n -> T n + t."""
+    """A map of coherence vectors n -> T n + t of a checked ``dim``."""
 
     dim: int
     T: np.ndarray
     t: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", checked_dim(self.dim))
         k = self.dim**2 - 1
         if np.iscomplexobj(self.T) or np.iscomplexobj(self.t):
             raise DomainError("affine maps of coherence vectors are real; got a complex T or t")
@@ -290,6 +291,7 @@ def diagonal_family_matrix(N: int, a: float) -> np.ndarray:
 
     Positive semidefinite exactly for -1 <= a <= 1/(N-1).
     """
+    N = checked_dim(N)
     diag = np.full(N, 1.0 + a)
     diag[-1] = 1.0 - (N - 1) * a
     return np.diag(diag).astype(complex) / N

@@ -59,6 +59,15 @@ def checked_dim(dim) -> int:
     return int(dim)
 
 
+def checked_dims(dims) -> tuple[int, ...]:
+    """Subsystem dimensions as a tuple of Python ints, each through
+    :func:`checked_dim`; raises :class:`LayoutError` for an empty list."""
+    dims = tuple(checked_dim(d) for d in dims)
+    if not dims:
+        raise LayoutError("subsystem dimension list must not be empty")
+    return dims
+
+
 def admit_dim(dim: int) -> None:
     """Raise :class:`DimensionError` if ``dim`` exceeds :data:`MAX_BASIS_DIM`:
     the one size limit of bases and of the operators that are gated."""
@@ -98,6 +107,9 @@ class BasisSet:
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", checked_dim(self.dim))
+        if self.subsystem_dims is not None:
+            object.__setattr__(self, "subsystem_dims", checked_dims(self.subsystem_dims))
         elems = np.ascontiguousarray(self.elements, dtype=complex)
         if elems.shape != (self.dim**2 - 1, self.dim, self.dim):
             raise LayoutError(
@@ -273,9 +285,7 @@ def build_product_basis(dims) -> BasisSet:
     :func:`product_basis_labels`.  The product of ``dims`` is held to
     :data:`MAX_BASIS_DIM`.
     """
-    if len(dims) == 0:
-        raise LayoutError("subsystem dimension list must not be empty")
-    return _build_product_basis(tuple(checked_dim(d) for d in dims))
+    return _build_product_basis(checked_dims(dims))
 
 
 @lru_cache(maxsize=None)
@@ -329,8 +339,8 @@ def basis_from_json(doc: dict) -> BasisSet:
     )
     labels = doc.get("labels")
     return BasisSet(
-        dim=int(doc["dim"]),
+        dim=doc["dim"],
         elements=elems,
         labels=tuple(tuple(lab) for lab in labels) if labels is not None else None,
-        subsystem_dims=tuple(doc["subsystem_dims"]) if "subsystem_dims" in doc else None,
+        subsystem_dims=doc.get("subsystem_dims"),
     )

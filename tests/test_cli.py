@@ -364,7 +364,10 @@ def test_tol_env_override(write_doc, capsys, monkeypatch):
     {"format": "blochvec/1", "dim": 2, "coherence": [float("nan"), 0.1, 0.2]},
     {"format": "blochvec/1", "dim": "abc", "coherence": [0.1, 0.2, 0.3]},
     {"format": "blochvec/1", "dim": 1, "matrix": [[[1.0, 0.0]]]},
-], ids=["nan-matrix", "nan-coherence", "dim-abc", "dim-1"])
+    # np.prod of these dims wraps in int64 to 4
+    {"format": "blochvec/1", "dim": 4, "dims": [2**62 + 1, 4],
+     "matrix": [[[0.25 * (i == j), 0.0] for j in range(4)] for i in range(4)]},
+], ids=["nan-matrix", "nan-coherence", "dim-abc", "dim-1", "dims-overflow"])
 def test_malformed_documents_exit_1(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -72,6 +72,16 @@ def test_partial_trace_errors():
         partial_trace(SINGLET, TWO_QUBITS, [2])
 
 
+def test_layout_total_is_the_exact_product():
+    # np.prod of these dims wraps in int64 to 4, so a 4x4 matrix would fit
+    layout = CompositeLayout(dims=(2**62 + 1, 4))
+    assert layout.total == 2**64 + 4
+    with pytest.raises(LayoutError):
+        partial_trace(np.eye(4, dtype=complex) / 4, layout, [1])
+    with pytest.raises(LayoutError):
+        partial_transpose(np.eye(4, dtype=complex) / 4, layout)
+
+
 def test_partial_transpose_product_state_stays_psd():
     rng = np.random.default_rng(1)
     joint = np.kron(random_density_matrix(2, rng), random_density_matrix(2, rng))

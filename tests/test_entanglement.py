@@ -140,9 +140,11 @@ def test_three_tangle_matches_concurrence_oracle():
         psi = haar_state(8, rng)
         assert three_tangle(psi) == pytest.approx(tangle_oracle(psi), abs=1e-8)
         # the shipped concurrence route agrees with the exact oracle
-        _, _, _, rho_ab, _ = tripartite_marginals(psi)
+        _, _, _, rho_ab, rho_ac = tripartite_marginals(psi)
         assert concurrence_squared(rho_ab) == pytest.approx(
-            pair_concurrence_squared_oracle(psi, ('A', 'B')), abs=1e-7)
+            pair_concurrence_squared_oracle(psi, ('A', 'B')), abs=1e-12)
+        assert concurrence_squared(rho_ac) == pytest.approx(
+            pair_concurrence_squared_oracle(psi, ('A', 'C')), abs=1e-12)
 
 
 def test_three_tangle_permutation_invariance():

@@ -328,6 +328,17 @@ def test_casimir_errors():
         trace_power_closed(state, 0, build_gellmann_basis(2))
 
 
+@pytest.mark.parametrize("spectrum, call, error, match", [
+    ([0.6, 0.4], lambda r: r.casimirs(3), StarUndefinedError, "require N >= 3"),
+    ([0.6, 0.4], lambda r: r.trace_power(10), UnsupportedOrderError, "m in 2..9, got 10"),
+    ([0.5, 0.3, 0.2], lambda r: r.casimirs(5), UnsupportedOrderError, r"= 3, got 5"),
+], ids=["qubit-cubic-casimir", "trace-power-10", "qutrit-casimir-5"])
+def test_closed_invariants_refuse_what_their_views_refuse(spectrum, call, error, match):
+    report = closed_invariants(diag_state(spectrum), build_gellmann_basis(len(spectrum)))
+    with pytest.raises(error, match=match):
+        call(report)
+
+
 def test_missing_casimir_order_names_the_held_orders():
     cas = casimirs(diag_state([0.5, 0.3, 0.2]), build_gellmann_basis(3), up_to=2)
     with pytest.raises(UnsupportedOrderError, match=r"order 3.*orders \[2\]"):

@@ -7,6 +7,7 @@ import pytest
 from blochvec import (
     AffineMap,
     CoherenceState,
+    DimensionError,
     DomainError,
     HermiticityError,
     LayoutError,
@@ -441,3 +442,13 @@ def test_gates_refuse_operators_above_the_size_limit(gate):
     finally:
         tracemalloc.stop()
     assert peak < mixed.nbytes  # refused before a single copy of the matrix
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2.5, True, np.float64(2.0)],
+                         ids=["zero", "one", "float", "bool", "numpy-float"])
+def test_dimension_inputs_are_checked(dim):
+    with pytest.raises(DimensionError):
+        diagonal_family_matrix(dim, 0.1)
+    k = max(int(dim) ** 2 - 1, 0)  # shapes that fit, so only dim is at fault
+    with pytest.raises(DimensionError):
+        AffineMap(dim=dim, T=np.zeros((k, k)), t=np.zeros(k))

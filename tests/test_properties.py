@@ -159,12 +159,6 @@ def test_tangle_under_local_unitaries(ket_seed, seed):
         assert getattr(after, field) == pytest.approx(getattr(before, field), abs=1e-9), field
 
 
-# concurrence_squared takes max(0, l_1 - l_2 - l_3 - l_4)^2 with l_3, l_4 the
-# square roots of roundoff-level flip eigenvalues of a rank-two marginal
-# (about 6e-9), so C^2 moves by up to 2e-8 under local unitaries and is as
-# far from the exact pair_concurrence_squared_oracle.  Fixed seeds, not
-# hypothesis: the drift shows on every ket, so there is nothing to search.
-@pytest.mark.xfail(strict=True, reason="concurrences carry sqrt(roundoff) error, up to 2e-8")
 def test_concurrences_under_local_unitaries():
     drift = 0.0
     for seed in range(20):

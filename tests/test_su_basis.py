@@ -19,6 +19,7 @@ from blochvec import (
     gellmann_tensors,
     product_tensors,
 )
+from blochvec.documents import parse_matrix_document
 from conftest import dense_tensors
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -101,13 +102,30 @@ def test_non_integer_subsystem_dims_are_refused():
     for dims in ((2.7, 2), (2, 2.0), (np.float64(3.0), 2)):
         with pytest.raises(DimensionError):
             build_product_basis(dims)
-        with pytest.raises(LayoutError):
+        with pytest.raises(DimensionError):
             CompositeLayout(dims=dims)
     # Python and numpy integers are both accepted, as plain ints
     dims = (np.int64(2), np.int32(3))
     assert build_product_basis(dims) is build_product_basis((2, 3))
     layout = CompositeLayout(dims=dims)
     assert layout.dims == (2, 3) and all(type(d) is int for d in layout.dims)
+
+
+@pytest.mark.parametrize("dims, error", [
+    ((), LayoutError),
+    ((2.7, 2), DimensionError),
+    ((1, 2), DimensionError),
+    ((True, 2), DimensionError),
+    ((np.float64(3.0), 2), DimensionError),
+], ids=["empty", "float", "one", "bool", "numpy-float"])
+def test_every_dims_entry_point_applies_one_rule(dims, error):
+    with pytest.raises(error):
+        build_product_basis(dims)
+    with pytest.raises(error):
+        CompositeLayout(dims=dims)
+    if not any(isinstance(d, np.floating) for d in dims):  # JSON holds no numpy floats
+        with pytest.raises(error):
+            parse_matrix_document({"dims": list(dims), "coherence": [0.0] * 15})
 
 
 def test_pauli_structure_constants_are_levi_civita():
@@ -401,6 +419,16 @@ def test_basis_json_round_trip():
     assert restored.dim == basis.dim
     assert restored.labels == basis.labels
     np.testing.assert_array_equal(restored.elements, basis.elements)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", 4.5), ("dim", 4.0), ("subsystem_dims", [2.5, 2]),
+], ids=["float-dim", "integral-float-dim", "float-subsystem-dim"])
+def test_basis_dimensions_apply_the_one_rule(field, value):
+    doc = basis_to_json(build_product_basis((2, 2)))
+    doc[field] = value
+    with pytest.raises(DimensionError):
+        basis_from_json(doc)
 
 
 def test_basis_from_json_refuses_an_invalid_basis():
