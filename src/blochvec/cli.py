@@ -3,8 +3,11 @@ sweeps, tangle evaluation, and affine-map scanning.
 
 Exit codes: 0 for PSD (or a pure report command), 2 for NotPSD, 1 for any
 error.  The commands that gate (``check``, ``map``, ``werner``) take the
-verdict tolerance from ``--tol``, else from ``BLOCHVEC_TOL``; every
-command accepts ``--json`` for machine-readable output.
+verdict tolerance from ``--tol``, else from ``BLOCHVEC_TOL``.  They gate a
+coherence vector (a coherence document, an ``--invert`` or ``map`` image)
+with :func:`~blochvec.check_positivity_coherence`, so they give the
+library's verdict, and a matrix with La Budde's route; every command
+accepts ``--json`` for machine-readable output.
 """
 
 from __future__ import annotations
@@ -38,10 +41,13 @@ from .errors import EPS_ZERO, BlochvecError, DomainError, UnsupportedOrderError
 from .invariants import MAX_CLOSED_ORDER, closed_invariants
 from .positivity import (
     AffineMap,
+    SymFnSequence,
     Verdict,
     apply_affine_map,
-    check_positivity,
+    check_positivity_coherence,
     matrix_trace_powers,
+    positivity_verdict,
+    tridiagonal_symmetric_functions,
 )
 from .su_basis import build_gellmann_basis, build_product_basis
 
@@ -98,15 +104,22 @@ def _load_document(path: str):
     return doc, None, CoherenceState(dim=doc.dim, n=doc.coherence)
 
 
-def _check_payload(mat: np.ndarray, tol, verify: bool) -> dict:
-    seq = check_positivity(mat, tol=tol)
+def _gate_matrix(mat: np.ndarray, tol) -> SymFnSequence:
+    """The verdict of a matrix by La Budde's route, as the coherence gate's
+    fallback computes it."""
+    return positivity_verdict(tridiagonal_symmetric_functions(mat), tol=tol)
+
+
+def _check_payload(seq: SymFnSequence, mat: np.ndarray | None) -> dict:
+    """The payload of a gate; with ``mat`` (``--verify``) also the
+    eigenvalue cross-check of that matrix."""
     payload = {
         "dim": seq.dim,
         "S": [float(s) for s in seq.S],
         "sign_changes": seq.sign_changes,
         "verdict": seq.verdict.value,
     }
-    if verify:
+    if mat is not None:
         eigs = np.linalg.eigvalsh(mat)
         payload["min_eigenvalue"] = float(eigs.min())
         payload["positive_eigenvalues"] = int(np.sum(eigs > EPS_ZERO))
@@ -115,6 +128,13 @@ def _check_payload(mat: np.ndarray, tol, verify: bool) -> dict:
             and payload["positive_eigenvalues"] == seq.sign_changes
         )
     return payload
+
+
+def _gate_state(state: CoherenceState, basis, args) -> dict:
+    """The payload of a coherence state gated by
+    :func:`check_positivity_coherence`; ``--verify`` rebuilds its matrix."""
+    seq = check_positivity_coherence(state, basis, tol=_default_tol(args))
+    return _check_payload(seq, from_coherence(state, basis) if args.verify else None)
 
 
 def _print_check(payload: dict):
@@ -135,15 +155,15 @@ def _print_check(payload: dict):
 def cmd_check(args) -> int:
     doc, matrix, state = _load_document(args.input)
     if matrix is not None and not args.invert:
-        mat = matrix
+        seq = _gate_matrix(matrix, _default_tol(args))
+        payload = _check_payload(seq, matrix if args.verify else None)
     else:
         basis = _basis_for(doc)
         if state is None:
             state = to_coherence(matrix, basis)
         if args.invert:
             state = apply_affine_map(AffineMap.inversion(doc.dim), state)
-        mat = from_coherence(state, basis)
-    payload = _check_payload(mat, _default_tol(args), args.verify)
+        payload = _gate_state(state, basis, args)
     _emit(payload, args.json, _print_check(payload))
     return _EXIT_BY_VERDICT[Verdict(payload["verdict"])]
 
@@ -190,7 +210,7 @@ def cmd_invariants(args) -> int:
 
 def _werner_row(x: float, tol) -> dict:
     layout = CompositeLayout(dims=(2, 2))
-    seq_pt = check_positivity(partial_transpose(werner_state(x), layout), tol=tol)
+    seq_pt = _gate_matrix(partial_transpose(werner_state(x), layout), tol)
     s3, s4 = werner_symfns(x, transposed=False)
     s3_pt, s4_pt = werner_symfns(x, transposed=True)
     return {"x": x, "S3": s3, "S4": s4, "S3_pt": s3_pt, "S4_pt": s4_pt,
@@ -245,8 +265,7 @@ def cmd_map(args) -> int:
     if state is None:
         state = to_coherence(matrix, basis)
     image = apply_affine_map(AffineMap(dim=dim_map, T=T, t=t), state)
-    mat = from_coherence(image, basis)
-    payload = _check_payload(mat, _default_tol(args), args.verify)
+    payload = _gate_state(image, basis, args)
     payload["image_coherence"] = [float(v) for v in image.n]
     _emit(payload, args.json, _print_check(payload))
     return _EXIT_BY_VERDICT[Verdict(payload["verdict"])]

@@ -8,8 +8,9 @@ being able to distinguish failure kinds.
 Every zero test in the package reads one of the four ``EPS_*`` cutoffs
 below; no other cutoff is written anywhere.  Only the verdict band can be
 changed by a caller, through the ``tol`` of
-:func:`~blochvec.positivity_verdict` and :func:`~blochvec.check_positivity`
-(the CLI's ``--tol`` and ``BLOCHVEC_TOL``), up to :data:`MAX_TOL`.
+:func:`~blochvec.positivity_verdict`, :func:`~blochvec.check_positivity`
+and :func:`~blochvec.check_positivity_coherence` (the CLI's ``--tol`` and
+``BLOCHVEC_TOL``), up to :data:`MAX_TOL`.
 """
 
 #: Largest Hermiticity residual max|A - A^dag| accepted, relative to

@@ -130,7 +130,9 @@ def closed_invariants(state: CoherenceState, basis: BasisSet) -> ClosedInvariant
     """The closed invariants of ``state``; :class:`LayoutError` unless
     ``basis`` has the state's dimension.  The report of the last state
     asked for is kept, so the views (:func:`trace_power_closed`,
-    :func:`casimirs`, :func:`~blochvec.positivity.closed_S234`) that read
+    :func:`casimirs`, :func:`~blochvec.positivity.closed_S234`) and the
+    coherence gate at N <= 4
+    (:func:`~blochvec.positivity.check_positivity_coherence`) that read
     one state in a row compute its d-chain once."""
     if state.dim != basis.dim:
         raise LayoutError("state and basis must share one dimension")

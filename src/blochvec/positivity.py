@@ -14,10 +14,15 @@ when every S_k >= 0, and the number of sign changes in the coefficient
 sequence (1, -S_1, S_2, ...) equals the number of strictly positive
 eigenvalues.
 
-The matrix gate uses that recursion.  The coherence gate instead reduces
-the rebuilt operator to tridiagonal form and runs La Budde's three-term
-recurrence, which keeps the sign of small S_k where the power-trace
-recursion loses it.
+Three routes compute the S_k, and :func:`positivity_verdict` judges them
+all.  The matrix gate uses that recursion.  The coherence gate reads
+S_2..S_4 of a state with N <= 4 from the closed Casimir forms of
+:func:`~blochvec.invariants.closed_invariants`, the paper's region
+S_k(n) >= 0, wherever each S_k stays in its verdict class across its own
+rounding error; otherwise, and for every N >= 5, it reduces the rebuilt
+operator to tridiagonal form and runs La Budde's three-term recurrence,
+which keeps the sign of small S_k where the power-trace recursion loses
+it.
 """
 
 from __future__ import annotations
@@ -30,12 +35,19 @@ import numpy as np
 
 from .coherence import (
     CoherenceState,
+    coherence_scale,
     from_coherence,
     require_hermitian,
 )
 from .errors import EPS_POS, EPS_ZERO, MAX_TOL, DomainError, LayoutError
 from .invariants import closed_invariants
 from .su_basis import BasisSet, checked_dim
+
+#: Safety factor of the closed route's rounding-error estimate (see
+#: :func:`_closed_symmetric_functions`); 0.25 already let no wrong verdict
+#: through on spectra with an exact zero next to an eigenvalue of 1e-8.
+_CLOSED_ERROR_GAMMA = 4.0
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class Verdict(enum.Enum):
@@ -114,6 +126,15 @@ def closed_S234(state: CoherenceState, basis: BasisSet) -> tuple[float, float, f
     return closed_invariants(state, basis).S234
 
 
+def _verdict_band(tol: float | None) -> float:
+    """The verdict band of ``tol``: EPS_POS by default, and
+    :class:`DomainError` outside [0, MAX_TOL]."""
+    band = EPS_POS if tol is None else tol
+    if not 0.0 <= band <= MAX_TOL:
+        raise DomainError(f"verdict tolerance must lie in [0, {MAX_TOL}], got {band}")
+    return band
+
+
 def positivity_verdict(S, *, tol: float | None = None) -> SymFnSequence:
     """Classify a coefficient sequence S_1..S_N computed from a Hermitian matrix.
 
@@ -135,9 +156,7 @@ def positivity_verdict(S, *, tol: float | None = None) -> SymFnSequence:
     S = np.asarray(S, dtype=float)
     if S.ndim != 1 or S.size == 0:
         raise DomainError("need a nonempty coefficient sequence")
-    band = EPS_POS if tol is None else tol
-    if not 0.0 <= band <= MAX_TOL:
-        raise DomainError(f"verdict tolerance must lie in [0, {MAX_TOL}], got {band}")
+    band = _verdict_band(tol)
     ref = 1.0
     changes = 0
     previous_sign = 1.0  # sign of the leading coefficient
@@ -223,13 +242,65 @@ def tridiagonal_symmetric_functions(mat: np.ndarray) -> np.ndarray:
     return np.array(cur[1:])
 
 
-def check_positivity_coherence(state: CoherenceState, basis: BasisSet) -> SymFnSequence:
+def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet,
+                                band: float) -> tuple[float, ...] | None:
+    """S_1..S_N = (1, S_2, S_3, S_4)[:N] of :func:`closed_S234`, or None
+    when rounding could move one of them across the verdict band.
+
+    The closed forms carry an absolute rounding error, so each S_k gets the
+    estimate err_k = gamma N^2 u M_k (running error analysis; Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002), where M_k is
+    the S_k formula with every term taken by magnitude and the d-chain
+    terms at their largest for p = n.n, |(n*n).n| -> (2p)^(3/2) and
+    (n*n).(n*n) -> (2p)^2.  The values are used only if every S_k falls in
+    the same class (negative, negligible or positive, against the running
+    band of :func:`positivity_verdict`) at S_k - err_k and S_k + err_k.
+    """
+    N = state.dim
+    report = closed_invariants(state, basis)
+    p, c = report.chain[2], coherence_scale(N)
+    cubic, quartic = c * (2.0 * p) ** 1.5, c**2 * (2.0 * p) ** 2
+    magnitudes = (
+        (N - 1) / (2.0 * N) * (1.0 + p),
+        (N - 1) / (6.0 * N**2) * ((N - 2) * (1.0 + 3.0 * p) + 2.0 * cubic),
+        (N - 1) / (24.0 * N**3) * ((N - 2) * (N - 3) * (1.0 + 6.0 * p) + 8.0 * (N - 3) * cubic
+                                   + 3.0 * (N - 1) * (N - 2) * p**2 + 6.0 * quartic),
+    )
+    scale = _CLOSED_ERROR_GAMMA * N**2 * _UNIT_ROUNDOFF
+    ref = 1.0  # |S_1| = 1, exact
+    for value, magnitude in zip(report.S234[:N - 1], magnitudes):
+        err, cut = scale * magnitude, band * ref
+        low, high = value - err, value + err
+        if (low > cut) != (high > cut) or (low < -cut) != (high < -cut):
+            return None
+        if abs(value) > cut:
+            ref = abs(value)
+    return (1.0,) + report.S234[:N - 1]
+
+
+def check_positivity_coherence(state: CoherenceState, basis: BasisSet, *,
+                               tol: float | None = None) -> SymFnSequence:
     """Positivity gate of the trace-one operator represented by a coherence
-    vector: rho is rebuilt by :func:`from_coherence` (one
-    :meth:`BasisSet.expand`) and its S_k are taken from
-    :func:`tridiagonal_symmetric_functions`."""
-    rho = from_coherence(state, basis)
-    return positivity_verdict(tridiagonal_symmetric_functions(rho))
+    vector, with the verdict band ``tol`` of :func:`check_positivity`.
+
+    For N <= 4 the S_k are the closed S_2..S_4 of
+    :func:`~blochvec.invariants.closed_invariants` (the report that
+    :func:`closed_S234`, :func:`~blochvec.invariants.casimirs` and
+    :func:`~blochvec.invariants.trace_power_closed` then read), guarded by
+    their rounding error (:func:`_closed_symmetric_functions`).  Where the
+    guard does not hold, and for every larger N, rho is rebuilt by
+    :func:`from_coherence` (one :meth:`BasisSet.expand`) and its S_k are
+    taken from :func:`tridiagonal_symmetric_functions`.  Either way
+    :func:`positivity_verdict` gives the verdict, and a ``tol`` outside
+    [0, MAX_TOL] raises :class:`DomainError`.
+    """
+    band = _verdict_band(tol)
+    S = None
+    if state.dim <= 4:  # S_2..S_4 are then the whole polynomial
+        S = _closed_symmetric_functions(state, basis, band)
+    if S is None:
+        S = tridiagonal_symmetric_functions(from_coherence(state, basis))
+    return positivity_verdict(S, tol=tol)
 
 
 @dataclass(frozen=True)

@@ -84,8 +84,12 @@ class BasisSet:
     ``elements`` has shape (N^2 - 1, N, N).  For product bases ``labels``
     records, per element, the tuple of single-subsystem basis indices
     (0 meaning the identity factor) and ``subsystem_dims`` the factor
-    dimensions.  Every instance is checked by :meth:`validate` when it is
-    made.  Instances compare and hash by identity, so one can key a cache.
+    dimensions: both or neither are given, the dimensions multiply to N,
+    and there is one label per element, with entry i in 0..d_i^2 - 1 and
+    not all 0 (else :class:`InconsistentBasisError`, or
+    :class:`LayoutError` for a wrong product or count).  Every instance is
+    checked by :meth:`validate` when it is made.  Instances compare and
+    hash by identity, so one can key a cache.
 
     f and d are applied through N x N products instead of being stored.
     For real a and b the product rule gives
@@ -108,8 +112,14 @@ class BasisSet:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", checked_dim(self.dim))
+        if (self.labels is None) != (self.subsystem_dims is None):
+            raise InconsistentBasisError("labels and subsystem_dims must be given together")
         if self.subsystem_dims is not None:
-            object.__setattr__(self, "subsystem_dims", checked_dims(self.subsystem_dims))
+            dims = checked_dims(self.subsystem_dims)
+            if prod(dims) != self.dim:
+                raise LayoutError(f"subsystem dims {dims} do not multiply to dim {self.dim}")
+            object.__setattr__(self, "subsystem_dims", dims)
+            object.__setattr__(self, "labels", _checked_labels(self.labels, dims))
         elems = np.ascontiguousarray(self.elements, dtype=complex)
         if elems.shape != (self.dim**2 - 1, self.dim, self.dim):
             raise LayoutError(
@@ -212,6 +222,26 @@ class BasisSet:
         return (0.0, 0.0, c2, _half_trace(X, W), c4, _half_trace(X, A),
                 _half_trace(W, A), _half_trace(XA, W), _half_trace(A, A),
                 _half_trace(XA, A))
+
+
+def _checked_labels(labels, dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """``labels`` as tuples of ints, one per element of the product basis of
+    ``dims``: each names a single-subsystem index 0..d_i^2 - 1 per factor
+    (0 the identity), and none is all-identity."""
+    try:
+        labels = tuple(tuple(lab) for lab in labels)
+    except TypeError:
+        raise InconsistentBasisError("labels must be a list of index lists") from None
+    count = prod(dims) ** 2 - 1
+    if len(labels) != count:
+        raise LayoutError(f"a product basis of dims {dims} has {count} labels, got {len(labels)}")
+    for lab in labels:
+        if (len(lab) != len(dims) or not any(lab)
+                or not all(isinstance(i, (int, np.integer)) and 0 <= i < d * d
+                           for i, d in zip(lab, dims))):
+            raise InconsistentBasisError(f"label {lab} names no element of a product basis "
+                                         f"of dims {dims}")
+    return tuple(tuple(int(i) for i in lab) for lab in labels)
 
 
 def _half_trace(P: np.ndarray, Q: np.ndarray) -> float:
@@ -337,10 +367,5 @@ def basis_from_json(doc: dict) -> BasisSet:
     elems = np.array(
         [[[complex(re, im) for re, im in row] for row in mat] for mat in doc["elements"]]
     )
-    labels = doc.get("labels")
-    return BasisSet(
-        dim=doc["dim"],
-        elements=elems,
-        labels=tuple(tuple(lab) for lab in labels) if labels is not None else None,
-        subsystem_dims=doc.get("subsystem_dims"),
-    )
+    return BasisSet(dim=doc["dim"], elements=elems, labels=doc.get("labels"),
+                    subsystem_dims=doc.get("subsystem_dims"))

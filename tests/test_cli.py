@@ -296,6 +296,26 @@ def test_cli_verdict_equals_library_call(write_doc, capsys):
     np.testing.assert_allclose(payload["S"], seq.S, atol=0)
 
 
+def test_rank_deficient_coherence_documents_read_boundary(write_doc, capsys):
+    # the CLI gates coherence vectors as the library does, so power traces
+    # cannot flip the sign of the vanishing S_16 of a rank 15 state
+    from blochvec import build_gellmann_basis, to_coherence
+
+    from conftest import random_density_matrix
+
+    basis = build_gellmann_basis(16)
+    rng = np.random.default_rng(7)
+    identity = write_doc(map_document(np.eye(255), np.zeros(255), dim=16))
+    verdicts = []
+    for _ in range(20):
+        n = to_coherence(random_density_matrix(16, rng, rank=15), basis).n
+        path = write_doc(coherence_document(n, dim=16))
+        for argv in (["check", path], ["map", identity, path]):
+            code, payload = run_json(capsys, argv + ["--json"])
+            verdicts.append((code, payload["verdict"], payload["sign_changes"]))
+    assert verdicts == [(0, "Boundary", 15)] * 40
+
+
 def test_werner_domain_error(capsys):
     assert main(["werner", "--x", "1.5"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -452,3 +452,87 @@ def test_dimension_inputs_are_checked(dim):
     k = max(int(dim) ** 2 - 1, 0)  # shapes that fit, so only dim is at fault
     with pytest.raises(DimensionError):
         AffineMap(dim=dim, T=np.zeros((k, k)), t=np.zeros(k))
+
+
+def basis_of(layout):
+    return build_gellmann_basis(layout[0]) if len(layout) == 1 else build_product_basis(layout)
+
+
+def rotated_spectrum(spectrum, rng):
+    u = random_unitary(len(spectrum), rng)
+    return (u * spectrum) @ u.conj().T
+
+
+@pytest.fixture
+def la_budde_calls(monkeypatch):
+    """The matrix size of each call of the coherence gate's La Budde fallback."""
+    import blochvec.positivity as positivity
+
+    calls = []
+    route = positivity.tridiagonal_symmetric_functions
+
+    def counted(mat):
+        calls.append(mat.shape[0])
+        return route(mat)
+
+    monkeypatch.setattr(positivity, "tridiagonal_symmetric_functions", counted)
+    return calls
+
+
+@pytest.mark.parametrize("layout", [(3,), (4,), (2, 2)], ids=str)
+def test_closed_gate_guard_holds_next_to_an_exact_zero(layout):
+    # an exact zero beside a second small eigenvalue: the unguarded closed
+    # S_k give wrong verdicts here (dozens per hundred states at 1e-8)
+    basis = basis_of(layout)
+    N = basis.dim
+    rng = np.random.default_rng(17)
+    wrong = []
+    for second in (1e-4, 1e-6, 1e-8):
+        for _ in range(100):
+            weights = rng.uniform(1e-3, 1.0, N - 2)
+            spectrum = np.concatenate([weights * ((1.0 - second) / weights.sum()), [second, 0.0]])
+            rho = rotated_spectrum(spectrum, rng)
+            seq = check_positivity_coherence(to_coherence(rho, basis), basis)
+            if (seq.verdict, seq.sign_changes) != eigenvalue_verdict(rho):
+                wrong.append((second, seq.verdict, seq.sign_changes))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("layout", [(2,), (3,), (4,), (2, 2)], ids=str)
+def test_closed_gate_decides_separated_spectra_alone(layout, la_budde_calls):
+    basis = basis_of(layout)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        rho = random_density_matrix(basis.dim, rng)
+        state = to_coherence(rho, basis)
+        seq = check_positivity_coherence(state, basis)
+        assert (seq.verdict, seq.sign_changes) == eigenvalue_verdict(rho)
+        assert seq.S[0] == 1.0 and tuple(seq.S[1:]) == closed_S234(state, basis)[:basis.dim - 1]
+    assert la_budde_calls == []
+
+
+def test_closed_gate_falls_back_inside_its_rounding_error(la_budde_calls):
+    basis = build_gellmann_basis(3)
+    rho = rotated_spectrum(np.array([1.0 - 1e-8, 1e-8, 0.0]), np.random.default_rng(2))
+    seq = check_positivity_coherence(to_coherence(rho, basis), basis)
+    assert la_budde_calls == [3]
+    assert (seq.verdict, seq.sign_changes) == (Verdict.BOUNDARY, 2)
+
+
+@pytest.mark.parametrize("dim", [3, 6], ids=["closed", "la-budde"])
+def test_coherence_gate_honours_tol(dim, la_budde_calls):
+    from blochvec.errors import MAX_TOL
+
+    basis = build_gellmann_basis(dim)
+    # one eigenvalue 1e-5 of the spectrum's scale: positive at the default
+    # band, negligible at MAX_TOL
+    spectrum = np.append(np.full(dim - 1, 1.0 / (dim - 1)), 1e-5)
+    state = to_coherence(rotated_spectrum(spectrum / spectrum.sum(), np.random.default_rng(dim)),
+                         basis)
+    assert check_positivity_coherence(state, basis).verdict is Verdict.PSD
+    seq = check_positivity_coherence(state, basis, tol=MAX_TOL)
+    assert (seq.verdict, seq.sign_changes) == (Verdict.BOUNDARY, dim - 1)
+    assert len(la_budde_calls) == (0 if dim <= 4 else 2)
+    for tol in (np.nextafter(MAX_TOL, 1.0), 0.5, np.nan, -1e-12):
+        with pytest.raises(DomainError):
+            check_positivity_coherence(state, basis, tol=tol)

@@ -436,3 +436,27 @@ def test_basis_from_json_refuses_an_invalid_basis():
     doc["elements"][0] = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]  # [[0, 1], [0, 0]]
     with pytest.raises(InconsistentBasisError):
         basis_from_json(doc)
+
+
+def test_basis_metadata_must_match_the_dimension():
+    basis = build_product_basis((2, 2))
+    with pytest.raises(LayoutError, match="multiply"):
+        BasisSet(dim=4, elements=basis.elements, labels=basis.labels, subsystem_dims=(3, 3))
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda doc: doc.update(labels=[[9, 9]] * 15), InconsistentBasisError),
+    (lambda doc: doc.update(labels=[[0, 0]] + doc["labels"][1:]), InconsistentBasisError),
+    (lambda doc: doc.update(labels=[lab + [0] for lab in doc["labels"]]), InconsistentBasisError),
+    (lambda doc: doc.update(labels=[[1.0, 0]] + doc["labels"][1:]), InconsistentBasisError),
+    (lambda doc: doc.update(labels=7), InconsistentBasisError),
+    (lambda doc: doc.update(labels=doc["labels"][:-1]), LayoutError),
+    (lambda doc: doc.pop("labels"), InconsistentBasisError),
+    (lambda doc: doc.pop("subsystem_dims"), InconsistentBasisError),
+], ids=["out-of-range", "all-identity", "too-long", "float-index", "not-a-list", "too-few",
+        "dims-without-labels", "labels-without-dims"])
+def test_basis_from_json_refuses_inconsistent_labels(edit, error):
+    doc = basis_to_json(build_product_basis((2, 2)))
+    edit(doc)
+    with pytest.raises(error):
+        basis_from_json(doc)

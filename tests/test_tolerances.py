@@ -37,6 +37,7 @@ from blochvec.su_basis import build_gellmann_basis
 ALLOWED_TOLERANCES = {
     ("blochvec.positivity", "positivity_verdict", "tol"),
     ("blochvec.positivity", "check_positivity", "tol"),
+    ("blochvec.positivity", "check_positivity_coherence", "tol"),
     ("blochvec.su_basis", "BasisSet.validate", "tol"),
 }
 
