@@ -33,11 +33,24 @@ def _complex_to_pairs(arr: np.ndarray):
     return [_complex_to_pairs(row) for row in arr]
 
 
+def _numbers_only(data) -> bool:
+    """Whether ``data`` is a JSON number or nested lists of them: booleans
+    and strings, which numpy would convert, are not."""
+    if type(data) is not list:
+        return type(data) in (int, float)
+    kinds = set(map(type, data))
+    if list in kinds:
+        return kinds == {list} and all(map(_numbers_only, data))
+    return kinds <= {int, float}
+
+
 def _real_array(data, what: str) -> np.ndarray:
     """A finite float array, or a :class:`DocumentError` naming ``what``."""
+    if not _numbers_only(data):
+        raise DocumentError(f"malformed {what}: entries must be JSON numbers")
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed {what}: {exc}") from exc
     if not np.isfinite(arr).all():
         raise DocumentError(f"{what} has non-finite entries")

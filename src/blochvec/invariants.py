@@ -20,15 +20,18 @@ suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 import numpy as np
 
 from .coherence import CoherenceState, coherence_scale
 from .errors import (
     EPS_ZERO,
+    DomainError,
     LayoutError,
     StarUndefinedError,
     UnsupportedOrderError,
@@ -36,6 +39,17 @@ from .errors import (
 from .su_basis import BasisSet
 
 MAX_CLOSED_ORDER = 9
+
+
+@lru_cache(maxsize=None)
+def trace_power_weights(dim: int) -> tuple[tuple[float, ...], ...]:
+    """Row m = (C(m,k) c^k for k = 0..m), m = 0..9, of one dimension: the
+    weights of Tr(rho^m) = (1/N^m) sum_k C(m,k) c^k T_k in
+    :meth:`ClosedInvariants.trace_power`, which the coherence gate's error
+    estimate reads too."""
+    c = coherence_scale(dim)
+    return tuple(tuple(comb(m, k) * c**k for k in range(m + 1))
+                 for m in range(MAX_CLOSED_ORDER + 1))
 
 
 @dataclass(frozen=True)
@@ -66,11 +80,12 @@ class ClosedInvariants:
     S234: tuple[float, float, float]
 
     def trace_power(self, m: int) -> float:
-        """Tr(rho^m) of :func:`trace_power_closed`."""
+        """Tr(rho^m) of :func:`trace_power_closed`, from the weights of
+        :func:`trace_power_weights`; the coherence gate feeds these to
+        Newton's identities for S_5..S_N."""
         if not 2 <= m <= MAX_CLOSED_ORDER:
             raise UnsupportedOrderError(f"closed trace powers implemented for m in 2..9, got {m}")
-        N, c = self.dim, coherence_scale(self.dim)
-        return float(sum(comb(m, k) * c**k * self.T[k] for k in range(m + 1)) / N**m)
+        return sum(map(mul, trace_power_weights(self.dim)[m], self.T)) / self.dim**m
 
     def casimirs(self, up_to: int) -> CasimirSet:
         """c_2 .. c_up_to of :func:`casimirs`."""
@@ -131,9 +146,10 @@ def closed_invariants(state: CoherenceState, basis: BasisSet) -> ClosedInvariant
     ``basis`` has the state's dimension.  The report of the last state
     asked for is kept, so the views (:func:`trace_power_closed`,
     :func:`casimirs`, :func:`~blochvec.positivity.closed_S234`) and the
-    coherence gate at N <= 4
+    coherence gate at N <= 9
     (:func:`~blochvec.positivity.check_positivity_coherence`) that read
-    one state in a row compute its d-chain once."""
+    one state in a row compute its d-chain once.  A report whose values
+    are not finite raises :class:`DomainError`."""
     if state.dim != basis.dim:
         raise LayoutError("state and basis must share one dimension")
     return _closed_invariants(basis, state.n.tobytes())
@@ -142,44 +158,51 @@ def closed_invariants(state: CoherenceState, basis: BasisSet) -> ClosedInvariant
 @lru_cache(maxsize=1)
 def _closed_invariants(basis: BasisSet, n_bytes: bytes) -> ClosedInvariants:
     """The report of :func:`closed_invariants`, keyed by the basis (by
-    identity) and the bytes of n."""
+    identity) and the bytes of n; :class:`DomainError` when a value is not
+    finite (|n| beyond about 1e38)."""
     N = basis.dim
     ch = basis.d_chain(np.frombuffer(n_bytes))
-    p, wn, ww = ch[2], ch[3], ch[4]
-    T = (
-        float(N),
-        0.0,
-        2.0 * p,
-        2.0 * wn,
-        (4.0 / N) * p**2 + 2.0 * ww,
-        (8.0 / N) * p * wn + 2.0 * ch[5],
-        (8.0 / N**2) * p**3 + (12.0 / N) * p * ww + 2.0 * ch[6],
-        (24.0 / N**2) * p**2 * wn
-        + (12.0 / N) * p * ch[5]
-        + (4.0 / N) * wn * ww
-        + 2.0 * ch[7],
-        (16.0 / N**3) * p**4
-        + (48.0 / N**2) * p**2 * ww
-        + (4.0 / N) * ww**2
-        + (16.0 / N) * p * ch[6]
-        + 2.0 * ch[8],
-        (64.0 / N**3) * p**3 * wn
-        + (32.0 / N**2) * p * ww * wn
-        + (48.0 / N**2) * p**2 * ch[5]
-        + (8.0 / N) * ww * ch[5]
-        + (16.0 / N) * p * ch[7]
-        + 2.0 * ch[9],
-    )
-    c = coherence_scale(N)
-    S2 = (N - 1) / (2.0 * N) * (1.0 - p)
-    S3 = (N - 1) / (6.0 * N**2) * ((N - 2) * (1.0 - 3.0 * p) + 2.0 * c * wn)
-    S4 = (N - 1) / (24.0 * N**3) * (
-        (N - 2) * (N - 3) * (1.0 - 6.0 * p)
-        + 8.0 * (N - 3) * c * wn
-        + 3.0 * (N - 1) * (N - 2) * p**2
-        - 6.0 * c**2 * ww
-    )
-    return ClosedInvariants(dim=N, chain=ch, T=T, S234=(S2, S3, S4))
+    try:
+        p, wn, ww = ch[2], ch[3], ch[4]
+        T = (
+            float(N),
+            0.0,
+            2.0 * p,
+            2.0 * wn,
+            (4.0 / N) * p**2 + 2.0 * ww,
+            (8.0 / N) * p * wn + 2.0 * ch[5],
+            (8.0 / N**2) * p**3 + (12.0 / N) * p * ww + 2.0 * ch[6],
+            (24.0 / N**2) * p**2 * wn
+            + (12.0 / N) * p * ch[5]
+            + (4.0 / N) * wn * ww
+            + 2.0 * ch[7],
+            (16.0 / N**3) * p**4
+            + (48.0 / N**2) * p**2 * ww
+            + (4.0 / N) * ww**2
+            + (16.0 / N) * p * ch[6]
+            + 2.0 * ch[8],
+            (64.0 / N**3) * p**3 * wn
+            + (32.0 / N**2) * p * ww * wn
+            + (48.0 / N**2) * p**2 * ch[5]
+            + (8.0 / N) * ww * ch[5]
+            + (16.0 / N) * p * ch[7]
+            + 2.0 * ch[9],
+        )
+        c = coherence_scale(N)
+        S2 = (N - 1) / (2.0 * N) * (1.0 - p)
+        S3 = (N - 1) / (6.0 * N**2) * ((N - 2) * (1.0 - 3.0 * p) + 2.0 * c * wn)
+        S4 = (N - 1) / (24.0 * N**3) * (
+            (N - 2) * (N - 3) * (1.0 - 6.0 * p)
+            + 8.0 * (N - 3) * c * wn
+            + 3.0 * (N - 1) * (N - 2) * p**2
+            - 6.0 * c**2 * ww
+        )
+        S234 = (S2, S3, S4)
+    except OverflowError:  # p**4 of a float raises where the other terms turn inf
+        T = S234 = (math.inf,)
+    if not all(map(math.isfinite, T + S234)):
+        raise DomainError("the closed invariants of this coherence vector overflow")
+    return ClosedInvariants(dim=N, chain=ch, T=T, S234=S234)
 
 
 def trace_power_closed(state: CoherenceState, m: int, basis: BasisSet) -> float:

@@ -15,14 +15,15 @@ sequence (1, -S_1, S_2, ...) equals the number of strictly positive
 eigenvalues.
 
 Three routes compute the S_k, and :func:`positivity_verdict` judges them
-all.  The matrix gate uses that recursion.  The coherence gate reads
-S_2..S_4 of a state with N <= 4 from the closed Casimir forms of
-:func:`~blochvec.invariants.closed_invariants`, the paper's region
-S_k(n) >= 0, wherever each S_k stays in its verdict class across its own
-rounding error; otherwise, and for every N >= 5, it reduces the rebuilt
-operator to tridiagonal form and runs La Budde's three-term recurrence,
-which keeps the sign of small S_k where the power-trace recursion loses
-it.
+all.  The matrix gate uses that recursion.  The coherence gate decides a
+state with N <= 9 by the paper's region S_k(n) >= 0 in the closed Casimir
+invariants of :func:`~blochvec.invariants.closed_invariants`: S_2..S_4 in
+closed form, and S_5..S_N by the same recursion on the closed Tr(rho^m),
+wherever each S_k stays in its verdict class across a running estimate of
+its rounding error.  Otherwise, and for every N >= 10, it reduces the
+rebuilt operator to tridiagonal form and runs La Budde's three-term
+recurrence, which keeps the sign of small S_k where the power-trace
+recursion loses it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -40,12 +42,13 @@ from .coherence import (
     require_hermitian,
 )
 from .errors import EPS_POS, EPS_ZERO, MAX_TOL, DomainError, LayoutError
-from .invariants import closed_invariants
+from .invariants import MAX_CLOSED_ORDER, closed_invariants, trace_power_weights
 from .su_basis import BasisSet, checked_dim
 
 #: Safety factor of the closed route's rounding-error estimate (see
-#: :func:`_closed_symmetric_functions`); 0.25 already let no wrong verdict
-#: through on spectra with an exact zero next to an eigenvalue of 1e-8.
+#: :func:`_closed_symmetric_functions`).  On spectra with an exact zero
+#: next to an eigenvalue of 1e-2..1e-8, 0.25 already let no wrong verdict
+#: through at N <= 4, nor 0.05 at N = 5..9; 0.05 let a few through at N = 3.
 _CLOSED_ERROR_GAMMA = 4.0
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -243,21 +246,36 @@ def tridiagonal_symmetric_functions(mat: np.ndarray) -> np.ndarray:
 
 
 def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet,
-                                band: float) -> tuple[float, ...] | None:
-    """S_1..S_N = (1, S_2, S_3, S_4)[:N] of :func:`closed_S234`, or None
-    when rounding could move one of them across the verdict band.
+                                band: float) -> list[float] | None:
+    """S_1..S_N of a state with N <= MAX_CLOSED_ORDER from its closed
+    report, or None when rounding could move one of them across the verdict
+    band or the report overflows.
 
-    The closed forms carry an absolute rounding error, so each S_k gets the
-    estimate err_k = gamma N^2 u M_k (running error analysis; Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2002), where M_k is
-    the S_k formula with every term taken by magnitude and the d-chain
-    terms at their largest for p = n.n, |(n*n).n| -> (2p)^(3/2) and
-    (n*n).(n*n) -> (2p)^2.  The values are used only if every S_k falls in
-    the same class (negative, negligible or positive, against the running
-    band of :func:`positivity_verdict`) at S_k - err_k and S_k + err_k.
+    S_1 = 1 and S_2..S_4 are those of :func:`closed_S234`; for k >= 5
+    Newton's identities k S_k = sum_j (-1)^(j-1) p_j S_(k-j) continue them
+    on p_j = Tr(rho^j) of :meth:`ClosedInvariants.trace_power` (p_1 = 1).
+    Each S_k carries a running error estimate E_k (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, ch. 3) with s = gamma N^2 u:
+
+    * k <= 4: E_k = s M_k, where M_k is the closed S_k formula with every
+      term taken by magnitude and the d-chain terms at their largest for
+      p = n.n, |(n*n).n| -> (2p)^(3/2) and (n*n).(n*n) -> (2p)^2;
+    * k >= 5: E_k = (1/k) [sum_j (dp_j |S_(k-j)| + |p_j| E_(k-j))
+      + s sum_j |p_j S_(k-j)|], with dp_j = s sum_i C(j,i) c^i A_i / N^j
+      and A_i >= sum |mu|^i over the eigenvalues mu of n.lam: T_i for even
+      i, sqrt(T_(i-1) T_(i+1)) for odd i <= 7 and sqrt(T_2) T_8 for i = 9.
+
+    The values are used only if every S_k is finite and falls in the same
+    class (negative, negligible or positive, against the running band of
+    :func:`positivity_verdict`) at S_k - E_k and S_k + E_k; Newton's
+    identities lose the sign of small S_k (Wilkinson, *The Algebraic
+    Eigenvalue Problem*, 1965), and the guard hands those to La Budde.
     """
     N = state.dim
-    report = closed_invariants(state, basis)
+    try:
+        report = closed_invariants(state, basis)
+    except DomainError:  # the report overflows
+        return None
     p, c = report.chain[2], coherence_scale(N)
     cubic, quartic = c * (2.0 * p) ** 1.5, c**2 * (2.0 * p) ** 2
     magnitudes = (
@@ -267,15 +285,42 @@ def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet,
                                    + 3.0 * (N - 1) * (N - 2) * p**2 + 6.0 * quartic),
     )
     scale = _CLOSED_ERROR_GAMMA * N**2 * _UNIT_ROUNDOFF
+    values, errors = report.S234[:N - 1], [scale * m for m in magnitudes]
+    if N >= 5:
+        t0, t2, t4, t6, t8 = [max(t, 0.0) for t in report.T[0:9:2]]
+        A = (t0, math.sqrt(t0 * t2), t2, math.sqrt(t2 * t4), t4, math.sqrt(t4 * t6), t6,
+             math.sqrt(t6 * t8), t8, math.sqrt(t2) * t8)
+        weights = trace_power_weights(N)
+        # p_j with alternating sign, |p_j| and dp_j + s |p_j|, for j = 1..N;
+        # p_1 = Tr(rho) = 1 exactly
+        signed, traces, weighted = [1.0], [1.0], [scale]
+        for j in range(2, N + 1):
+            trace = report.trace_power(j)
+            signed.append(trace if j % 2 else -trace)
+            traces.append(abs(trace))
+            weighted.append(scale * (sum(map(mul, weights[j], A)) / N**j + abs(trace)))
+        S, E = [1.0, 1.0, *values], [0.0, 0.0, *errors]  # from S_0, E_0
+        abs_S = list(map(abs, S))
+        for k in range(5, N + 1):
+            value = err = 0.0
+            for j in range(1, k + 1):
+                value += signed[j - 1] * S[k - j]
+                err += weighted[j - 1] * abs_S[k - j] + traces[j - 1] * E[k - j]
+            S.append(value / k)
+            E.append(err / k)
+            abs_S.append(abs(value / k))
+        if not all(map(math.isfinite, S + E)):
+            return None
+        values, errors = S[2:], E[2:]
     ref = 1.0  # |S_1| = 1, exact
-    for value, magnitude in zip(report.S234[:N - 1], magnitudes):
-        err, cut = scale * magnitude, band * ref
+    for value, err in zip(values, errors):
+        cut = band * ref
         low, high = value - err, value + err
         if (low > cut) != (high > cut) or (low < -cut) != (high < -cut):
             return None
         if abs(value) > cut:
             ref = abs(value)
-    return (1.0,) + report.S234[:N - 1]
+    return [1.0, *values]
 
 
 def check_positivity_coherence(state: CoherenceState, basis: BasisSet, *,
@@ -283,12 +328,14 @@ def check_positivity_coherence(state: CoherenceState, basis: BasisSet, *,
     """Positivity gate of the trace-one operator represented by a coherence
     vector, with the verdict band ``tol`` of :func:`check_positivity`.
 
-    For N <= 4 the S_k are the closed S_2..S_4 of
-    :func:`~blochvec.invariants.closed_invariants` (the report that
+    For N <= 9 the S_k come from the report of
+    :func:`~blochvec.invariants.closed_invariants` (the one that
     :func:`closed_S234`, :func:`~blochvec.invariants.casimirs` and
-    :func:`~blochvec.invariants.trace_power_closed` then read), guarded by
-    their rounding error (:func:`_closed_symmetric_functions`).  Where the
-    guard does not hold, and for every larger N, rho is rebuilt by
+    :func:`~blochvec.invariants.trace_power_closed` then read): the closed
+    S_2..S_4, then Newton's identities on its Tr(rho^m), guarded by a
+    running estimate of their rounding error
+    (:func:`_closed_symmetric_functions`).  Where the guard does not hold
+    or the report overflows, and for every larger N, rho is rebuilt by
     :func:`from_coherence` (one :meth:`BasisSet.expand`) and its S_k are
     taken from :func:`tridiagonal_symmetric_functions`.  Either way
     :func:`positivity_verdict` gives the verdict, and a ``tol`` outside
@@ -296,7 +343,7 @@ def check_positivity_coherence(state: CoherenceState, basis: BasisSet, *,
     """
     band = _verdict_band(tol)
     S = None
-    if state.dim <= 4:  # S_2..S_4 are then the whole polynomial
+    if state.dim <= MAX_CLOSED_ORDER:
         S = _closed_symmetric_functions(state, basis, band)
     if S is None:
         S = tridiagonal_symmetric_functions(from_coherence(state, basis))

@@ -387,15 +387,36 @@ def test_tol_env_override(write_doc, capsys, monkeypatch):
     # np.prod of these dims wraps in int64 to 4
     {"format": "blochvec/1", "dim": 4, "dims": [2**62 + 1, 4],
      "matrix": [[[0.25 * (i == j), 0.0] for j in range(4)] for i in range(4)]},
-], ids=["nan-matrix", "nan-coherence", "dim-abc", "dim-1", "dims-overflow"])
+    # numpy would read true as 1 and "0" as 0
+    {"format": "blochvec/1", "dim": 2, "matrix": [[[True, 0], [0, 0]], [[0, 0], ["0", 0]]]},
+    {"format": "blochvec/1", "dim": 2, "coherence": [10**400, 0.0, 0.0]},
+    {"format": "blochvec/1", "dim": 2, "T": [["1", 0, 0], [0, 1, 0], [0, 0, 1]], "t": [0, 0, 0]},
+], ids=["nan-matrix", "nan-coherence", "dim-abc", "dim-1", "dims-overflow", "bool-string-matrix",
+        "int-beyond-float", "string-in-map"])
 def test_malformed_documents_exit_1(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    for argv in (["check", str(path), "--json"], ["invariants", str(path)]):
+    state = tmp_path / "state.json"
+    dump_json(coherence_document(np.zeros(3), 2), str(state))
+    argvs = ([["map", str(path), str(state)]] if "T" in doc
+             else [["check", str(path), "--json"], ["invariants", str(path)]])
+    for argv in argvs:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+
+def test_coherence_vector_beyond_the_closed_report_is_gated_or_refused(write_doc, capsys):
+    # |n| = 1e40 overflows the closed invariants: check falls back to La
+    # Budde, invariants reports the overflow
+    n = np.zeros(8)
+    n[0] = 1e40
+    path = write_doc(coherence_document(n, 3))
+    code, payload = run_json(capsys, ["check", path, "--json"])
+    assert (code, payload["verdict"]) == (2, "NotPSD")
+    assert main(["invariants", path]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_malformed_tol_env_exits_1(write_doc, capsys, monkeypatch):

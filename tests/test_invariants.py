@@ -1,9 +1,12 @@
+from math import comb
+
 import numpy as np
 import pytest
 
 from blochvec import (
     BasisSet,
     CoherenceState,
+    DomainError,
     LayoutError,
     StarUndefinedError,
     UnsupportedOrderError,
@@ -13,6 +16,7 @@ from blochvec import (
     check_positivity_coherence,
     closed_S234,
     closed_invariants,
+    coherence_scale,
     from_coherence,
     gellmann_tensors,
     to_coherence,
@@ -257,9 +261,13 @@ def test_three_route_agreement(dim):
         rho = random_density_matrix(dim, rng)
         state = to_coherence(rho, basis)
         eigs = np.linalg.eigvalsh(rho)
+        T, c = closed_invariants(state, basis).T, coherence_scale(dim)
         for m in range(2, 10):
             oracle = float(np.sum(eigs**m))
-            assert trace_power_closed(state, m, basis) == pytest.approx(oracle, abs=1e-9)
+            closed = trace_power_closed(state, m, basis)
+            assert closed == pytest.approx(oracle, abs=1e-9)
+            # the shared weight table keeps the plain sum's every bit
+            assert closed == sum(comb(m, k) * c**k * T[k] for k in range(m + 1)) / dim**m
             direct = matrix_trace_powers(from_coherence(state, basis), m)[m - 1]
             assert direct == pytest.approx(oracle, abs=1e-9)
 
@@ -337,6 +345,17 @@ def test_closed_invariants_refuse_what_their_views_refuse(spectrum, call, error,
     report = closed_invariants(diag_state(spectrum), build_gellmann_basis(len(spectrum)))
     with pytest.raises(error, match=match):
         call(report)
+
+
+def test_closed_invariants_that_overflow_raise_domain_error():
+    # (n.n)^4 overflows from |n| of about 4e38
+    n = np.zeros(8)
+    n[0] = 1e40
+    state, basis = CoherenceState(dim=3, n=n), build_gellmann_basis(3)
+    for view in (closed_S234, lambda s, b: casimirs(s, b, up_to=3),
+                 lambda s, b: trace_power_closed(s, 2, b)):
+        with pytest.raises(DomainError, match="overflow"):
+            view(state, basis)
 
 
 def test_missing_casimir_order_names_the_held_orders():

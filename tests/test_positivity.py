@@ -29,6 +29,7 @@ from blochvec import (
     universal_inversion,
     universal_inversion_matrix,
 )
+from blochvec.invariants import MAX_CLOSED_ORDER
 
 from conftest import (
     haar_state,
@@ -479,7 +480,7 @@ def la_budde_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("layout", [(3,), (4,), (2, 2)], ids=str)
+@pytest.mark.parametrize("layout", [(3,), (4,), (2, 2), (6,), (8,), (9,), (2, 2, 2)], ids=str)
 def test_closed_gate_guard_holds_next_to_an_exact_zero(layout):
     # an exact zero beside a second small eigenvalue: the unguarded closed
     # S_k give wrong verdicts here (dozens per hundred states at 1e-8)
@@ -498,7 +499,7 @@ def test_closed_gate_guard_holds_next_to_an_exact_zero(layout):
     assert wrong == []
 
 
-@pytest.mark.parametrize("layout", [(2,), (3,), (4,), (2, 2)], ids=str)
+@pytest.mark.parametrize("layout", [(2,), (3,), (4,), (2, 2), (6,), (9,), (2, 2, 2)], ids=str)
 def test_closed_gate_decides_separated_spectra_alone(layout, la_budde_calls):
     basis = basis_of(layout)
     rng = np.random.default_rng(4)
@@ -507,19 +508,23 @@ def test_closed_gate_decides_separated_spectra_alone(layout, la_budde_calls):
         state = to_coherence(rho, basis)
         seq = check_positivity_coherence(state, basis)
         assert (seq.verdict, seq.sign_changes) == eigenvalue_verdict(rho)
-        assert seq.S[0] == 1.0 and tuple(seq.S[1:]) == closed_S234(state, basis)[:basis.dim - 1]
+        # S_5.. continue S_2..S_4 by Newton's identities on the closed traces
+        assert seq.S[0] == 1.0 and tuple(seq.S[1:4]) == closed_S234(state, basis)[:basis.dim - 1]
     assert la_budde_calls == []
 
 
 def test_closed_gate_falls_back_inside_its_rounding_error(la_budde_calls):
-    basis = build_gellmann_basis(3)
-    rho = rotated_spectrum(np.array([1.0 - 1e-8, 1e-8, 0.0]), np.random.default_rng(2))
-    seq = check_positivity_coherence(to_coherence(rho, basis), basis)
-    assert la_budde_calls == [3]
-    assert (seq.verdict, seq.sign_changes) == (Verdict.BOUNDARY, 2)
+    for dim in (3, 8):
+        basis = build_gellmann_basis(dim)
+        weights = np.arange(1.0, dim - 1)
+        spectrum = np.append(weights * ((1.0 - 1e-8) / weights.sum()), [1e-8, 0.0])
+        rho = rotated_spectrum(spectrum, np.random.default_rng(2))
+        seq = check_positivity_coherence(to_coherence(rho, basis), basis)
+        assert (seq.verdict, seq.sign_changes) == (Verdict.BOUNDARY, dim - 1)
+    assert la_budde_calls == [3, 8]
 
 
-@pytest.mark.parametrize("dim", [3, 6], ids=["closed", "la-budde"])
+@pytest.mark.parametrize("dim", [3, 6, 10], ids=["closed", "closed-newton", "la-budde"])
 def test_coherence_gate_honours_tol(dim, la_budde_calls):
     from blochvec.errors import MAX_TOL
 
@@ -532,7 +537,25 @@ def test_coherence_gate_honours_tol(dim, la_budde_calls):
     assert check_positivity_coherence(state, basis).verdict is Verdict.PSD
     seq = check_positivity_coherence(state, basis, tol=MAX_TOL)
     assert (seq.verdict, seq.sign_changes) == (Verdict.BOUNDARY, dim - 1)
-    assert len(la_budde_calls) == (0 if dim <= 4 else 2)
+    assert len(la_budde_calls) == (0 if dim <= MAX_CLOSED_ORDER else 2)
     for tol in (np.nextafter(MAX_TOL, 1.0), 0.5, np.nan, -1e-12):
         with pytest.raises(DomainError):
             check_positivity_coherence(state, basis, tol=tol)
+
+
+def test_closed_gate_reads_the_maximally_mixed_state(la_budde_calls):
+    for dim in range(2, MAX_CLOSED_ORDER + 1):
+        basis = build_gellmann_basis(dim)
+        seq = check_positivity_coherence(CoherenceState(dim=dim, n=np.zeros(dim**2 - 1)), basis)
+        assert (seq.verdict, seq.sign_changes) == (Verdict.PSD, dim)
+    assert la_budde_calls == []
+
+
+def test_coherence_gate_falls_back_when_the_closed_report_overflows(la_budde_calls):
+    # |n| = 1e40 overflows (n.n)^4 in the closed report; La Budde decides
+    for dim in (3, 5):
+        n = np.zeros(dim**2 - 1)
+        n[0] = 1e40
+        seq = check_positivity_coherence(CoherenceState(dim=dim, n=n), build_gellmann_basis(dim))
+        assert seq.verdict is Verdict.NOT_PSD
+    assert la_budde_calls == [3, 5]
