@@ -178,9 +178,10 @@ def cmd_invariants(args) -> int:
     basis = _basis_for(doc)
     if state is None:
         state = to_coherence(matrix, basis)
+    # An overflowing report is refused before rho is rebuilt and multiplied.
+    report = closed_invariants(state, basis)
     # The "adjoint" column is the direct route: powers of the rebuilt rho.
     direct = matrix_trace_powers(from_coherence(state, basis), m)
-    report = closed_invariants(state, basis)
     rows = {}
     max_disc = 0.0
     for k in range(2, m + 1):

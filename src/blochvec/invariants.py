@@ -125,7 +125,8 @@ class ClosedInvariants:
             raise UnsupportedOrderError(f"degeneracy needs T_0..T_{2 * N - 1}; N <= 5, got {N}")
         if self.chain[2] <= EPS_ZERO**2:
             return (N,)
-        t = np.asarray(self.T) / np.sqrt(self.T[2] / N) ** np.arange(len(self.T))
+        half = (self.T[2] / N) ** (np.arange(len(self.T)) / 4.0)  # s^k in two halves:
+        t = np.asarray(self.T) / half / half  # s^9 overflows from |n| of about 1e34
         H = t[np.add.outer(np.arange(N), np.arange(N + 1))]
         sv = np.linalg.svd(H[:, :N], compute_uv=False)
         r = int(np.count_nonzero(sv > EPS_ZERO * sv[0]))
@@ -159,47 +160,45 @@ def closed_invariants(state: CoherenceState, basis: BasisSet) -> ClosedInvariant
 def _closed_invariants(basis: BasisSet, n_bytes: bytes) -> ClosedInvariants:
     """The report of :func:`closed_invariants`, keyed by the basis (by
     identity) and the bytes of n; :class:`DomainError` when a value is not
-    finite (|n| beyond about 1e38)."""
+    finite (|n| beyond about 1e38; :meth:`BasisSet.d_chain` refuses the
+    longest vectors before it forms a matrix)."""
     N = basis.dim
     ch = basis.d_chain(np.frombuffer(n_bytes))
-    try:
-        p, wn, ww = ch[2], ch[3], ch[4]
-        T = (
-            float(N),
-            0.0,
-            2.0 * p,
-            2.0 * wn,
-            (4.0 / N) * p**2 + 2.0 * ww,
-            (8.0 / N) * p * wn + 2.0 * ch[5],
-            (8.0 / N**2) * p**3 + (12.0 / N) * p * ww + 2.0 * ch[6],
-            (24.0 / N**2) * p**2 * wn
-            + (12.0 / N) * p * ch[5]
-            + (4.0 / N) * wn * ww
-            + 2.0 * ch[7],
-            (16.0 / N**3) * p**4
-            + (48.0 / N**2) * p**2 * ww
-            + (4.0 / N) * ww**2
-            + (16.0 / N) * p * ch[6]
-            + 2.0 * ch[8],
-            (64.0 / N**3) * p**3 * wn
-            + (32.0 / N**2) * p * ww * wn
-            + (48.0 / N**2) * p**2 * ch[5]
-            + (8.0 / N) * ww * ch[5]
-            + (16.0 / N) * p * ch[7]
-            + 2.0 * ch[9],
-        )
-        c = coherence_scale(N)
-        S2 = (N - 1) / (2.0 * N) * (1.0 - p)
-        S3 = (N - 1) / (6.0 * N**2) * ((N - 2) * (1.0 - 3.0 * p) + 2.0 * c * wn)
-        S4 = (N - 1) / (24.0 * N**3) * (
-            (N - 2) * (N - 3) * (1.0 - 6.0 * p)
-            + 8.0 * (N - 3) * c * wn
-            + 3.0 * (N - 1) * (N - 2) * p**2
-            - 6.0 * c**2 * ww
-        )
-        S234 = (S2, S3, S4)
-    except OverflowError:  # p**4 of a float raises where the other terms turn inf
-        T = S234 = (math.inf,)
+    p, wn, ww = ch[2], ch[3], ch[4]
+    T = (
+        float(N),
+        0.0,
+        2.0 * p,
+        2.0 * wn,
+        (4.0 / N) * p**2 + 2.0 * ww,
+        (8.0 / N) * p * wn + 2.0 * ch[5],
+        (8.0 / N**2) * p**3 + (12.0 / N) * p * ww + 2.0 * ch[6],
+        (24.0 / N**2) * p**2 * wn
+        + (12.0 / N) * p * ch[5]
+        + (4.0 / N) * wn * ww
+        + 2.0 * ch[7],
+        (16.0 / N**3) * p**4
+        + (48.0 / N**2) * p**2 * ww
+        + (4.0 / N) * ww**2
+        + (16.0 / N) * p * ch[6]
+        + 2.0 * ch[8],
+        (64.0 / N**3) * p**3 * wn
+        + (32.0 / N**2) * p * ww * wn
+        + (48.0 / N**2) * p**2 * ch[5]
+        + (8.0 / N) * ww * ch[5]
+        + (16.0 / N) * p * ch[7]
+        + 2.0 * ch[9],
+    )
+    c = coherence_scale(N)
+    S2 = (N - 1) / (2.0 * N) * (1.0 - p)
+    S3 = (N - 1) / (6.0 * N**2) * ((N - 2) * (1.0 - 3.0 * p) + 2.0 * c * wn)
+    S4 = (N - 1) / (24.0 * N**3) * (
+        (N - 2) * (N - 3) * (1.0 - 6.0 * p)
+        + 8.0 * (N - 3) * c * wn
+        + 3.0 * (N - 1) * (N - 2) * p**2
+        - 6.0 * c**2 * ww
+    )
+    S234 = (S2, S3, S4)
     if not all(map(math.isfinite, T + S234)):
         raise DomainError("the closed invariants of this coherence vector overflow")
     return ClosedInvariants(dim=N, chain=ch, T=T, S234=S234)

@@ -20,10 +20,13 @@ state with N <= 9 by the paper's region S_k(n) >= 0 in the closed Casimir
 invariants of :func:`~blochvec.invariants.closed_invariants`: S_2..S_4 in
 closed form, and S_5..S_N by the same recursion on the closed Tr(rho^m),
 wherever each S_k stays in its verdict class across a running estimate of
-its rounding error.  Otherwise, and for every N >= 10, it reduces the
-rebuilt operator to tridiagonal form and runs La Budde's three-term
-recurrence, which keeps the sign of small S_k where the power-trace
-recursion loses it.
+its rounding error.  When only S_N = det rho is in doubt, as on the
+region's boundary where the states of rank N - 1 sit, one LU determinant
+of the rebuilt operator takes its place under an error estimate of the
+same kind.  Otherwise, and for every N >= 10, it reduces the rebuilt
+operator to tridiagonal form and runs La Budde's three-term recurrence,
+which keeps the sign of small S_k where the power-trace recursion loses
+it.
 """
 
 from __future__ import annotations
@@ -42,13 +45,20 @@ from .coherence import (
     require_hermitian,
 )
 from .errors import EPS_POS, EPS_ZERO, MAX_TOL, DomainError, LayoutError
-from .invariants import MAX_CLOSED_ORDER, closed_invariants, trace_power_weights
+from .invariants import (
+    MAX_CLOSED_ORDER,
+    ClosedInvariants,
+    closed_invariants,
+    trace_power_weights,
+)
 from .su_basis import BasisSet, checked_dim
 
 #: Safety factor of the closed route's rounding-error estimate (see
 #: :func:`_closed_symmetric_functions`).  On spectra with an exact zero
 #: next to an eigenvalue of 1e-2..1e-8, 0.25 already let no wrong verdict
 #: through at N <= 4, nor 0.05 at N = 5..9; 0.05 let a few through at N = 3.
+#: The determinant that replaces a lone ambiguous S_N erred by at most
+#: 0.074 times its estimate taken with a factor of 1.
 _CLOSED_ERROR_GAMMA = 4.0
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -270,6 +280,22 @@ def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet,
     :func:`positivity_verdict`) at S_k - E_k and S_k + E_k; Newton's
     identities lose the sign of small S_k (Wilkinson, *The Algebraic
     Eigenvalue Problem*, 1965), and the guard hands those to La Budde.
+
+    One case is decided without La Budde: S_N alone is ambiguous while
+    S_1..S_(N-1) are all positive and non-negligible, as on a state of
+    rank N - 1.  Then S_N = Re det rho, with rho rebuilt by
+    :func:`from_coherence` and its determinant taken by LU with partial
+    pivoting, under the same test with E_N = s (||rho||_F S_(N-1) + |S_N|),
+    ||rho||_F = sqrt(Tr rho^2).  To first order a perturbation Delta of
+    rho (the rebuild and the LU's backward error, both O(N u ||rho||))
+    moves the determinant by at most e_(N-1)(|lambda|) ||Delta||_2 (Higham,
+    2002, ch. 9 and 14), and |S_N| covers the rounding of the product of
+    U's diagonal.  With S_1..S_(N-1) > 0 the first N terms of
+    (1, -S_1, S_2, ...) alternate, so rho has at least N - 1 positive
+    eigenvalues and at most one that is not; S_N within its band makes
+    that one tiny, so e_(N-1)(|lambda|) equals S_(N-1) = e_(N-1)(lambda)
+    up to a term of its order.  Where S_N stays ambiguous, La Budde
+    decides.
     """
     N = state.dim
     try:
@@ -313,14 +339,32 @@ def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet,
             return None
         values, errors = S[2:], E[2:]
     ref = 1.0  # |S_1| = 1, exact
-    for value, err in zip(values, errors):
+    for k, (value, err) in enumerate(zip(values, errors), start=2):
         cut = band * ref
         low, high = value - err, value + err
         if (low > cut) != (high > cut) or (low < -cut) != (high < -cut):
-            return None
+            return _with_determinant(state, basis, report, values, band, scale) if k == N else None
         if abs(value) > cut:
             ref = abs(value)
     return [1.0, *values]
+
+
+def _with_determinant(state: CoherenceState, basis: BasisSet, report: ClosedInvariants, values,
+                      band: float, scale: float) -> list[float] | None:
+    """[1, S_2..S_(N-1), Re det rho] for the closed ``values`` S_2..S_N whose
+    S_N alone is ambiguous: None unless S_1..S_(N-1) are all positive and
+    non-negligible and det rho keeps its class across its error estimate
+    ``scale`` (||rho||_F S_(N-1) + |det rho|)."""
+    head = [1.0, *values[:-1]]
+    if not all(later > band * earlier for earlier, later in zip(head, head[1:])):
+        return None
+    cut = band * head[-1]
+    det = float(np.linalg.det(from_coherence(state, basis)).real)
+    err = scale * (math.sqrt(report.trace_power(2)) * head[-1] + abs(det))
+    low, high = det - err, det + err
+    if (low > cut) != (high > cut) or (low < -cut) != (high < -cut):
+        return None
+    return [*head, det]
 
 
 def check_positivity_coherence(state: CoherenceState, basis: BasisSet, *,
@@ -334,10 +378,12 @@ def check_positivity_coherence(state: CoherenceState, basis: BasisSet, *,
     :func:`~blochvec.invariants.trace_power_closed` then read): the closed
     S_2..S_4, then Newton's identities on its Tr(rho^m), guarded by a
     running estimate of their rounding error
-    (:func:`_closed_symmetric_functions`).  Where the guard does not hold
-    or the report overflows, and for every larger N, rho is rebuilt by
-    :func:`from_coherence` (one :meth:`BasisSet.expand`) and its S_k are
-    taken from :func:`tridiagonal_symmetric_functions`.  Either way
+    (:func:`_closed_symmetric_functions`); when S_N alone is in doubt and
+    the earlier S_k are positive, it is replaced by the LU determinant of
+    the rebuilt rho under its own error estimate.  Where the guard still
+    does not hold or the report overflows, and for every larger N, rho is
+    rebuilt by :func:`from_coherence` (one :meth:`BasisSet.expand`) and its
+    S_k are taken from :func:`tridiagonal_symmetric_functions`.  Either way
     :func:`positivity_verdict` gives the verdict, and a ``tol`` outside
     [0, MAX_TOL] raises :class:`DomainError`.
     """

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product as iproduct
-from math import prod
+from math import isfinite, prod
 from typing import Optional
 
 import numpy as np
@@ -203,13 +203,22 @@ class BasisSet:
         to (2/N)(n.n) 1 + w.lam, so W = X^2 - (2 c_2/N) 1 is w.lam and
         A.lam = W^2 - (2 c_4/N) 1; every contraction a.b is then
         Tr((a.lam)(b.lam))/2, c_7 = Re Tr(XAW)/2 and c_9 = Tr(XAA)/2, with
-        no projection onto the basis.
+        no projection onto the basis.  A vector whose float c_2^4 overflows
+        (|n| beyond about 1e38) raises :class:`DomainError` before any
+        product is formed, as c_8 would overflow and, from about |n| = 1e60
+        on, the products themselves.
         """
         if np.iscomplexobj(n):
             raise DomainError("the d-chain takes a real vector; got a complex one")
         n = np.asarray(n, dtype=float)
         N = self.dim
         c2 = float(np.dot(n, n))
+        try:
+            overflows = not isfinite(c2**4)
+        except OverflowError:  # a float c2**4 raises instead of turning inf
+            overflows = True
+        if overflows:
+            raise DomainError("the d-chain of this coherence vector overflows")
         if N == 2:  # d vanishes identically on su(2)
             return (0.0, 0.0, c2) + (0.0,) * 7
         X = self.expand(n)

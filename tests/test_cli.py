@@ -408,15 +408,20 @@ def test_malformed_documents_exit_1(tmp_path, capsys, doc):
 
 
 def test_coherence_vector_beyond_the_closed_report_is_gated_or_refused(write_doc, capsys):
-    # |n| = 1e40 overflows the closed invariants: check falls back to La
-    # Budde, invariants reports the overflow
-    n = np.zeros(8)
-    n[0] = 1e40
-    path = write_doc(coherence_document(n, 3))
-    code, payload = run_json(capsys, ["check", path, "--json"])
-    assert (code, payload["verdict"]) == (2, "NotPSD")
-    assert main(["invariants", path]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    # from |n| of about 4e38 the closed invariants overflow: check falls back
+    # to La Budde, invariants reports the overflow; neither lets numpy warn
+    # (a RuntimeWarning fails the test under filterwarnings = error)
+    for exponent in range(30, 81):
+        n = np.zeros(8)
+        n[0] = 10.0**exponent
+        path = write_doc(coherence_document(n, 3))
+        code, payload = run_json(capsys, ["check", path, "--json"])
+        assert (code, payload["verdict"]) == (2, "NotPSD")
+        if exponent <= 38:
+            assert run_json(capsys, ["invariants", path, "--json"])[0] == 0
+        else:
+            assert main(["invariants", path]) == 1
+            assert capsys.readouterr().err.startswith("error:")
 
 
 def test_malformed_tol_env_exits_1(write_doc, capsys, monkeypatch):

@@ -10,6 +10,7 @@ from blochvec import (
     LayoutError,
     StarUndefinedError,
     UnsupportedOrderError,
+    Verdict,
     build_gellmann_basis,
     casimir_operator,
     casimirs,
@@ -348,14 +349,22 @@ def test_closed_invariants_refuse_what_their_views_refuse(spectrum, call, error,
 
 
 def test_closed_invariants_that_overflow_raise_domain_error():
-    # (n.n)^4 overflows from |n| of about 4e38
-    n = np.zeros(8)
-    n[0] = 1e40
-    state, basis = CoherenceState(dim=3, n=n), build_gellmann_basis(3)
-    for view in (closed_S234, lambda s, b: casimirs(s, b, up_to=3),
-                 lambda s, b: trace_power_closed(s, 2, b)):
-        with pytest.raises(DomainError, match="overflow"):
-            view(state, basis)
+    # (n.n)^4 overflows from |n| of about 4e38; the vector is refused before
+    # the d-chain's products, which would warn from |n| of about 1e62 on
+    # (a RuntimeWarning fails the test under filterwarnings = error)
+    basis = build_gellmann_basis(3)
+    for exponent in range(30, 81):
+        n = np.zeros(8)
+        n[0] = 10.0**exponent
+        state = CoherenceState(dim=3, n=n)
+        if exponent <= 38:
+            assert all(np.isfinite(closed_S234(state, basis)))
+        else:
+            for view in (closed_S234, lambda s, b: casimirs(s, b, up_to=3),
+                         lambda s, b: trace_power_closed(s, 2, b)):
+                with pytest.raises(DomainError, match="overflow"):
+                    view(state, basis)
+        assert check_positivity_coherence(state, basis).verdict is Verdict.NOT_PSD
 
 
 def test_missing_casimir_order_names_the_held_orders():

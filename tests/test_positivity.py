@@ -19,6 +19,7 @@ from blochvec import (
     check_positivity_coherence,
     closed_S234,
     diagonal_family_matrix,
+    from_coherence,
     inversion_bound_check,
     newton_symmetric_functions,
     positivity_verdict,
@@ -29,6 +30,7 @@ from blochvec import (
     universal_inversion,
     universal_inversion_matrix,
 )
+from blochvec.errors import EPS_POS
 from blochvec.invariants import MAX_CLOSED_ORDER
 
 from conftest import (
@@ -464,6 +466,12 @@ def rotated_spectrum(spectrum, rng):
     return (u * spectrum) @ u.conj().T
 
 
+def boundary_spectrum(weights, second):
+    """A trace-one spectrum: ``weights`` scaled to 1 - second, then
+    ``second`` and an exact zero."""
+    return np.append(weights * ((1.0 - second) / weights.sum()), [second, 0.0])
+
+
 @pytest.fixture
 def la_budde_calls(monkeypatch):
     """The matrix size of each call of the coherence gate's La Budde fallback."""
@@ -514,14 +522,109 @@ def test_closed_gate_decides_separated_spectra_alone(layout, la_budde_calls):
 
 
 def test_closed_gate_falls_back_inside_its_rounding_error(la_budde_calls):
+    # an exact zero beside 1e-8: at N = 3 and 8 only S_N is in doubt, and the
+    # determinant places it; the N = 9 spectrum leaves S_(N-1) in doubt too
     for dim in (3, 8):
         basis = build_gellmann_basis(dim)
-        weights = np.arange(1.0, dim - 1)
-        spectrum = np.append(weights * ((1.0 - 1e-8) / weights.sum()), [1e-8, 0.0])
-        rho = rotated_spectrum(spectrum, np.random.default_rng(2))
+        rho = rotated_spectrum(boundary_spectrum(np.arange(1.0, dim - 1), 1e-8),
+                               np.random.default_rng(2))
         seq = check_positivity_coherence(to_coherence(rho, basis), basis)
         assert (seq.verdict, seq.sign_changes) == (Verdict.BOUNDARY, dim - 1)
-    assert la_budde_calls == [3, 8]
+    assert la_budde_calls == []
+    rng = np.random.default_rng(25)
+    rho = rotated_spectrum(boundary_spectrum(rng.uniform(1e-3, 1.0, 7), 1e-8), rng)
+    for basis in (build_gellmann_basis(9), build_product_basis((3, 3))):
+        seq = check_positivity_coherence(to_coherence(rho, basis), basis)
+        assert (seq.verdict, seq.sign_changes) == (Verdict.BOUNDARY, 8)
+    assert la_budde_calls == [9, 9]
+
+
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """One entry per density matrix the coherence gate rebuilds: for the
+    determinant of a lone ambiguous S_N or for La Budde."""
+    import blochvec.positivity as positivity
+
+    calls = []
+    rebuild = positivity.from_coherence
+
+    def counted(state, basis):
+        calls.append(state.dim)
+        return rebuild(state, basis)
+
+    monkeypatch.setattr(positivity, "from_coherence", counted)
+    return calls
+
+
+DETERMINANT_LAYOUTS = [(3,), (8,), (9,), (2, 2, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("layout", DETERMINANT_LAYOUTS, ids=str)
+def test_closed_gate_places_a_lone_ambiguous_determinant(layout, la_budde_calls, rebuilds):
+    basis = basis_of(layout)
+    N = basis.dim
+    rng = np.random.default_rng(5)
+    cells = [(second, rotated_spectrum(boundary_spectrum(np.arange(1.0, N - 1), second), rng))
+             for second in (1e-2, 1e-4, 1e-6, 1e-8) for _ in range(4)]
+    cells += [("rank N-1", random_density_matrix(N, rng, rank=N - 1)) for _ in range(4)]
+    for cell, rho in cells:
+        state = to_coherence(rho, basis)
+        rebuilds.clear()
+        seq = check_positivity_coherence(state, basis)
+        want = eigenvalue_verdict(rho)
+        la_budde = positivity_verdict(tridiagonal_symmetric_functions(rho))
+        assert (seq.verdict, seq.sign_changes) == want == (la_budde.verdict, la_budde.sign_changes)
+        if rebuilds:  # S_N alone was in doubt: it is the LU determinant of the rebuilt rho
+            assert seq.S[-1] == np.linalg.det(from_coherence(state, basis)).real
+        else:
+            assert cell != 1e-8  # Newton's S_N never resolves an exact zero beside 1e-8
+    assert la_budde_calls == []
+
+
+@pytest.mark.parametrize("layout", DETERMINANT_LAYOUTS[1:], ids=str)
+def test_closed_gate_hands_an_ambiguous_determinant_to_la_budde(layout, la_budde_calls,
+                                                                rebuilds):
+    # a smallest eigenvalue at the band: S_N = det rho sits on its cut
+    basis = basis_of(layout)
+    N = basis.dim
+    weights = np.arange(1.0, N)
+    spectrum = np.append(weights * ((1.0 - EPS_POS) / weights.sum()), EPS_POS)
+    state = to_coherence(rotated_spectrum(spectrum, np.random.default_rng(N)), basis)
+    seq = check_positivity_coherence(state, basis)
+    assert la_budde_calls == [N]
+    assert rebuilds == [N, N]  # the determinant, then La Budde's matrix
+    want = positivity_verdict(tridiagonal_symmetric_functions(from_coherence(state, basis)))
+    assert (seq.verdict, seq.sign_changes) == (want.verdict, want.sign_changes)
+
+
+def test_closed_gate_skips_the_determinant_after_a_negative_coefficient(la_budde_calls,
+                                                                        rebuilds):
+    # eigenvalues -1e-2 and exactly 0: S_(N-1) < 0 is decided, S_N = 0 is not
+    basis = build_gellmann_basis(9)
+    rho = rotated_spectrum(boundary_spectrum(np.arange(1.0, 8), -1e-2), np.random.default_rng(3))
+    seq = check_positivity_coherence(to_coherence(rho, basis), basis)
+    assert (seq.verdict, seq.sign_changes) == eigenvalue_verdict(rho)
+    assert seq.verdict is Verdict.NOT_PSD
+    assert la_budde_calls == [9] and rebuilds == [9]  # no determinant before La Budde
+
+
+def test_closed_gate_skips_the_determinant_after_a_negligible_coefficient(
+        monkeypatch, la_budde_calls, rebuilds):
+    # a negligible S_2 leaves the band at 1e-9 for S_3, so S_3 = 1e-9 is in
+    # doubt; no natural spectrum gets there, so the report is altered
+    import dataclasses
+
+    import blochvec.positivity as positivity
+
+    basis = build_gellmann_basis(3)
+    state = to_coherence(rotated_spectrum(np.array([0.6, 0.3, 0.1]), np.random.default_rng(1)),
+                         basis)
+    report = dataclasses.replace(positivity.closed_invariants(state, basis),
+                                 S234=(1e-12, 1e-9, 0.0))
+    monkeypatch.setattr(positivity, "closed_invariants", lambda state, basis: report)
+    seq = check_positivity_coherence(state, basis)
+    assert la_budde_calls == [3] and rebuilds == [3]
+    assert (seq.verdict, seq.sign_changes) == (Verdict.PSD, 3)
 
 
 @pytest.mark.parametrize("dim", [3, 6, 10], ids=["closed", "closed-newton", "la-budde"])

@@ -111,7 +111,7 @@ def test_two_qutrit_cubic_invariant_under_local_unitaries(drawn):
         local_invariant_cubic(before, qutrit, qutrit), abs=1e-9)
 
 
-GATE_LAYOUTS = [(N,) for N in range(2, 10)] + [(2, 2), (2, 2, 2)]
+GATE_LAYOUTS = [(N,) for N in range(2, 10)] + [(2, 2), (2, 3), (3, 3), (2, 2, 2)]
 
 
 @st.composite
