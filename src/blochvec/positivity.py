@@ -93,27 +93,35 @@ def newton_symmetric_functions(traces) -> np.ndarray:
     traces = np.asarray(traces, dtype=float)
     if traces.ndim != 1 or traces.size == 0:
         raise DomainError("need a nonempty vector of power traces")
-    N = traces.size
-    S = np.empty(N + 1)
-    S[0] = 1.0
-    for k in range(1, N + 1):
+    # (-1)^(j-1) p_j, for j = 1..N; the sign flips are exact
+    signed = [p if j % 2 else -p for j, p in enumerate(traces.tolist(), start=1)]
+    S = [1.0]
+    for k in range(1, len(signed) + 1):
         acc = 0.0
         for j in range(1, k + 1):
-            acc += (-1.0) ** (j - 1) * traces[j - 1] * S[k - j]
-        S[k] = acc / k
-    return S[1:]
+            acc += signed[j - 1] * S[k - j]
+        S.append(acc / k)
+    return np.array(S[1:])
 
 
 def matrix_trace_powers(mat: np.ndarray, up_to: int) -> np.ndarray:
-    """[Tr(A), Tr(A^2), ..., Tr(A^up_to)] by iterated multiplication."""
+    """[Tr(A), Tr(A^2), ..., Tr(A^up_to)] (real parts) by iterated
+    multiplication A^(m+1) = A^m A.
+
+    The diagonal of each power is copied into one (up_to, N) buffer, summed
+    row by row at the end, so no more than one N x N power is held at a
+    time.  ``up_to`` must be an integer >= 0, else :class:`DomainError`.
+    """
+    if isinstance(up_to, bool) or not isinstance(up_to, (int, np.integer)) or up_to < 0:
+        raise DomainError(f"number of power traces must be an integer >= 0, got {up_to!r}")
     mat = np.asarray(mat, dtype=complex)
-    traces = np.empty(up_to)
+    diagonals = np.empty((up_to, mat.shape[0]), dtype=complex)
     power = mat
     for m in range(up_to):
-        traces[m] = np.trace(power).real
+        diagonals[m] = power.diagonal()
         if m + 1 < up_to:
             power = power @ mat
-    return traces
+    return diagonals.sum(axis=1).real
 
 
 def symmetric_functions(mat: np.ndarray) -> np.ndarray:
@@ -256,10 +264,11 @@ def tridiagonal_symmetric_functions(mat: np.ndarray) -> np.ndarray:
 
 
 def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet,
-                                band: float) -> list[float] | None:
-    """S_1..S_N of a state with N <= MAX_CLOSED_ORDER from its closed
-    report, or None when rounding could move one of them across the verdict
-    band or the report overflows.
+                                band: float) -> tuple[list[float] | None, np.ndarray | None]:
+    """(S, rho): S_1..S_N of a state with N <= MAX_CLOSED_ORDER from its
+    closed report, or None when rounding could move one of them across the
+    verdict band or the report overflows; and the operator rho if it was
+    rebuilt on the way (see below), else None.
 
     S_1 = 1 and S_2..S_4 are those of :func:`closed_S234`; for k >= 5
     Newton's identities k S_k = sum_j (-1)^(j-1) p_j S_(k-j) continue them
@@ -301,7 +310,7 @@ def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet,
     try:
         report = closed_invariants(state, basis)
     except DomainError:  # the report overflows
-        return None
+        return None, None
     p, c = report.chain[2], coherence_scale(N)
     cubic, quartic = c * (2.0 * p) ** 1.5, c**2 * (2.0 * p) ** 2
     magnitudes = (
@@ -336,35 +345,39 @@ def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet,
             E.append(err / k)
             abs_S.append(abs(value / k))
         if not all(map(math.isfinite, S + E)):
-            return None
+            return None, None
         values, errors = S[2:], E[2:]
     ref = 1.0  # |S_1| = 1, exact
     for k, (value, err) in enumerate(zip(values, errors), start=2):
         cut = band * ref
         low, high = value - err, value + err
         if (low > cut) != (high > cut) or (low < -cut) != (high < -cut):
-            return _with_determinant(state, basis, report, values, band, scale) if k == N else None
+            if k < N:
+                return None, None
+            return _with_determinant(state, basis, report, values, band, scale)
         if abs(value) > cut:
             ref = abs(value)
-    return [1.0, *values]
+    return [1.0, *values], None
 
 
 def _with_determinant(state: CoherenceState, basis: BasisSet, report: ClosedInvariants, values,
-                      band: float, scale: float) -> list[float] | None:
-    """[1, S_2..S_(N-1), Re det rho] for the closed ``values`` S_2..S_N whose
-    S_N alone is ambiguous: None unless S_1..S_(N-1) are all positive and
-    non-negligible and det rho keeps its class across its error estimate
-    ``scale`` (||rho||_F S_(N-1) + |det rho|)."""
+                      band: float, scale: float) -> tuple[list[float] | None, np.ndarray | None]:
+    """([1, S_2..S_(N-1), Re det rho], rho) for the closed ``values``
+    S_2..S_N whose S_N alone is ambiguous.  The coefficients are None unless
+    S_1..S_(N-1) are all positive and non-negligible and det rho keeps its
+    class across its error estimate ``scale`` (||rho||_F S_(N-1) + |det rho|);
+    rho is None when it was not rebuilt."""
     head = [1.0, *values[:-1]]
     if not all(later > band * earlier for earlier, later in zip(head, head[1:])):
-        return None
+        return None, None
     cut = band * head[-1]
-    det = float(np.linalg.det(from_coherence(state, basis)).real)
+    rho = from_coherence(state, basis)
+    det = float(np.linalg.det(rho).real)
     err = scale * (math.sqrt(report.trace_power(2)) * head[-1] + abs(det))
     low, high = det - err, det + err
     if (low > cut) != (high > cut) or (low < -cut) != (high < -cut):
-        return None
-    return [*head, det]
+        return None, rho
+    return [*head, det], rho
 
 
 def check_positivity_coherence(state: CoherenceState, basis: BasisSet, *,
@@ -381,18 +394,21 @@ def check_positivity_coherence(state: CoherenceState, basis: BasisSet, *,
     (:func:`_closed_symmetric_functions`); when S_N alone is in doubt and
     the earlier S_k are positive, it is replaced by the LU determinant of
     the rebuilt rho under its own error estimate.  Where the guard still
-    does not hold or the report overflows, and for every larger N, rho is
-    rebuilt by :func:`from_coherence` (one :meth:`BasisSet.expand`) and its
-    S_k are taken from :func:`tridiagonal_symmetric_functions`.  Either way
+    does not hold or the report overflows, and for every larger N, the S_k
+    of rho are taken from :func:`tridiagonal_symmetric_functions`.  rho is
+    rebuilt by :func:`from_coherence` (one :meth:`BasisSet.expand`) at most
+    once per call: the determinant and La Budde share it.  Either way
     :func:`positivity_verdict` gives the verdict, and a ``tol`` outside
     [0, MAX_TOL] raises :class:`DomainError`.
     """
     band = _verdict_band(tol)
-    S = None
+    S = rho = None
     if state.dim <= MAX_CLOSED_ORDER:
-        S = _closed_symmetric_functions(state, basis, band)
+        S, rho = _closed_symmetric_functions(state, basis, band)
     if S is None:
-        S = tridiagonal_symmetric_functions(from_coherence(state, basis))
+        if rho is None:
+            rho = from_coherence(state, basis)
+        S = tridiagonal_symmetric_functions(rho)
     return positivity_verdict(S, tol=tol)
 
 
@@ -468,6 +484,11 @@ def inversion_bound_check(a: float, b: float, N: int) -> bool:
     state, which restricts a to [-1, 1/(N-1)], widened by EPS_ZERO at both
     ends; its image under rho -> (1/N)(b 1 - c n.lam) is gated through the
     S_k test.  Closed form of the admissible region: b >= max(a, (1-N) a).
+
+    The S_k of the image come from La Budde's route
+    (:func:`tridiagonal_symmetric_functions`), which skips every Householder
+    step of a diagonal matrix; Newton's identities
+    (:func:`check_positivity`) lose the sign of the S_k of I/N from N = 55 on.
     """
     N = checked_dim(N)
     if not -1.0 - EPS_ZERO <= a <= 1.0 / (N - 1) + EPS_ZERO:
@@ -475,4 +496,4 @@ def inversion_bound_check(a: float, b: float, N: int) -> bool:
     diag = np.full(N, b - a)
     diag[-1] = b + (N - 1) * a
     image = np.diag(diag).astype(complex) / N
-    return check_positivity(image).is_psd
+    return positivity_verdict(tridiagonal_symmetric_functions(image)).is_psd

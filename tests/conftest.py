@@ -44,6 +44,33 @@ def dense_tensors(basis, tol=1e-12):
     return f, d
 
 
+# Reference power traces and Newton recursion: one np.trace per power and
+# the sign (-1)^(j-1) taken as a power in every term.  The library's
+# versions must return the same bits.
+def reference_matrix_trace_powers(mat, up_to):
+    mat = np.asarray(mat, dtype=complex)
+    traces = np.empty(up_to)
+    power = mat
+    for m in range(up_to):
+        traces[m] = np.trace(power).real
+        if m + 1 < up_to:
+            power = power @ mat
+    return traces
+
+
+def reference_newton_symmetric_functions(traces):
+    traces = np.asarray(traces, dtype=float)
+    N = traces.size
+    S = np.empty(N + 1)
+    S[0] = 1.0
+    for k in range(1, N + 1):
+        acc = 0.0
+        for j in range(1, k + 1):
+            acc += (-1.0) ** (j - 1) * traces[j - 1] * S[k - j]
+        S[k] = acc / k
+    return S[1:]
+
+
 # Random states and unitaries for the scans in the tests.
 def _ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

@@ -32,12 +32,15 @@ from blochvec import (
 )
 from blochvec.errors import EPS_POS
 from blochvec.invariants import MAX_CLOSED_ORDER
+from blochvec.positivity import matrix_trace_powers
 
 from conftest import (
     haar_state,
     random_density_matrix,
     random_hermitian_trace_one,
     random_unitary,
+    reference_matrix_trace_powers,
+    reference_newton_symmetric_functions,
 )
 
 
@@ -72,6 +75,41 @@ def test_newton_matches_esp_oracle(dim):
         got = newton_symmetric_functions(traces)
         want = esp_oracle(eigs)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("scale", [0.01, 1.0, 10.0])
+def test_trace_powers_and_newton_match_the_reference_bit_for_bit(scale):
+    rng = np.random.default_rng(round(100 * scale))
+    for N in range(2, 65):
+        mat = random_hermitian_trace_one(N, rng, spread=scale)
+        for up_to in (0, 1, N, 9):
+            got = matrix_trace_powers(mat, up_to)
+            assert got.shape == (up_to,)
+            assert np.array_equal(got, reference_matrix_trace_powers(mat, up_to))
+        traces = reference_matrix_trace_powers(mat, N)
+        S = newton_symmetric_functions(traces)
+        assert np.array_equal(S, reference_newton_symmetric_functions(traces))
+        assert np.array_equal(symmetric_functions(mat), S)
+
+
+def test_matrix_trace_powers_holds_no_stack_of_powers():
+    import tracemalloc
+
+    N = 64
+    mat = random_hermitian_trace_one(N, np.random.default_rng(4))
+    tracemalloc.start()
+    try:
+        matrix_trace_powers(mat, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N * N * 16  # a few N x N complex powers, not N of them
+
+
+@pytest.mark.parametrize("up_to", [-1, 2.0, 2.5, "3", None, True])
+def test_matrix_trace_powers_refuses_a_bad_count(up_to):
+    with pytest.raises(DomainError):
+        matrix_trace_powers(np.eye(3), up_to)
 
 
 @pytest.mark.parametrize("dim", range(2, 7))
@@ -309,6 +347,21 @@ def test_inversion_bound_examples():
         inversion_bound_check(0.8, 1.0, 3)  # outside 1/(N-1) >= a >= -1
     with pytest.raises(DimensionError):
         inversion_bound_check(0.0, 1.0, 1)
+
+
+def test_inversion_bound_admits_the_maximally_mixed_image_at_every_size():
+    # Newton's S_k of I/N lose their sign at N = 55, 57, 59, 61, 62 and 63
+    assert all(inversion_bound_check(0.0, 1.0, N) for N in range(2, 65))
+
+
+@pytest.mark.parametrize("N", [60, 64])
+def test_inversion_bound_matches_closed_inequality_at_large_N(N):
+    mismatches = 0
+    for a in np.linspace(-1.0, 1.0 / (N - 1), 41):
+        for b in np.linspace(0.0, N, 61):
+            closed = b >= max(a, (1 - N) * a) - 1e-9
+            mismatches += inversion_bound_check(a, b, N) != closed
+    assert mismatches == 0
 
 
 @pytest.mark.parametrize("N", [3, 4])
@@ -592,7 +645,7 @@ def test_closed_gate_hands_an_ambiguous_determinant_to_la_budde(layout, la_budde
     state = to_coherence(rotated_spectrum(spectrum, np.random.default_rng(N)), basis)
     seq = check_positivity_coherence(state, basis)
     assert la_budde_calls == [N]
-    assert rebuilds == [N, N]  # the determinant, then La Budde's matrix
+    assert rebuilds == [N]  # one rho for the determinant and La Budde
     want = positivity_verdict(tridiagonal_symmetric_functions(from_coherence(state, basis)))
     assert (seq.verdict, seq.sign_changes) == (want.verdict, want.sign_changes)
 
