@@ -50,15 +50,21 @@ class CompositeLayout:
         return rho
 
 
+def _subsystem_index(index, k: int) -> int:
+    """``index`` as a Python int; :class:`LayoutError` unless it is an
+    integer (Python or numpy, not a bool) in 0..k-1."""
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or not 0 <= index < k:
+        raise LayoutError(f"subsystem index must be an integer in 0..{k - 1}, got {index!r}")
+    return int(index)
+
+
 def partial_trace(rho: np.ndarray, layout: CompositeLayout, keep) -> np.ndarray:
     """Trace out every subsystem not listed in ``keep`` (indices, kept in
     ascending order).  Preserves trace and hermiticity."""
-    rho = layout.check_matrix(rho)
     dims = layout.dims
     k = len(dims)
-    keep = sorted(set(int(i) for i in keep))
-    if any(i < 0 or i >= k for i in keep):
-        raise LayoutError(f"keep indices must lie in 0..{k - 1}, got {keep}")
+    keep = sorted({_subsystem_index(i, k) for i in keep})
+    rho = layout.check_matrix(rho)
     tensor = rho.reshape(dims + dims)
     for sub in range(k - 1, -1, -1):
         if sub not in keep:
@@ -71,10 +77,9 @@ def partial_transpose(rho: np.ndarray, layout: CompositeLayout,
                       subsystem: int = 0) -> np.ndarray:
     """Transpose one tensor factor.  Hermiticity and trace are preserved;
     positivity is not, which is the point of the PPT test."""
-    rho = layout.check_matrix(rho)
     k = len(layout.dims)
-    if not 0 <= subsystem < k:
-        raise LayoutError(f"subsystem index {subsystem} outside 0..{k - 1}")
+    subsystem = _subsystem_index(subsystem, k)
+    rho = layout.check_matrix(rho)
     tensor = rho.reshape(layout.dims + layout.dims)
     axes = list(range(2 * k))
     axes[subsystem], axes[subsystem + k] = axes[subsystem + k], axes[subsystem]
@@ -93,8 +98,7 @@ def partial_transpose_coherence(state: CoherenceState, layout: CompositeLayout,
         raise LayoutError(f"coherence-level partial transpose needs dims (2, 2), got {layout.dims}")
     if state.dim != layout.total:
         raise LayoutError("state dimension inconsistent with layout")
-    if not 0 <= subsystem < 2:
-        raise LayoutError(f"subsystem index {subsystem} outside 0..1")
+    subsystem = _subsystem_index(subsystem, 2)
     flipped = state.n.copy()
     for i, lab in enumerate(layout.labels):
         if lab[subsystem] == 2:  # sigma_y slot: the only antisymmetric Pauli

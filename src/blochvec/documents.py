@@ -35,13 +35,18 @@ def _complex_to_pairs(arr: np.ndarray):
 
 def _numbers_only(data) -> bool:
     """Whether ``data`` is a JSON number or nested lists of them: booleans
-    and strings, which numpy would convert, are not."""
-    if type(data) is not list:
-        return type(data) in (int, float)
-    kinds = set(map(type, data))
-    if list in kinds:
-        return kinds == {list} and all(map(_numbers_only, data))
-    return kinds <= {int, float}
+    and strings, which numpy would convert, are not.  A list holds numbers
+    only or lists only.  The walk keeps its own stack, so no depth of
+    nesting exhausts Python's."""
+    lists = [[data]]
+    while lists:
+        items = lists.pop()
+        kinds = set(map(type, items))
+        if kinds == {list}:
+            lists.extend(items)
+        elif not kinds <= {int, float}:
+            return False
+    return True
 
 
 def _real_array(data, what: str) -> np.ndarray:
@@ -168,7 +173,7 @@ def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"cannot read document {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError(f"document {path} is not a JSON object")

@@ -14,19 +14,15 @@ when every S_k >= 0, and the number of sign changes in the coefficient
 sequence (1, -S_1, S_2, ...) equals the number of strictly positive
 eigenvalues.
 
-Three routes compute the S_k, and :func:`positivity_verdict` judges them
-all.  The matrix gate uses that recursion.  The coherence gate decides a
-state with N <= 9 by the paper's region S_k(n) >= 0 in the closed Casimir
-invariants of :func:`~blochvec.invariants.closed_invariants`: S_2..S_4 in
-closed form, and S_5..S_N by the same recursion on the closed Tr(rho^m),
-wherever each S_k stays in its verdict class across a running estimate of
-its rounding error.  When only S_N = det rho is in doubt, as on the
-region's boundary where the states of rank N - 1 sit, one LU determinant
-of the rebuilt operator takes its place under an error estimate of the
-same kind.  Otherwise, and for every N >= 10, it reduces the rebuilt
-operator to tridiagonal form and runs La Budde's three-term recurrence,
-which keeps the sign of small S_k where the power-trace recursion loses
-it.
+Three routes compute the S_k, and the loop of :func:`positivity_verdict`
+judges them all.  The matrix gate uses that recursion.  The coherence gate
+decides a state with N <= 9 by the paper's region S_k(n) >= 0 in the closed
+Casimir invariants of :func:`~blochvec.invariants.closed_invariants`, where
+the same loop, run on error intervals, finds each S_k in one verdict class
+(see :func:`_closed_symmetric_functions`).  Otherwise, and for every
+N >= 10, it reduces the rebuilt operator to tridiagonal form and runs La
+Budde's three-term recurrence, which keeps the sign of small S_k where the
+power-trace recursion loses it.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from .coherence import (
 from .errors import EPS_POS, EPS_ZERO, MAX_TOL, DomainError, LayoutError
 from .invariants import (
     MAX_CLOSED_ORDER,
-    ClosedInvariants,
     closed_invariants,
     trace_power_weights,
 )
@@ -177,14 +172,30 @@ def positivity_verdict(S, *, tol: float | None = None) -> SymFnSequence:
     S = np.asarray(S, dtype=float)
     if S.ndim != 1 or S.size == 0:
         raise DomainError("need a nonempty coefficient sequence")
-    band = _verdict_band(tol)
+    return _verdict(S, None, _verdict_band(tol))
+
+
+def _verdict(S: np.ndarray, E, band: float) -> SymFnSequence | int:
+    """The verdict of :func:`positivity_verdict` on the 1-D float array
+    ``S`` at the checked ``band``.
+
+    With error estimates ``E`` (E_k of S_k, in a list) the loop first asks
+    whether [S_k - E_k, S_k + E_k] lies in one class: below -cut, within
+    the cut or above it.  At the first k where it does not, it stops and
+    returns k if S_1..S_(k-1) are all positive and non-negligible, else 0.
+    """
     ref = 1.0
     changes = 0
     previous_sign = 1.0  # sign of the leading coefficient
     negative = False
     negligible = False
     for k, value in enumerate(S.tolist(), start=1):
-        if abs(value) <= band * ref:
+        cut = band * ref
+        if E is not None:
+            low, high = value - E[k - 1], value + E[k - 1]
+            if (low > cut) != (high > cut) or (low < -cut) != (high < -cut):
+                return 0 if negative or negligible else k
+        if abs(value) <= cut:
             negligible = True
             continue
         ref = abs(value)
@@ -263,19 +274,19 @@ def tridiagonal_symmetric_functions(mat: np.ndarray) -> np.ndarray:
     return np.array(cur[1:])
 
 
-def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet,
-                                band: float) -> tuple[list[float] | None, np.ndarray | None]:
-    """(S, rho): S_1..S_N of a state with N <= MAX_CLOSED_ORDER from its
-    closed report, or None when rounding could move one of them across the
-    verdict band or the report overflows; and the operator rho if it was
-    rebuilt on the way (see below), else None.
+def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet):
+    """(S, E, s, report) of a state with N <= MAX_CLOSED_ORDER: the lists
+    S_1..S_N and E_1..E_N of its coefficients and their rounding-error
+    estimates, the error scale s = gamma N^2 u and the closed report they
+    come from; None when the report or a value overflows.
 
     S_1 = 1 and S_2..S_4 are those of :func:`closed_S234`; for k >= 5
     Newton's identities k S_k = sum_j (-1)^(j-1) p_j S_(k-j) continue them
     on p_j = Tr(rho^j) of :meth:`ClosedInvariants.trace_power` (p_1 = 1).
     Each S_k carries a running error estimate E_k (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2002, ch. 3) with s = gamma N^2 u:
+    Stability of Numerical Algorithms*, 2002, ch. 3):
 
+    * E_1 = 0;
     * k <= 4: E_k = s M_k, where M_k is the closed S_k formula with every
       term taken by magnitude and the d-chain terms at their largest for
       p = n.n, |(n*n).n| -> (2p)^(3/2) and (n*n).(n*n) -> (2p)^2;
@@ -284,33 +295,34 @@ def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet,
       and A_i >= sum |mu|^i over the eigenvalues mu of n.lam: T_i for even
       i, sqrt(T_(i-1) T_(i+1)) for odd i <= 7 and sqrt(T_2) T_8 for i = 9.
 
-    The values are used only if every S_k is finite and falls in the same
-    class (negative, negligible or positive, against the running band of
-    :func:`positivity_verdict`) at S_k - E_k and S_k + E_k; Newton's
-    identities lose the sign of small S_k (Wilkinson, *The Algebraic
-    Eigenvalue Problem*, 1965), and the guard hands those to La Budde.
+    :func:`check_positivity_coherence` runs the loop of
+    :func:`positivity_verdict` on these intervals: the values decide only
+    if every [S_k - E_k, S_k + E_k] lies in one class (negative, negligible
+    or positive, against the running band).  Newton's identities lose the
+    sign of small S_k (Wilkinson, *The Algebraic Eigenvalue Problem*,
+    1965), and the loop hands those to La Budde.
 
-    One case is decided without La Budde: S_N alone is ambiguous while
+    One case is decided without La Budde: S_N alone is in doubt while
     S_1..S_(N-1) are all positive and non-negligible, as on a state of
     rank N - 1.  Then S_N = Re det rho, with rho rebuilt by
     :func:`from_coherence` and its determinant taken by LU with partial
-    pivoting, under the same test with E_N = s (||rho||_F S_(N-1) + |S_N|),
-    ||rho||_F = sqrt(Tr rho^2).  To first order a perturbation Delta of
-    rho (the rebuild and the LU's backward error, both O(N u ||rho||))
-    moves the determinant by at most e_(N-1)(|lambda|) ||Delta||_2 (Higham,
-    2002, ch. 9 and 14), and |S_N| covers the rounding of the product of
-    U's diagonal.  With S_1..S_(N-1) > 0 the first N terms of
-    (1, -S_1, S_2, ...) alternate, so rho has at least N - 1 positive
-    eigenvalues and at most one that is not; S_N within its band makes
-    that one tiny, so e_(N-1)(|lambda|) equals S_(N-1) = e_(N-1)(lambda)
-    up to a term of its order.  Where S_N stays ambiguous, La Budde
-    decides.
+    pivoting, and the loop runs again with E_N = s (||rho||_F S_(N-1) +
+    |S_N|), ||rho||_F = sqrt(Tr rho^2) from the report.  To first order a
+    perturbation Delta of rho (the rebuild and the LU's backward error,
+    both O(N u ||rho||)) moves the determinant by at most
+    e_(N-1)(|lambda|) ||Delta||_2 (Higham, 2002, ch. 9 and 14), and |S_N|
+    covers the rounding of the product of U's diagonal.  With
+    S_1..S_(N-1) > 0 the first N terms of (1, -S_1, S_2, ...) alternate, so
+    rho has at least N - 1 positive eigenvalues and at most one that is
+    not; S_N within its band makes that one tiny, so e_(N-1)(|lambda|)
+    equals S_(N-1) = e_(N-1)(lambda) up to a term of its order.  Where S_N
+    stays in doubt, La Budde decides.
     """
     N = state.dim
     try:
         report = closed_invariants(state, basis)
     except DomainError:  # the report overflows
-        return None, None
+        return None
     p, c = report.chain[2], coherence_scale(N)
     cubic, quartic = c * (2.0 * p) ** 1.5, c**2 * (2.0 * p) ** 2
     magnitudes = (
@@ -320,7 +332,8 @@ def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet,
                                    + 3.0 * (N - 1) * (N - 2) * p**2 + 6.0 * quartic),
     )
     scale = _CLOSED_ERROR_GAMMA * N**2 * _UNIT_ROUNDOFF
-    values, errors = report.S234[:N - 1], [scale * m for m in magnitudes]
+    S = [1.0, 1.0, *report.S234[:N - 1]]  # from S_0, E_0
+    E = [0.0, 0.0, *(scale * m for m in magnitudes[:N - 1])]
     if N >= 5:
         t0, t2, t4, t6, t8 = [max(t, 0.0) for t in report.T[0:9:2]]
         A = (t0, math.sqrt(t0 * t2), t2, math.sqrt(t2 * t4), t4, math.sqrt(t4 * t6), t6,
@@ -334,7 +347,6 @@ def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet,
             signed.append(trace if j % 2 else -trace)
             traces.append(abs(trace))
             weighted.append(scale * (sum(map(mul, weights[j], A)) / N**j + abs(trace)))
-        S, E = [1.0, 1.0, *values], [0.0, 0.0, *errors]  # from S_0, E_0
         abs_S = list(map(abs, S))
         for k in range(5, N + 1):
             value = err = 0.0
@@ -345,39 +357,8 @@ def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet,
             E.append(err / k)
             abs_S.append(abs(value / k))
         if not all(map(math.isfinite, S + E)):
-            return None, None
-        values, errors = S[2:], E[2:]
-    ref = 1.0  # |S_1| = 1, exact
-    for k, (value, err) in enumerate(zip(values, errors), start=2):
-        cut = band * ref
-        low, high = value - err, value + err
-        if (low > cut) != (high > cut) or (low < -cut) != (high < -cut):
-            if k < N:
-                return None, None
-            return _with_determinant(state, basis, report, values, band, scale)
-        if abs(value) > cut:
-            ref = abs(value)
-    return [1.0, *values], None
-
-
-def _with_determinant(state: CoherenceState, basis: BasisSet, report: ClosedInvariants, values,
-                      band: float, scale: float) -> tuple[list[float] | None, np.ndarray | None]:
-    """([1, S_2..S_(N-1), Re det rho], rho) for the closed ``values``
-    S_2..S_N whose S_N alone is ambiguous.  The coefficients are None unless
-    S_1..S_(N-1) are all positive and non-negligible and det rho keeps its
-    class across its error estimate ``scale`` (||rho||_F S_(N-1) + |det rho|);
-    rho is None when it was not rebuilt."""
-    head = [1.0, *values[:-1]]
-    if not all(later > band * earlier for earlier, later in zip(head, head[1:])):
-        return None, None
-    cut = band * head[-1]
-    rho = from_coherence(state, basis)
-    det = float(np.linalg.det(rho).real)
-    err = scale * (math.sqrt(report.trace_power(2)) * head[-1] + abs(det))
-    low, high = det - err, det + err
-    if (low > cut) != (high > cut) or (low < -cut) != (high < -cut):
-        return None, rho
-    return [*head, det], rho
+            return None
+    return S[1:], E[1:], scale, report
 
 
 def check_positivity_coherence(state: CoherenceState, basis: BasisSet, *,
@@ -388,28 +369,32 @@ def check_positivity_coherence(state: CoherenceState, basis: BasisSet, *,
     For N <= 9 the S_k come from the report of
     :func:`~blochvec.invariants.closed_invariants` (the one that
     :func:`closed_S234`, :func:`~blochvec.invariants.casimirs` and
-    :func:`~blochvec.invariants.trace_power_closed` then read): the closed
-    S_2..S_4, then Newton's identities on its Tr(rho^m), guarded by a
-    running estimate of their rounding error
-    (:func:`_closed_symmetric_functions`); when S_N alone is in doubt and
-    the earlier S_k are positive, it is replaced by the LU determinant of
-    the rebuilt rho under its own error estimate.  Where the guard still
-    does not hold or the report overflows, and for every larger N, the S_k
-    of rho are taken from :func:`tridiagonal_symmetric_functions`.  rho is
-    rebuilt by :func:`from_coherence` (one :meth:`BasisSet.expand`) at most
-    once per call: the determinant and La Budde share it.  Either way
-    :func:`positivity_verdict` gives the verdict, and a ``tol`` outside
+    :func:`~blochvec.invariants.trace_power_closed` then read), where they
+    decide within their rounding error (:func:`_closed_symmetric_functions`).
+    Otherwise, and for every larger N, the S_k of rho are taken from
+    :func:`tridiagonal_symmetric_functions`.  rho is rebuilt by
+    :func:`from_coherence` (one :meth:`BasisSet.expand`) at most once per
+    call: the determinant step and La Budde share it.  Either way the loop
+    of :func:`positivity_verdict` gives the verdict, and a ``tol`` outside
     [0, MAX_TOL] raises :class:`DomainError`.
     """
     band = _verdict_band(tol)
-    S = rho = None
-    if state.dim <= MAX_CLOSED_ORDER:
-        S, rho = _closed_symmetric_functions(state, basis, band)
-    if S is None:
-        if rho is None:
+    N = state.dim
+    closed = _closed_symmetric_functions(state, basis) if N <= MAX_CLOSED_ORDER else None
+    rho = None
+    if closed is not None:
+        S, E, scale, report = closed
+        seq = _verdict(np.array(S), E, band)
+        if seq == N:  # S_N alone is in doubt, after positive S_1..S_(N-1)
             rho = from_coherence(state, basis)
-        S = tridiagonal_symmetric_functions(rho)
-    return positivity_verdict(S, tol=tol)
+            S[-1] = float(np.linalg.det(rho).real)
+            E[-1] = scale * (math.sqrt(report.trace_power(2)) * S[-2] + abs(S[-1]))
+            seq = _verdict(np.array(S), E, band)
+        if not isinstance(seq, int):
+            return seq
+    if rho is None:
+        rho = from_coherence(state, basis)
+    return _verdict(tridiagonal_symmetric_functions(rho), None, band)
 
 
 @dataclass(frozen=True)
@@ -454,8 +439,8 @@ def universal_inversion(state: CoherenceState, b: float) -> tuple[float, Coheren
     Returned as (weight, flipped state) with weight = b, so that the image
     equals weight * from_coherence(flipped).  b = N - 1 reproduces 1 - rho.
     """
-    if b <= 0:
-        raise DomainError(f"inversion weight must be positive, got {b}")
+    if not 0 < b < math.inf:
+        raise DomainError(f"inversion weight must be positive and finite, got {b}")
     return float(b), CoherenceState(dim=state.dim, n=-state.n / b)
 
 
@@ -493,6 +478,8 @@ def inversion_bound_check(a: float, b: float, N: int) -> bool:
     N = checked_dim(N)
     if not -1.0 - EPS_ZERO <= a <= 1.0 / (N - 1) + EPS_ZERO:
         raise DomainError(f"family parameter must satisfy 1/(N-1) >= a >= -1, got {a}")
+    if not math.isfinite(b):
+        raise DomainError(f"inversion weight must be finite, got {b}")
     diag = np.full(N, b - a)
     diag[-1] = b + (N - 1) * a
     image = np.diag(diag).astype(complex) / N

@@ -407,6 +407,30 @@ def test_malformed_documents_exit_1(tmp_path, capsys, doc):
         assert captured.err.startswith("error:")
 
 
+NESTED_FIELDS = {"check": '"dim": 2, "matrix": ', "map": '"dim": 2, "t": [0, 0, 0], "T": ',
+                 "tangle": '"amplitudes": '}
+
+
+@pytest.mark.parametrize("depth", [200_000, 900], ids=["json-parser", "number-check"])
+@pytest.mark.parametrize("command", sorted(NESTED_FIELDS))
+def test_deeply_nested_documents_exit_1(tmp_path, capsys, command, depth):
+    # 200 000 nested lists exhaust the json parser's recursion; 900 parse,
+    # and the number check must then walk them without recursing
+    text = '{"format": "blochvec/1", %s%s}' % (NESTED_FIELDS[command],
+                                               "[" * depth + "0" + "]" * depth)
+    if depth == 900:
+        json.loads(text)
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    state = tmp_path / "state.json"
+    dump_json(coherence_document(np.zeros(3), 2), str(state))
+    argv = [command, str(path)] + ([str(state)] if command == "map" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_coherence_vector_beyond_the_closed_report_is_gated_or_refused(write_doc, capsys):
     # from |n| of about 4e38 the closed invariants overflow: check falls back
     # to La Budde, invariants reports the overflow; neither lets numpy warn

@@ -72,6 +72,28 @@ def test_partial_trace_errors():
         partial_trace(SINGLET, TWO_QUBITS, [2])
 
 
+@pytest.mark.parametrize("index", [0.7, 1.0, True], ids=["fraction", "integral-float", "bool"])
+def test_partial_trace_refuses_an_index_that_is_not_an_integer(index):
+    with pytest.raises(LayoutError):
+        partial_trace(SINGLET, TWO_QUBITS, [index])
+
+
+@pytest.mark.parametrize("index", [1.5, 1.0, True], ids=["fraction", "integral-float", "bool"])
+def test_partial_transposes_refuse_a_subsystem_that_is_not_an_integer(index):
+    state = to_coherence(SINGLET, build_product_basis((2, 2)))
+    with pytest.raises(LayoutError):
+        partial_transpose(SINGLET, TWO_QUBITS, index)
+    with pytest.raises(LayoutError):
+        partial_transpose_coherence(state, TWO_QUBITS, index)
+
+
+def test_numpy_integer_indices_are_accepted():
+    np.testing.assert_array_equal(partial_trace(SINGLET, TWO_QUBITS, [np.int64(1)]),
+                                  partial_trace(SINGLET, TWO_QUBITS, [1]))
+    np.testing.assert_array_equal(partial_transpose(SINGLET, TWO_QUBITS, np.int64(1)),
+                                  partial_transpose(SINGLET, TWO_QUBITS, 1))
+
+
 def test_layout_total_is_the_exact_product():
     # np.prod of these dims wraps in int64 to 4, so a 4x4 matrix would fit
     layout = CompositeLayout(dims=(2**62 + 1, 4))

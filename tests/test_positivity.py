@@ -349,6 +349,18 @@ def test_inversion_bound_examples():
         inversion_bound_check(0.0, 1.0, 1)
 
 
+@pytest.mark.parametrize("b", [np.inf, np.nan, -np.inf], ids=["inf", "nan", "-inf"])
+def test_non_finite_inversion_weights_are_refused(b):
+    # refused before any array work: a numpy RuntimeWarning would fail here
+    state = CoherenceState(dim=3, n=np.full(8, 0.1))
+    with pytest.raises(DomainError):
+        universal_inversion(state, b)
+    with pytest.raises(DomainError):
+        inversion_bound_check(0.1, b, 3)
+    with pytest.raises(DomainError):
+        inversion_bound_check(b, 1.0, 3)
+
+
 def test_inversion_bound_admits_the_maximally_mixed_image_at_every_size():
     # Newton's S_k of I/N lose their sign at N = 55, 57, 59, 61, 62 and 63
     assert all(inversion_bound_check(0.0, 1.0, N) for N in range(2, 65))
@@ -539,6 +551,30 @@ def la_budde_calls(monkeypatch):
 
     monkeypatch.setattr(positivity, "tridiagonal_symmetric_functions", counted)
     return calls
+
+
+OPPOSITE_SIGN_PAIRS = [((1.0, 1e-6, -1e-6), route) for route in ("matrix", "la-budde", (3,))]
+OPPOSITE_SIGN_PAIRS += [((0.6, 0.4, 1e-6, -1e-6), route)
+                        for route in ("matrix", "la-budde", (4,), (2, 2))]
+PAIR_IDS = [f"N{len(spectrum)}-" + (route if isinstance(route, str)
+                                    else "coherence-" + "x".join(map(str, route)))
+            for spectrum, route in OPPOSITE_SIGN_PAIRS]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the pair's -e^2 in S_(r+2) passes the first-level cut tol |S_r|, "
+                          "so the pair reads Boundary")
+@pytest.mark.parametrize("spectrum, route", OPPOSITE_SIGN_PAIRS, ids=PAIR_IDS)
+def test_an_opposite_sign_pair_reads_not_psd(spectrum, route):
+    mat = np.diag(spectrum).astype(complex)
+    if route == "matrix":
+        seq = check_positivity(mat)
+    elif route == "la-budde":
+        seq = positivity_verdict(tridiagonal_symmetric_functions(mat))
+    else:
+        basis = basis_of(route)
+        seq = check_positivity_coherence(to_coherence(mat, basis), basis)
+    assert seq.verdict is Verdict.NOT_PSD
 
 
 @pytest.mark.parametrize("layout", [(3,), (4,), (2, 2), (6,), (8,), (9,), (2, 2, 2)], ids=str)

@@ -1,8 +1,9 @@
 """Properties drawn by hypothesis, under Haar unitaries.
 
 A global unitary keeps the spectrum, so the Casimirs, the closed trace
-powers and the degeneracy pattern cannot move, and the coherence gate's
-verdict must be the one the eigenvalues give; a local unitary U_A x U_B
+powers and the degeneracy pattern cannot move, and the verdicts of the
+coherence gate and of ``blochvec check`` on a written document must be
+the ones the eigenvalues give; a local unitary U_A x U_B
 keeps the local invariants of the correlation block, and U_A x U_B x U_C
 on a three-qubit ket keeps its tangle report.  Each example draws a state
 and the seed of its unitaries.  The settings make runs deterministic
@@ -10,6 +11,9 @@ and keep no example database; ``conftest.py`` sends hypothesis's other
 caches to a temporary directory, so a run leaves no ``.hypothesis/``.
 """
 
+import contextlib
+import io
+import json
 from itertools import groupby
 
 import numpy as np
@@ -29,10 +33,13 @@ from blochvec import (
     extract_correlation,
     local_invariant_cubic,
     local_invariant_quadratic,
+    positivity_verdict,
     tangle_report,
     to_coherence,
     trace_power_closed,
 )
+from blochvec import cli
+from blochvec.documents import coherence_document, dump_json, matrix_document
 
 from conftest import haar_state, random_density_matrix, random_unitary
 
@@ -141,6 +148,55 @@ def test_coherence_gate_verdict_equals_the_eigenvalue_oracle(drawn, seed):
         want = Verdict.BOUNDARY
     seq = check_positivity_coherence(to_coherence(rho, basis), basis)
     assert (seq.verdict, seq.sign_changes) == (want, int(np.sum(eigs > 1e-9)))
+    rule = positivity_verdict(seq.S)  # the gate's verdict is the public rule on its S_k
+    assert (rule.verdict, rule.sign_changes) == (seq.verdict, seq.sign_changes)
+
+
+CLI_LAYOUTS = [(N,) for N in range(2, 10)] + [(2, 2), (2, 2, 2), (3, 3)]
+
+
+@st.composite
+def cli_documents(draw):
+    """(layout, payload, spectrum): a trace-one spectrum whose eigenvalues
+    after the first have magnitudes log-uniform in [1e-6, 0.5/N] and
+    either sign, so the first is at least 0.5 and none lies within 1e-6
+    of 0.  Those below 1e-4 share one sign: small eigenvalues of both signs
+    are the opposite-sign pairs that the verdict rule reads as Boundary
+    (``test_an_opposite_sign_pair_reads_not_psd``)."""
+    layout = draw(st.sampled_from(CLI_LAYOUTS))
+    N = int(np.prod(layout))
+    exponents = np.array(draw(st.lists(st.floats(-6.0, np.log10(0.5 / N)), min_size=N - 1,
+                                       max_size=N - 1)))
+    signs = np.array(draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=N - 1,
+                                   max_size=N - 1)))
+    signs[exponents < -4.0] = draw(st.sampled_from((1.0, -1.0)))
+    rest = signs * 10.0**exponents
+    return layout, draw(st.sampled_from(("matrix", "coherence"))), np.append(1.0 - rest.sum(), rest)
+
+
+@settings(deterministic, max_examples=100)
+@given(cli_documents(), seeds)
+def test_cli_check_verdict_equals_the_eigenvalue_oracle(tmp_path_factory, drawn, seed):
+    layout, payload, spectrum = drawn
+    basis = build_gellmann_basis(layout[0]) if len(layout) == 1 else build_product_basis(layout)
+    u = random_unitary(basis.dim, np.random.default_rng(seed))
+    rho = rotated(np.diag(spectrum).astype(complex), u)
+    dims = layout if len(layout) > 1 else None
+    doc = (matrix_document(rho, dims) if payload == "matrix"
+           else coherence_document(to_coherence(rho, basis).n, basis.dim, dims))
+    path = str(tmp_path_factory.mktemp("cli") / "doc.json")
+    dump_json(doc, path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check", path, "--json"])
+    if code == 1:  # a refusal: one error line, no payload
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+        return
+    eigs = np.linalg.eigvalsh(rho)
+    want = Verdict.NOT_PSD if eigs.min() < 0.0 else Verdict.PSD
+    result = json.loads(out.getvalue())
+    assert (result["verdict"], result["sign_changes"]) == (want.value, int(np.sum(eigs > 0.0)))
+    assert code == (2 if want is Verdict.NOT_PSD else 0)
 
 
 def locally_rotated_reports(ket_seed, seed):
