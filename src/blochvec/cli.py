@@ -48,6 +48,7 @@ from .positivity import (
     matrix_trace_powers,
     positivity_verdict,
     tridiagonal_symmetric_functions,
+    universal_inversion,
 )
 from .su_basis import build_gellmann_basis, build_product_basis
 
@@ -162,7 +163,7 @@ def cmd_check(args) -> int:
         if state is None:
             state = to_coherence(matrix, basis)
         if args.invert:
-            state = apply_affine_map(AffineMap.inversion(doc.dim), state)
+            _, state = universal_inversion(state, 1.0)
         payload = _gate_state(state, basis, args)
     _emit(payload, args.json, _print_check(payload))
     return _EXIT_BY_VERDICT[Verdict(payload["verdict"])]

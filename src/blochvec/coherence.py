@@ -33,7 +33,7 @@ from .errors import (
     NormalizationError,
     StarUndefinedError,
 )
-from .su_basis import BasisSet, admit_dim, checked_dim
+from .su_basis import BasisSet, admit_dim, checked_dim, checked_real
 
 
 def coherence_scale(dim: int) -> float:
@@ -41,14 +41,16 @@ def coherence_scale(dim: int) -> float:
     return float(np.sqrt(dim * (dim - 1) / 2.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherenceState:
     """A real coherence vector of length dim^2 - 1.
 
     No positivity or norm constraint is imposed: vectors outside the unit
     ball are legal inputs for positivity scanning.  ``dim`` must be an
     integer >= 2 and is stored as an ``int``.  Entries must be finite and
-    real: a complex vector raises instead of losing its imaginary part.
+    real (:func:`~blochvec.su_basis.checked_real`): a complex vector raises
+    instead of losing its imaginary part.  States compare and hash by
+    identity.
     """
 
     dim: int
@@ -56,14 +58,8 @@ class CoherenceState:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", checked_dim(self.dim))
-        if np.iscomplexobj(self.n):
-            raise DomainError("coherence vectors are real; got a complex vector")
-        vec = np.array(self.n, dtype=float)  # a frozen copy: the caller's array stays writable
-        if vec.shape != (self.dim**2 - 1,):
-            raise LayoutError(
-                f"coherence vector for dim {self.dim} must have length "
-                f"{self.dim**2 - 1}, got shape {vec.shape}"
-            )
+        # a frozen copy: the caller's array stays writable
+        vec = checked_real(self.n, (self.dim**2 - 1,), "coherence vector").copy()
         if not np.isfinite(vec).all():
             raise DomainError("coherence vector has non-finite entries")
         vec.setflags(write=False)

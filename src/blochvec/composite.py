@@ -20,7 +20,13 @@ import numpy as np
 
 from .coherence import CoherenceState, require_hermitian
 from .errors import DomainError, LayoutError
-from .su_basis import BasisSet, build_gellmann_basis, checked_dims, product_basis_labels
+from .su_basis import (
+    BasisSet,
+    build_gellmann_basis,
+    checked_dims,
+    checked_int,
+    product_basis_labels,
+)
 
 
 @dataclass(frozen=True)
@@ -50,20 +56,17 @@ class CompositeLayout:
         return rho
 
 
-def _subsystem_index(index, k: int) -> int:
-    """``index`` as a Python int; :class:`LayoutError` unless it is an
-    integer (Python or numpy, not a bool) in 0..k-1."""
-    if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or not 0 <= index < k:
-        raise LayoutError(f"subsystem index must be an integer in 0..{k - 1}, got {index!r}")
-    return int(index)
-
-
 def partial_trace(rho: np.ndarray, layout: CompositeLayout, keep) -> np.ndarray:
-    """Trace out every subsystem not listed in ``keep`` (indices, kept in
-    ascending order).  Preserves trace and hermiticity."""
+    """Trace out every subsystem not listed in ``keep`` (a collection of
+    subsystem indices, kept in ascending order; :class:`LayoutError` for
+    anything else).  Preserves trace and hermiticity."""
     dims = layout.dims
     k = len(dims)
-    keep = sorted({_subsystem_index(i, k) for i in keep})
+    try:
+        indices = iter(keep)
+    except TypeError:
+        raise LayoutError(f"keep must be a collection of subsystem indices, got {keep!r}") from None
+    keep = sorted({checked_int(i, 0, k - 1, LayoutError, "subsystem index") for i in indices})
     rho = layout.check_matrix(rho)
     tensor = rho.reshape(dims + dims)
     for sub in range(k - 1, -1, -1):
@@ -78,7 +81,7 @@ def partial_transpose(rho: np.ndarray, layout: CompositeLayout,
     """Transpose one tensor factor.  Hermiticity and trace are preserved;
     positivity is not, which is the point of the PPT test."""
     k = len(layout.dims)
-    subsystem = _subsystem_index(subsystem, k)
+    subsystem = checked_int(subsystem, 0, k - 1, LayoutError, "subsystem index")
     rho = layout.check_matrix(rho)
     tensor = rho.reshape(layout.dims + layout.dims)
     axes = list(range(2 * k))
@@ -98,7 +101,7 @@ def partial_transpose_coherence(state: CoherenceState, layout: CompositeLayout,
         raise LayoutError(f"coherence-level partial transpose needs dims (2, 2), got {layout.dims}")
     if state.dim != layout.total:
         raise LayoutError("state dimension inconsistent with layout")
-    subsystem = _subsystem_index(subsystem, 2)
+    subsystem = checked_int(subsystem, 0, 1, LayoutError, "subsystem index")
     flipped = state.n.copy()
     for i, lab in enumerate(layout.labels):
         if lab[subsystem] == 2:  # sigma_y slot: the only antisymmetric Pauli
@@ -106,7 +109,7 @@ def partial_transpose_coherence(state: CoherenceState, layout: CompositeLayout,
     return CoherenceState(dim=state.dim, n=flipped)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationBlock:
     """Marginal vectors and the correlation matrix in bare-product convention.
 

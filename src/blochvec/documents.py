@@ -69,7 +69,7 @@ def _pairs_to_complex(data) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixDocument:
     """A parsed input document: a matrix or a coherence vector plus layout."""
 

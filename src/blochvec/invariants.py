@@ -36,7 +36,7 @@ from .errors import (
     StarUndefinedError,
     UnsupportedOrderError,
 )
-from .su_basis import BasisSet
+from .su_basis import BasisSet, checked_int
 
 MAX_CLOSED_ORDER = 9
 
@@ -83,15 +83,13 @@ class ClosedInvariants:
         """Tr(rho^m) of :func:`trace_power_closed`, from the weights of
         :func:`trace_power_weights`; the coherence gate feeds these to
         Newton's identities for S_5..S_N."""
-        if not 2 <= m <= MAX_CLOSED_ORDER:
-            raise UnsupportedOrderError(f"closed trace powers implemented for m in 2..9, got {m}")
+        m = checked_int(m, 2, MAX_CLOSED_ORDER, UnsupportedOrderError, "closed trace power order")
         return sum(map(mul, trace_power_weights(self.dim)[m], self.T)) / self.dim**m
 
     def casimirs(self, up_to: int) -> CasimirSet:
         """c_2 .. c_up_to of :func:`casimirs`."""
         N = self.dim
-        if up_to < 2:
-            raise UnsupportedOrderError("casimir order starts at 2")
+        up_to = checked_int(up_to, 2, None, UnsupportedOrderError, "casimir order")
         if up_to >= 3 and N < 3:
             raise StarUndefinedError("cubic and higher Casimirs require N >= 3")
         if up_to > min(N, MAX_CLOSED_ORDER):
@@ -235,8 +233,7 @@ def casimir_operator(m: int, basis: BasisSet) -> np.ndarray:
     sum_c d_abc lam_c = {lam_a, lam_b}/2 - (2/N) delta_ab 1 gives
     C_3 = sum_ab lam_a lam_b {lam_a, lam_b}/2 - (2/N) C_2 in O(N^4) memory.
     """
-    if m not in (2, 3):
-        raise UnsupportedOrderError("casimir operators implemented for m in {2, 3}")
+    m = checked_int(m, 2, 3, UnsupportedOrderError, "casimir operator order")
     elems = basis.elements
     c2 = np.einsum("aij,ajk->ik", elems, elems)
     if m == 2:

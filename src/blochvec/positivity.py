@@ -46,7 +46,7 @@ from .invariants import (
     closed_invariants,
     trace_power_weights,
 )
-from .su_basis import BasisSet, checked_dim
+from .su_basis import BasisSet, checked_dim, checked_int, checked_real
 
 #: Safety factor of the closed route's rounding-error estimate (see
 #: :func:`_closed_symmetric_functions`).  On spectra with an exact zero
@@ -64,7 +64,7 @@ class Verdict(enum.Enum):
     BOUNDARY = "Boundary"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymFnSequence:
     """Characteristic-polynomial coefficients S_1..S_N with the verdict."""
 
@@ -107,8 +107,7 @@ def matrix_trace_powers(mat: np.ndarray, up_to: int) -> np.ndarray:
     row by row at the end, so no more than one N x N power is held at a
     time.  ``up_to`` must be an integer >= 0, else :class:`DomainError`.
     """
-    if isinstance(up_to, bool) or not isinstance(up_to, (int, np.integer)) or up_to < 0:
-        raise DomainError(f"number of power traces must be an integer >= 0, got {up_to!r}")
+    up_to = checked_int(up_to, 0, None, DomainError, "number of power traces")
     mat = np.asarray(mat, dtype=complex)
     diagonals = np.empty((up_to, mat.shape[0]), dtype=complex)
     power = mat
@@ -397,9 +396,10 @@ def check_positivity_coherence(state: CoherenceState, basis: BasisSet, *,
     return _verdict(tridiagonal_symmetric_functions(rho), None, band)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineMap:
-    """A map of coherence vectors n -> T n + t of a checked ``dim``."""
+    """A map of coherence vectors n -> T n + t of a checked ``dim``, with a
+    real T and t of :func:`~blochvec.su_basis.checked_real`."""
 
     dim: int
     T: np.ndarray
@@ -408,22 +408,13 @@ class AffineMap:
     def __post_init__(self):
         object.__setattr__(self, "dim", checked_dim(self.dim))
         k = self.dim**2 - 1
-        if np.iscomplexobj(self.T) or np.iscomplexobj(self.t):
-            raise DomainError("affine maps of coherence vectors are real; got a complex T or t")
-        T = np.array(self.T, dtype=float)  # frozen copies, as in CoherenceState
-        t = np.array(self.t, dtype=float)
-        if T.shape != (k, k) or t.shape != (k,):
-            raise LayoutError(f"affine map for dim {self.dim} needs a {k}x{k} matrix "
-                              f"and a length-{k} vector")
+        # frozen copies, as in CoherenceState
+        T = checked_real(self.T, (k, k), "affine map matrix T").copy()
+        t = checked_real(self.t, (k,), "affine map vector t").copy()
         T.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "t", t)
-
-    @classmethod
-    def inversion(cls, dim: int) -> "AffineMap":
-        k = dim**2 - 1
-        return cls(dim=dim, T=-np.eye(k), t=np.zeros(k))
 
 
 def apply_affine_map(mapping: AffineMap, state: CoherenceState) -> CoherenceState:
@@ -454,9 +445,12 @@ def universal_inversion_matrix(state: CoherenceState, b: float,
 def diagonal_family_matrix(N: int, a: float) -> np.ndarray:
     """The one-parameter diagonal family (1/N)[1 + a diag(1, ..., 1, -(N-1))].
 
-    Positive semidefinite exactly for -1 <= a <= 1/(N-1).
+    Positive semidefinite exactly for -1 <= a <= 1/(N-1); a non-finite
+    ``a`` raises :class:`DomainError`.
     """
     N = checked_dim(N)
+    if not math.isfinite(a):
+        raise DomainError(f"family parameter must be finite, got {a}")
     diag = np.full(N, 1.0 + a)
     diag[-1] = 1.0 - (N - 1) * a
     return np.diag(diag).astype(complex) / N

@@ -51,12 +51,41 @@ SU3_STANDARD_TO_GROUPED = (0, 3, 6, 1, 4, 2, 5, 7)
 MAX_BASIS_DIM = 64
 
 
+def checked_int(value, low: int, high: int | None, error: type, what: str) -> int:
+    """``value`` as a Python int: the one rule for integer arguments (dims,
+    subsystem indices, orders, counts, labels).  Raises ``error`` unless
+    ``value`` is an integer, Python or numpy but not a bool, in low..high
+    (no upper bound when ``high`` is None)."""
+    if type(value) is int or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if low <= value and (high is None or value <= high):
+            return int(value)
+    bound = f">= {low}" if high is None else f"in {low}..{high}"
+    raise error(f"{what} must be an integer {bound}, got {value!r}")
+
+
+def checked_real(v, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``v`` as a float array of exactly ``shape``: the one rule for real
+    coefficient arrays.  Entries must be numbers of a bool, integer or float
+    dtype: complex entries, and strings, ``None`` or ragged nesting, raise
+    :class:`DomainError`; another shape raises :class:`LayoutError`.  A
+    float array is returned as it is, not copied."""
+    try:
+        arr = np.asarray(v)
+    except ValueError:  # ragged nesting
+        raise DomainError(f"{what} must hold real numbers in a regular array") from None
+    if arr.dtype != float:
+        if arr.dtype.kind not in "biuf":
+            raise DomainError(f"{what} must hold real numbers, got {arr.dtype} entries")
+        arr = arr.astype(float)
+    if arr.shape != shape:
+        raise LayoutError(f"{what} must have shape {shape}, got shape {arr.shape}")
+    return arr
+
+
 def checked_dim(dim) -> int:
     """``dim`` as a Python int; raises :class:`DimensionError` unless it is
-    an integer (Python or numpy) >= 2."""
-    if not isinstance(dim, (int, np.integer)) or dim < 2:
-        raise DimensionError(f"dimension must be an integer >= 2, got {dim!r}")
-    return int(dim)
+    an integer >= 2 by :func:`checked_int`."""
+    return checked_int(dim, 2, None, DimensionError, "dimension")
 
 
 def checked_dims(dims) -> tuple[int, ...]:
@@ -138,14 +167,9 @@ class BasisSet:
         return self.elements.shape[0]
 
     def expand(self, v: np.ndarray) -> np.ndarray:
-        """The N x N operator v.lam of a real vector v; a complex v raises
-        instead of losing its imaginary part."""
-        if np.iscomplexobj(v):
-            raise DomainError("basis expansions take real coefficient vectors")
-        v = np.asarray(v, dtype=float)
-        if v.shape != (len(self),):
-            raise LayoutError(f"coefficient vector for dim {self.dim} must have length "
-                              f"{len(self)}, got shape {v.shape}")
+        """The N x N operator v.lam of a real vector v of :func:`checked_real`;
+        a complex v raises instead of losing its imaginary part."""
+        v = checked_real(v, (len(self),), "coefficient vector")
         return np.dot(v, self._rows).view(complex).reshape(self.dim, self.dim)
 
     def overlaps(self, M: np.ndarray) -> np.ndarray:
@@ -203,14 +227,12 @@ class BasisSet:
         to (2/N)(n.n) 1 + w.lam, so W = X^2 - (2 c_2/N) 1 is w.lam and
         A.lam = W^2 - (2 c_4/N) 1; every contraction a.b is then
         Tr((a.lam)(b.lam))/2, c_7 = Re Tr(XAW)/2 and c_9 = Tr(XAA)/2, with
-        no projection onto the basis.  A vector whose float c_2^4 overflows
-        (|n| beyond about 1e38) raises :class:`DomainError` before any
-        product is formed, as c_8 would overflow and, from about |n| = 1e60
-        on, the products themselves.
+        no projection onto the basis.  ``n`` obeys :func:`checked_real`, and
+        a vector whose float c_2^4 overflows (|n| beyond about 1e38) raises
+        :class:`DomainError` before any product is formed, as c_8 would
+        overflow and, from about |n| = 1e60 on, the products themselves.
         """
-        if np.iscomplexobj(n):
-            raise DomainError("the d-chain takes a real vector; got a complex one")
-        n = np.asarray(n, dtype=float)
+        n = checked_real(n, (len(self),), "the d-chain's vector")
         N = self.dim
         c2 = float(np.dot(n, n))
         try:
@@ -236,7 +258,7 @@ class BasisSet:
 def _checked_labels(labels, dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """``labels`` as tuples of ints, one per element of the product basis of
     ``dims``: each names a single-subsystem index 0..d_i^2 - 1 per factor
-    (0 the identity), and none is all-identity."""
+    (0 the identity) by :func:`checked_int`, and none is all-identity."""
     try:
         labels = tuple(tuple(lab) for lab in labels)
     except TypeError:
@@ -245,12 +267,12 @@ def _checked_labels(labels, dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...
     if len(labels) != count:
         raise LayoutError(f"a product basis of dims {dims} has {count} labels, got {len(labels)}")
     for lab in labels:
-        if (len(lab) != len(dims) or not any(lab)
-                or not all(isinstance(i, (int, np.integer)) and 0 <= i < d * d
-                           for i, d in zip(lab, dims))):
+        if len(lab) != len(dims) or not any(lab):
             raise InconsistentBasisError(f"label {lab} names no element of a product basis "
                                          f"of dims {dims}")
-    return tuple(tuple(int(i) for i in lab) for lab in labels)
+    what = f"a label entry of a product basis of dims {dims}"
+    return tuple(tuple(checked_int(i, 0, d * d - 1, InconsistentBasisError, what)
+                       for i, d in zip(lab, dims)) for lab in labels)
 
 
 def _half_trace(P: np.ndarray, Q: np.ndarray) -> float:

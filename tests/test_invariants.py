@@ -339,7 +339,7 @@ def test_casimir_errors():
 
 @pytest.mark.parametrize("spectrum, call, error, match", [
     ([0.6, 0.4], lambda r: r.casimirs(3), StarUndefinedError, "require N >= 3"),
-    ([0.6, 0.4], lambda r: r.trace_power(10), UnsupportedOrderError, "m in 2..9, got 10"),
+    ([0.6, 0.4], lambda r: r.trace_power(10), UnsupportedOrderError, "in 2..9, got 10"),
     ([0.5, 0.3, 0.2], lambda r: r.casimirs(5), UnsupportedOrderError, r"= 3, got 5"),
 ], ids=["qubit-cubic-casimir", "trace-power-10", "qutrit-casimir-5"])
 def test_closed_invariants_refuse_what_their_views_refuse(spectrum, call, error, match):

@@ -242,7 +242,7 @@ def test_affine_map_basics():
     with pytest.raises(LayoutError):
         AffineMap(dim=3, T=np.eye(7), t=np.zeros(8))
     with pytest.raises(LayoutError):
-        apply_affine_map(AffineMap.inversion(2), state)
+        apply_affine_map(AffineMap(dim=2, T=-np.eye(3), t=np.zeros(3)), state)
 
 
 def test_affine_map_owns_frozen_copies_of_T_and_t():
@@ -359,6 +359,8 @@ def test_non_finite_inversion_weights_are_refused(b):
         inversion_bound_check(0.1, b, 3)
     with pytest.raises(DomainError):
         inversion_bound_check(b, 1.0, 3)
+    with pytest.raises(DomainError):  # b as the family parameter a
+        diagonal_family_matrix(3, b)
 
 
 def test_inversion_bound_admits_the_maximally_mixed_image_at_every_size():
@@ -751,3 +753,17 @@ def test_coherence_gate_falls_back_when_the_closed_report_overflows(la_budde_cal
         seq = check_positivity_coherence(CoherenceState(dim=dim, n=n), build_gellmann_basis(dim))
         assert seq.verdict is Verdict.NOT_PSD
     assert la_budde_calls == [3, 5]
+
+
+@pytest.mark.parametrize("n1", [
+    1e80,
+    pytest.param(1e160, marks=pytest.mark.xfail(
+        strict=True, raises=(DomainError, RuntimeWarning),
+        reason="La Budde's squared off-diagonal norms overflow although rho is finite")),
+], ids=["1e80", "1e160"])
+def test_a_long_finite_coherence_vector_reads_not_psd(n1):
+    # rho has the eigenvalues 1/3 and +-n1/sqrt(3): +-5.8e159 at n1 = 1e160
+    n = np.zeros(8)
+    n[0] = n1
+    seq = check_positivity_coherence(CoherenceState(dim=3, n=n), build_gellmann_basis(3))
+    assert seq.verdict is Verdict.NOT_PSD
