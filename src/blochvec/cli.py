@@ -50,7 +50,7 @@ from .positivity import (
     tridiagonal_symmetric_functions,
     universal_inversion,
 )
-from .su_basis import build_gellmann_basis, build_product_basis
+from .su_basis import build_gellmann_basis, build_product_basis, checked_int
 
 _EXIT_BY_VERDICT = {Verdict.PSD: 0, Verdict.BOUNDARY: 0, Verdict.NOT_PSD: 2}
 
@@ -170,10 +170,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    m = args.max_order
-    if not 2 <= m <= MAX_CLOSED_ORDER:
-        raise UnsupportedOrderError(
-            f"--max-order must lie in 2..{MAX_CLOSED_ORDER}, got {m}")
+    m = checked_int(args.max_order, 2, MAX_CLOSED_ORDER, UnsupportedOrderError, "--max-order")
     doc, matrix, state = _load_document(args.input)
     dim = doc.dim
     basis = _basis_for(doc)
@@ -221,10 +218,7 @@ def _werner_row(x: float, tol) -> dict:
 
 def cmd_werner(args) -> int:
     if args.sweep is not None:
-        if args.sweep < 1:
-            raise DomainError(f"--sweep must be at least 1, got {args.sweep}")
-        if args.sweep > MAX_SWEEP:
-            raise DomainError(f"--sweep must be at most {MAX_SWEEP}, got {args.sweep}")
+        checked_int(args.sweep, 1, MAX_SWEEP, DomainError, "--sweep")
     tol = _default_tol(args)
     if args.x is not None:
         rows = [_werner_row(args.x, tol)]

@@ -33,7 +33,7 @@ from .errors import (
     NormalizationError,
     StarUndefinedError,
 )
-from .su_basis import BasisSet, admit_dim, checked_dim, checked_real
+from .su_basis import BasisSet, checked_complex, checked_dim, checked_real
 
 
 def coherence_scale(dim: int) -> float:
@@ -73,18 +73,15 @@ class CoherenceState:
 def require_hermitian(rho: np.ndarray) -> np.ndarray:
     """Return rho as a complex array, raising unless it is Hermitian.
 
-    This is the input check of every operator route, the gates included,
+    This is the input check of every operator route, the gates included:
+    rho is a square matrix of :func:`~blochvec.su_basis.checked_complex`,
     so an N above :data:`~blochvec.su_basis.MAX_BASIS_DIM` raises
     :class:`DimensionError` here, before the matrix is copied or read.
     The tolerance scales with the largest entry: EPS_HERM * max(1,
     |rho|_max).  A NaN or infinite entry makes that largest entry NaN or
     infinite and raises :class:`DomainError` before the residual is formed.
     """
-    shape = np.shape(rho)
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
-        raise LayoutError(f"operator must be a nonempty square matrix, got shape {shape}")
-    admit_dim(shape[0])
-    rho = np.asarray(rho, dtype=complex)
+    rho = checked_complex(rho, None, "operator", finite=False)  # the peak tests finiteness
     peak = np.abs(rho).max()
     if not peak < math.inf:  # refused before rho - rho^dag can warn on inf - inf
         raise DomainError("operator has non-finite entries")
@@ -147,8 +144,11 @@ def mutual_angle(s1: CoherenceState, s2: CoherenceState) -> float:
     """Angle between two coherence vectors, arccos(n1.n2 / (|n1||n2|)).
 
     Orthogonal pure states satisfy n1.n2 = -1/(N-1); for qubits that is
-    the antipodal angle pi.
+    the antipodal angle pi.  States of different dimensions raise
+    :class:`LayoutError`.
     """
+    if s1.dim != s2.dim:
+        raise LayoutError("states have different dimensions")
     norm1 = np.linalg.norm(s1.n)
     norm2 = np.linalg.norm(s2.n)
     if norm1 == 0.0 or norm2 == 0.0:

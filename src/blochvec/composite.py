@@ -23,8 +23,11 @@ from .errors import DomainError, LayoutError
 from .su_basis import (
     BasisSet,
     build_gellmann_basis,
+    checked_complex,
     checked_dims,
+    checked_float,
     checked_int,
+    checked_real,
     product_basis_labels,
 )
 
@@ -48,12 +51,10 @@ class CompositeLayout:
         return product_basis_labels(self.dims)
 
     def check_matrix(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.total, self.total):
-            raise LayoutError(
-                f"operator shape {rho.shape} inconsistent with subsystem dims {self.dims}"
-            )
-        return rho
+        """rho as a total x total complex matrix of
+        :func:`~blochvec.su_basis.checked_complex`."""
+        return checked_complex(rho, (self.total, self.total),
+                               f"operator of subsystem dims {self.dims}")
 
 
 def partial_trace(rho: np.ndarray, layout: CompositeLayout, keep) -> np.ndarray:
@@ -117,12 +118,25 @@ class CorrelationBlock:
     C_ij = Tr(rho sigma_i x sigma_j), so that
     rho = (1/4)(1 x 1 + nA.sigma x 1 + 1 x nB.sigma + C_ij sigma_i x sigma_j).
     The same expansion applies to qutrit factors with their Gell-Mann basis.
+    The layout must be bipartite, and ``nA``, ``nB`` and ``C`` real arrays
+    of :func:`~blochvec.su_basis.checked_real` with the shapes of its two
+    factors; the block keeps frozen copies of them.
     """
 
     layout: CompositeLayout
     nA: np.ndarray
     nB: np.ndarray
     C: np.ndarray
+
+    def __post_init__(self):
+        if len(self.layout.dims) != 2:
+            raise LayoutError(f"correlation blocks are bipartite, got dims {self.layout.dims}")
+        kA, kB = (d * d - 1 for d in self.layout.dims)
+        for name, shape in (("nA", (kA,)), ("nB", (kB,)), ("C", (kA, kB))):
+            # frozen copies, as in AffineMap
+            arr = checked_real(getattr(self, name), shape, f"correlation block {name}").copy()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def reconstruct(self) -> np.ndarray:
         dA, dB = self.layout.dims
@@ -192,9 +206,9 @@ _SINGLET = 0.5 * np.array(
 
 
 def werner_state(x: float) -> np.ndarray:
-    """The Werner mixture (1-x)/4 * 1 + x S of noise and the singlet projector."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"Werner parameter must lie in [0, 1], got {x}")
+    """The Werner mixture (1-x)/4 * 1 + x S of noise and the singlet
+    projector, for a real x in [0, 1] of :func:`~blochvec.su_basis.checked_float`."""
+    x = checked_float(x, 0.0, 1.0, DomainError, "Werner parameter")
     return (1.0 - x) / 4.0 * np.eye(4, dtype=complex) + x * _SINGLET
 
 
@@ -215,9 +229,9 @@ def werner_symfns(x: float, transposed: bool) -> tuple[float, float]:
     Transposed: S_3 = (1 - 3x^2 - 2x^3)/16,  S_4 = (1 - 6x^2 - 8x^3 - 3x^4)/256.
 
     The transposed S_4 vanishes at x = 1/3, the separability boundary.
+    ``x`` obeys the rule of :func:`werner_state`.
     """
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"Werner parameter must lie in [0, 1], got {x}")
+    x = checked_float(x, 0.0, 1.0, DomainError, "Werner parameter")
     sign = -1.0 if transposed else 1.0
     s3 = (1.0 - 3.0 * x**2 + sign * 2.0 * x**3) / 16.0
     s4 = (1.0 - 6.0 * x**2 + sign * 8.0 * x**3 - 3.0 * x**4) / 256.0

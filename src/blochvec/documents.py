@@ -80,7 +80,7 @@ class MatrixDocument:
 
 
 def matrix_document(matrix: np.ndarray, dims=None) -> dict:
-    matrix = np.asarray(matrix, dtype=complex)
+    matrix = np.asarray(matrix)  # real entries are written with imaginary part 0
     doc = {"format": FORMAT, "dim": int(matrix.shape[0]),
            "matrix": _complex_to_pairs(matrix)}
     if dims is not None:
@@ -106,7 +106,7 @@ def map_document(T: np.ndarray, t: np.ndarray, dim: int) -> dict:
 
 
 def amplitudes_document(psi: np.ndarray) -> dict:
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    psi = np.ravel(psi)
     return {"format": FORMAT, "amplitudes": _complex_to_pairs(psi)}
 
 

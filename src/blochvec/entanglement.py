@@ -31,11 +31,10 @@ from .errors import (
     EPS_ZERO,
     ConsistencyError,
     DomainError,
-    LayoutError,
     NormalizationError,
 )
 from .coherence import require_hermitian
-from .su_basis import build_gellmann_basis
+from .su_basis import build_gellmann_basis, checked_complex
 
 _PAULI = build_gellmann_basis(2).elements  # sigma_x, sigma_y, sigma_z
 _YY = np.kron(_PAULI[1], _PAULI[1])
@@ -45,10 +44,7 @@ _THREE_QUBITS = CompositeLayout(dims=(2, 2, 2))
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:
     """rho~ = (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y) for two qubits."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise LayoutError(f"spin flip is a two-qubit map, got shape {rho.shape}")
-    return _YY @ rho.conj() @ _YY
+    return _YY @ _TWO_QUBITS.check_matrix(rho).conj() @ _YY
 
 
 def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
@@ -66,10 +62,7 @@ def flip_spectrum_roots(rho: np.ndarray) -> np.ndarray:
     is roundoff, not its square root.  An eigenvalue of rho below -EPS_ZERO
     raises :class:`DomainError`.
     """
-    rho = require_hermitian(rho)
-    if rho.shape != (4, 4):
-        raise LayoutError(f"need a two-qubit state, got shape {rho.shape}")
-    root = _sqrt_psd(rho)
+    root = _sqrt_psd(require_hermitian(_TWO_QUBITS.check_matrix(rho)))
     return np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
 
 
@@ -92,13 +85,9 @@ def concurrence_squared(rho: np.ndarray) -> float:
 
 
 def _pure_state(psi: np.ndarray) -> np.ndarray:
-    """|psi><psi| of a three-qubit ket with 8 finite amplitudes and
-    |<psi|psi> - 1| <= EPS_KET."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape != (8,):
-        raise LayoutError(f"need 8 amplitudes for three qubits, got {psi.shape}")
-    if not np.isfinite(psi).all():
-        raise DomainError("ket amplitudes must be finite")
+    """|psi><psi| of a three-qubit ket of 8 amplitudes by
+    :func:`~blochvec.su_basis.checked_complex`, with |<psi|psi> - 1| <= EPS_KET."""
+    psi = checked_complex(psi, (8,), "three-qubit ket")
     norm = float(np.vdot(psi, psi).real)
     if not abs(norm - 1.0) <= EPS_KET:
         raise NormalizationError(f"state norm^2 = {norm:.12g} is not 1")

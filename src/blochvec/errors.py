@@ -75,7 +75,9 @@ class UnsupportedOrderError(BlochvecError):
 
 
 class DomainError(BlochvecError):
-    """Scalar argument outside its admissible range."""
+    """Argument outside its admissible domain: a scalar that is not a finite
+    real number in its range, or array entries that are not finite numbers
+    of the admitted kind (see the rules in :mod:`blochvec.su_basis`)."""
 
 
 class ConsistencyError(BlochvecError):

@@ -52,9 +52,10 @@ def trace_power_weights(dim: int) -> tuple[tuple[float, ...], ...]:
                  for m in range(MAX_CLOSED_ORDER + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CasimirSet:
-    """Casimir invariant values c_m of one state, keyed by order m."""
+    """Casimir invariant values c_m of one state, keyed by order m.  Sets
+    compare and hash by identity, as the other records that hold data."""
 
     dim: int
     values: dict[int, float]

@@ -46,7 +46,14 @@ from .invariants import (
     closed_invariants,
     trace_power_weights,
 )
-from .su_basis import BasisSet, checked_dim, checked_int, checked_real
+from .su_basis import (
+    BasisSet,
+    checked_complex,
+    checked_dim,
+    checked_float,
+    checked_int,
+    checked_real,
+)
 
 #: Safety factor of the closed route's rounding-error estimate (see
 #: :func:`_closed_symmetric_functions`).  On spectra with an exact zero
@@ -84,10 +91,9 @@ class SymFnSequence:
 
 
 def newton_symmetric_functions(traces) -> np.ndarray:
-    """Elementary symmetric functions S_1..S_N from power traces Tr(A^1..A^N)."""
-    traces = np.asarray(traces, dtype=float)
-    if traces.ndim != 1 or traces.size == 0:
-        raise DomainError("need a nonempty vector of power traces")
+    """Elementary symmetric functions S_1..S_N from power traces Tr(A^1..A^N),
+    a nonempty real sequence of :func:`~blochvec.su_basis.checked_real`."""
+    traces = checked_real(traces, None, "power traces")
     # (-1)^(j-1) p_j, for j = 1..N; the sign flips are exact
     signed = [p if j % 2 else -p for j, p in enumerate(traces.tolist(), start=1)]
     S = [1.0]
@@ -105,10 +111,15 @@ def matrix_trace_powers(mat: np.ndarray, up_to: int) -> np.ndarray:
 
     The diagonal of each power is copied into one (up_to, N) buffer, summed
     row by row at the end, so no more than one N x N power is held at a
-    time.  ``up_to`` must be an integer >= 0, else :class:`DomainError`.
+    time.  ``up_to`` must be an integer >= 0, else :class:`DomainError`, and
+    ``mat`` a square matrix of :func:`~blochvec.su_basis.checked_complex`.
     """
     up_to = checked_int(up_to, 0, None, DomainError, "number of power traces")
-    mat = np.asarray(mat, dtype=complex)
+    return _trace_powers(checked_complex(mat, None, "matrix"), up_to)
+
+
+def _trace_powers(mat: np.ndarray, up_to: int) -> np.ndarray:
+    """:func:`matrix_trace_powers` of a matrix that is checked already."""
     diagonals = np.empty((up_to, mat.shape[0]), dtype=complex)
     power = mat
     for m in range(up_to):
@@ -121,8 +132,8 @@ def matrix_trace_powers(mat: np.ndarray, up_to: int) -> np.ndarray:
 def symmetric_functions(mat: np.ndarray) -> np.ndarray:
     """S_1..S_N of a Hermitian matrix (hermiticity is checked and required:
     the sign-change eigenvalue count assumes a real spectrum)."""
-    mat = require_hermitian(mat)
-    return newton_symmetric_functions(matrix_trace_powers(mat, mat.shape[0]))
+    mat = require_hermitian(mat)  # checked here; matrix_trace_powers would check it again
+    return newton_symmetric_functions(_trace_powers(mat, mat.shape[0]))
 
 
 def closed_S234(state: CoherenceState, basis: BasisSet) -> tuple[float, float, float]:
@@ -142,12 +153,11 @@ def closed_S234(state: CoherenceState, basis: BasisSet) -> tuple[float, float, f
 
 
 def _verdict_band(tol: float | None) -> float:
-    """The verdict band of ``tol``: EPS_POS by default, and
-    :class:`DomainError` outside [0, MAX_TOL]."""
-    band = EPS_POS if tol is None else tol
-    if not 0.0 <= band <= MAX_TOL:
-        raise DomainError(f"verdict tolerance must lie in [0, {MAX_TOL}], got {band}")
-    return band
+    """The verdict band of ``tol``: EPS_POS by default, else a real number
+    in [0, MAX_TOL] by :func:`~blochvec.su_basis.checked_float`
+    (:class:`DomainError` otherwise)."""
+    return EPS_POS if tol is None else checked_float(tol, 0.0, MAX_TOL, DomainError,
+                                                     "verdict tolerance")
 
 
 def positivity_verdict(S, *, tol: float | None = None) -> SymFnSequence:
@@ -161,17 +171,15 @@ def positivity_verdict(S, *, tol: float | None = None) -> SymFnSequence:
     honest tiny determinants or keep pure roundoff on degenerate spectra;
     the running band tracks the eigenvalue-counting cutoff at every scale.
 
-    A NaN or infinite coefficient raises :class:`DomainError`.
+    S is a nonempty real sequence of :func:`~blochvec.su_basis.checked_real`,
+    and a NaN or infinite coefficient raises :class:`DomainError`.
     Verdict: NotPSD iff some non-negligible S_k is negative, Boundary when
     PSD but some coefficient is negligible (rank deficiency within
     tolerance), PSD otherwise.  Negligible entries are skipped when
     counting the sign changes of (1, -S_1, S_2, ...), whose number equals
     the count of strictly positive eigenvalues for a real spectrum.
     """
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 1 or S.size == 0:
-        raise DomainError("need a nonempty coefficient sequence")
-    return _verdict(S, None, _verdict_band(tol))
+    return _verdict(checked_real(S, None, "coefficient sequence"), None, _verdict_band(tol))
 
 
 def _verdict(S: np.ndarray, E, band: float) -> SymFnSequence | int:
@@ -429,10 +437,10 @@ def universal_inversion(state: CoherenceState, b: float) -> tuple[float, Coheren
 
     Returned as (weight, flipped state) with weight = b, so that the image
     equals weight * from_coherence(flipped).  b = N - 1 reproduces 1 - rho.
+    ``b`` is a positive real number of :func:`~blochvec.su_basis.checked_float`.
     """
-    if not 0 < b < math.inf:
-        raise DomainError(f"inversion weight must be positive and finite, got {b}")
-    return float(b), CoherenceState(dim=state.dim, n=-state.n / b)
+    b = checked_float(b, 0.0, math.inf, DomainError, "inversion weight", open_low=True)
+    return b, CoherenceState(dim=state.dim, n=-state.n / b)
 
 
 def universal_inversion_matrix(state: CoherenceState, b: float,
@@ -445,12 +453,12 @@ def universal_inversion_matrix(state: CoherenceState, b: float,
 def diagonal_family_matrix(N: int, a: float) -> np.ndarray:
     """The one-parameter diagonal family (1/N)[1 + a diag(1, ..., 1, -(N-1))].
 
-    Positive semidefinite exactly for -1 <= a <= 1/(N-1); a non-finite
-    ``a`` raises :class:`DomainError`.
+    Positive semidefinite exactly for -1 <= a <= 1/(N-1); ``a`` is a real
+    number of :func:`~blochvec.su_basis.checked_float`, else
+    :class:`DomainError`.
     """
     N = checked_dim(N)
-    if not math.isfinite(a):
-        raise DomainError(f"family parameter must be finite, got {a}")
+    a = checked_float(a, -math.inf, math.inf, DomainError, "family parameter")
     diag = np.full(N, 1.0 + a)
     diag[-1] = 1.0 - (N - 1) * a
     return np.diag(diag).astype(complex) / N
@@ -470,10 +478,9 @@ def inversion_bound_check(a: float, b: float, N: int) -> bool:
     (:func:`check_positivity`) lose the sign of the S_k of I/N from N = 55 on.
     """
     N = checked_dim(N)
-    if not -1.0 - EPS_ZERO <= a <= 1.0 / (N - 1) + EPS_ZERO:
-        raise DomainError(f"family parameter must satisfy 1/(N-1) >= a >= -1, got {a}")
-    if not math.isfinite(b):
-        raise DomainError(f"inversion weight must be finite, got {b}")
+    a = checked_float(a, -1.0 - EPS_ZERO, 1.0 / (N - 1) + EPS_ZERO, DomainError,
+                      "family parameter")
+    b = checked_float(b, -math.inf, math.inf, DomainError, "inversion weight")
     diag = np.full(N, b - a)
     diag[-1] = b + (N - 1) * a
     image = np.diag(diag).astype(complex) / N

@@ -26,6 +26,11 @@ between coefficient vectors and N x N operators that every module uses.
 :class:`BasisSet` is the one basis type: it is validated when it is made,
 and its :meth:`~BasisSet.d_bilinear`, :meth:`~BasisSet.f_bilinear` and
 :meth:`~BasisSet.d_chain` apply f and d through N x N products.
+
+The package's four argument rules live here as well, one per kind of
+argument: :func:`checked_int` (integers), :func:`checked_float` (real
+scalars), :func:`checked_real` (real arrays and sequences) and
+:func:`checked_complex` (complex operands).
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product as iproduct
-from math import isfinite, prod
+from math import inf, isfinite, prod
 from typing import Optional
 
 import numpy as np
@@ -63,22 +68,78 @@ def checked_int(value, low: int, high: int | None, error: type, what: str) -> in
     raise error(f"{what} must be an integer {bound}, got {value!r}")
 
 
-def checked_real(v, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """``v`` as a float array of exactly ``shape``: the one rule for real
-    coefficient arrays.  Entries must be numbers of a bool, integer or float
-    dtype: complex entries, and strings, ``None`` or ragged nesting, raise
-    :class:`DomainError`; another shape raises :class:`LayoutError`.  A
-    float array is returned as it is, not copied."""
+def checked_float(value, low: float, high: float, error: type, what: str, *,
+                  open_low: bool = False) -> float:
+    """``value`` as a Python float: the one rule for real scalars (verdict
+    tolerances, mixing parameters, weights).  Raises ``error`` unless
+    ``value`` is a real number, Python or numpy but not a bool, finite and
+    in [low, high], or in (low, high] when ``open_low``."""
+    if type(value) is float or isinstance(value, (int, float, np.integer, np.floating)) \
+            and not isinstance(value, bool):
+        try:
+            x = float(value)  # exact; a float32 compared as it is would cast the bounds
+        except OverflowError:  # a Python int beyond the float range
+            x = inf
+        if (low < x if open_low else low <= x) and x <= high and isfinite(x):
+            return x
+    raise error(f"{what} must be a finite real number in {'(' if open_low else '['}{low:g}, "
+                f"{high:g}], got {value!r}")
+
+
+def _number_array(v, kinds: str, noun: str, what: str) -> np.ndarray:
+    """``v`` as an array whose dtype kind is one of ``kinds``: the entry
+    check of :func:`checked_real` and :func:`checked_complex`.  Other
+    entries, such as strings or ``None``, and ragged nesting raise
+    :class:`DomainError`, which names the entries as ``noun``."""
     try:
         arr = np.asarray(v)
     except ValueError:  # ragged nesting
-        raise DomainError(f"{what} must hold real numbers in a regular array") from None
-    if arr.dtype != float:
-        if arr.dtype.kind not in "biuf":
-            raise DomainError(f"{what} must hold real numbers, got {arr.dtype} entries")
-        arr = arr.astype(float)
-    if arr.shape != shape:
+        raise DomainError(f"{what} must hold {noun} in a regular array") from None
+    if arr.dtype.kind not in kinds:
+        raise DomainError(f"{what} must hold {noun}, got {arr.dtype} entries")
+    return arr
+
+
+def checked_real(v, shape: tuple[int, ...] | None, what: str) -> np.ndarray:
+    """``v`` as a float array of exactly ``shape``, or of any nonempty 1-D
+    shape when ``shape`` is None: the one rule for real coefficient arrays
+    and sequences.  Entries must be numbers of a bool, integer or float
+    dtype: complex entries, and strings, ``None`` or ragged nesting, raise
+    :class:`DomainError`; another shape raises :class:`LayoutError`.  A
+    float array is returned as it is, not copied."""
+    arr = _number_array(v, "biuf", "real numbers", what)
+    if shape is None:
+        if arr.ndim != 1 or not arr.size:
+            raise LayoutError(f"{what} must be a nonempty vector, got shape {arr.shape}")
+    elif arr.shape != shape:
         raise LayoutError(f"{what} must have shape {shape}, got shape {arr.shape}")
+    return arr if arr.dtype == float else arr.astype(float)
+
+
+def checked_complex(v, shape: tuple[int, ...] | None, what: str, *,
+                    finite: bool = True) -> np.ndarray:
+    """``v`` as a complex array of exactly ``shape``, or a nonempty square
+    matrix when ``shape`` is None: the one rule for complex operands
+    (operators, kets, basis elements).  Entries must be finite numbers of a
+    bool, integer, float or complex dtype: strings, ``None``, ragged
+    nesting or a NaN or infinite entry raise :class:`DomainError`; another
+    shape raises :class:`LayoutError`.  A square matrix is held to
+    :data:`MAX_BASIS_DIM` by :func:`admit_dim`, and every shape is checked
+    before the array is converted.  A complex array is returned as it is,
+    not copied.  ``finite=False`` leaves the finiteness test to the caller
+    (:func:`~blochvec.coherence.require_hermitian` reads it off the peak
+    entry it needs anyway)."""
+    arr = _number_array(v, "biufc", "numbers", what)
+    if shape is None:
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+            raise LayoutError(f"{what} must be a nonempty square matrix, got shape {arr.shape}")
+        admit_dim(arr.shape[0])
+    elif arr.shape != shape:
+        raise LayoutError(f"{what} must have shape {shape}, got shape {arr.shape}")
+    if arr.dtype != complex:
+        arr = arr.astype(complex)
+    if finite and not np.isfinite(arr).all():
+        raise DomainError(f"{what} has non-finite entries")
     return arr
 
 
@@ -149,12 +210,8 @@ class BasisSet:
                 raise LayoutError(f"subsystem dims {dims} do not multiply to dim {self.dim}")
             object.__setattr__(self, "subsystem_dims", dims)
             object.__setattr__(self, "labels", _checked_labels(self.labels, dims))
-        elems = np.ascontiguousarray(self.elements, dtype=complex)
-        if elems.shape != (self.dim**2 - 1, self.dim, self.dim):
-            raise LayoutError(
-                f"basis for dim {self.dim} must have shape "
-                f"{(self.dim**2 - 1, self.dim, self.dim)}, got {elems.shape}"
-            )
+        elems = np.ascontiguousarray(checked_complex(
+            self.elements, (self.dim**2 - 1, self.dim, self.dim), f"basis for dim {self.dim}"))
         elems.setflags(write=False)
         object.__setattr__(self, "elements", elems)
         # Row i holds (Re, Im) of element i, interleaved: a view, not a copy.
@@ -173,11 +230,10 @@ class BasisSet:
         return np.dot(v, self._rows).view(complex).reshape(self.dim, self.dim)
 
     def overlaps(self, M: np.ndarray) -> np.ndarray:
-        """The vector Re Tr(M lam_i) of any N x N matrix M: one real dot
-        product, as Tr(M lam_i) = sum_ab M_ab conj(lam_i)_ab for Hermitian lam_i."""
-        M = np.ascontiguousarray(M, dtype=complex)
-        if M.shape != (self.dim, self.dim):
-            raise LayoutError(f"operator must be {self.dim}x{self.dim}, got shape {M.shape}")
+        """The vector Re Tr(M lam_i) of any N x N matrix M of
+        :func:`checked_complex`: one real dot product, as
+        Tr(M lam_i) = sum_ab M_ab conj(lam_i)_ab for Hermitian lam_i."""
+        M = np.ascontiguousarray(checked_complex(M, (self.dim, self.dim), "operator"))
         return np.dot(self._rows, M.view(float).reshape(-1))
 
     def validate(self, tol: float = EPS_HERM) -> None:
@@ -302,7 +358,6 @@ def _gellmann_elements(dim: int) -> np.ndarray:
     return np.array(mats)
 
 
-@lru_cache(maxsize=None)
 def build_gellmann_basis(dim: int) -> BasisSet:
     """Generalized Gell-Mann basis of su(dim), normalized to Tr(lam^2) = 2.
 
@@ -311,9 +366,14 @@ def build_gellmann_basis(dim: int) -> BasisSet:
     matrices sqrt(2/(m(m+1))) diag(1, ..., 1, -m, 0, ...).  For dim = 2 this
     is the Pauli basis (x, y, z); for dim = 3, :data:`SU3_STANDARD_TO_GROUPED`
     maps the physics-standard lambda_1..lambda_8 numbering onto this order.
-    ``dim`` is held to :data:`MAX_BASIS_DIM`.
+    ``dim`` is held to :data:`MAX_BASIS_DIM`.  Bases are cached by the
+    checked int, so ``np.int64(3)`` and ``3`` give one object.
     """
-    dim = checked_dim(dim)
+    return _build_gellmann_basis(checked_dim(dim))
+
+
+@lru_cache(maxsize=None)
+def _build_gellmann_basis(dim: int) -> BasisSet:
     admit_dim(dim)
     return BasisSet(dim=dim, elements=_gellmann_elements(dim))
 

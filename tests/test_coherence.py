@@ -203,6 +203,16 @@ def test_mutual_angle_zero_vector():
         mutual_angle(zero, zero)
 
 
+def test_mutual_angle_of_states_of_different_dimensions_is_a_layout_error():
+    qubit = CoherenceState(dim=2, n=np.full(3, 0.1))
+    qutrit = CoherenceState(dim=3, n=np.full(8, 0.1))
+    for s1, s2 in ((qubit, qutrit), (qutrit, qubit)):
+        with pytest.raises(LayoutError, match="different dimensions"):
+            mutual_angle(s1, s2)
+        with pytest.raises(LayoutError, match="different dimensions"):
+            orthogonal_states(s1, s2)
+
+
 @pytest.mark.parametrize("dim", range(2, 7))
 def test_random_orthogonal_pairs(dim):
     rng = np.random.default_rng(60 + dim)

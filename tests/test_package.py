@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -37,20 +38,32 @@ def test_import_loads_only_the_standard_library_and_numpy():
 
 
 def test_argument_rules_live_in_su_basis_only():
-    # every integer argument passes su_basis.checked_int and every real
-    # coefficient array su_basis.checked_real; a second copy of either rule
-    # drifts from the first
+    # every integer argument passes su_basis.checked_int, every real scalar
+    # checked_float, every real coefficient array or sequence checked_real
+    # and every complex operand checked_complex; a second copy of a rule
+    # drifts from the first.  The marks: numpy scalar and dtype-class tests,
+    # a finiteness test of one number, a conversion of an operand to complex.
+    marks = re.compile(r"np\.(integer|floating|iscomplexobj)\b|dtype\.kind|math\.isfinite\("
+                       r"|(asarray|ascontiguousarray)\([^()\n]*dtype=complex")
     src = pathlib.Path(blochvec.__file__).parent
     copies = [path.name for path in sorted(src.glob("*.py")) if path.name != "su_basis.py"
-              and any(rule in path.read_text(encoding="utf-8")
-                      for rule in ("np.integer", "np.iscomplexobj"))]
+              and marks.search(path.read_text(encoding="utf-8"))]
     assert copies == []
 
 
 def test_records_that_hold_arrays_compare_and_hash_by_identity():
-    from blochvec import AffineMap, CoherenceState, CompositeLayout, SymFnSequence, Verdict
+    from blochvec import (
+        AffineMap,
+        CoherenceState,
+        CompositeLayout,
+        SymFnSequence,
+        Verdict,
+        build_gellmann_basis,
+        casimirs,
+    )
     from blochvec.composite import CorrelationBlock
     from blochvec.documents import MatrixDocument
+    from blochvec.invariants import CasimirSet
 
     n = np.full(3, 0.1)
     makers = [
@@ -60,6 +73,8 @@ def test_records_that_hold_arrays_compare_and_hash_by_identity():
         lambda: CorrelationBlock(layout=CompositeLayout(dims=(2, 2)), nA=n, nB=n,
                                  C=np.eye(3)),
         lambda: MatrixDocument(dim=2, dims=None, matrix=None, coherence=n),
+        lambda: CasimirSet(dim=3, values={2: 0.5}),
+        lambda: casimirs(CoherenceState(dim=3, n=np.full(8, 0.1)), build_gellmann_basis(3), 2),
     ]
     for make in makers:
         a, b = make(), make()

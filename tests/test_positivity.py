@@ -62,7 +62,7 @@ def test_newton_examples():
     np.testing.assert_allclose(
         newton_symmetric_functions([1.0, 0.5]),  # spectrum (1/2, 1/2)
         [1.0, 0.25], atol=1e-12)
-    with pytest.raises(DomainError):
+    with pytest.raises(LayoutError):  # a wrong shape, as for every real sequence
         newton_symmetric_functions([])
 
 

@@ -365,7 +365,7 @@ def test_bases_at_the_size_limit_are_admitted(monkeypatch):
     monkeypatch.setattr(su_basis, "_gellmann_elements", admitted)
     monkeypatch.setattr(su_basis, "product_basis_labels", admitted)
     with pytest.raises(Admitted):
-        su_basis.build_gellmann_basis.__wrapped__(64)
+        su_basis._build_gellmann_basis.__wrapped__(64)
     with pytest.raises(Admitted):
         su_basis._build_product_basis.__wrapped__((2,) * 6)
 
@@ -399,6 +399,12 @@ def test_structure_tensor_names_are_the_basis_builders():
     assert blochvec.gellmann_tensors is blochvec.build_gellmann_basis
     assert blochvec.product_tensors is blochvec.build_product_basis
     assert gellmann_tensors(3) is build_gellmann_basis(3)
+
+
+def test_a_numpy_integer_dimension_gives_the_cached_basis():
+    # cached on the checked int: one basis and one element stack per N
+    assert build_gellmann_basis(np.int64(3)) is build_gellmann_basis(3)
+    assert build_gellmann_basis(np.int32(4)) is build_gellmann_basis(4)
 
 
 @pytest.mark.parametrize("name", ["basis_n2.json", "basis_n3.json"])
