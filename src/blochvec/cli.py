@@ -176,8 +176,10 @@ def cmd_invariants(args) -> int:
     basis = _basis_for(doc)
     if state is None:
         state = to_coherence(matrix, basis)
-    # An overflowing report is refused before rho is rebuilt and multiplied.
+    # The command reads the whole report: reading order 9 builds it, so an
+    # overflowing report is refused before rho is rebuilt and multiplied.
     report = closed_invariants(state, basis)
+    report.trace_power(MAX_CLOSED_ORDER)
     # The "adjoint" column is the direct route: powers of the rebuilt rho.
     direct = matrix_trace_powers(from_coherence(state, basis), m)
     rows = {}

@@ -38,7 +38,7 @@ from .su_basis import BasisSet, checked_complex, checked_dim, checked_real
 
 def coherence_scale(dim: int) -> float:
     """The expansion constant c = sqrt(N(N-1)/2)."""
-    return float(np.sqrt(dim * (dim - 1) / 2.0))
+    return math.sqrt(dim * (dim - 1) / 2.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,16 +12,16 @@ one, contraction formulas for the fully symmetrized traces
            = Tr((n . lam)^k),
 
 built once per state by :func:`closed_invariants` from the d-chain of n
-(:meth:`BasisSet.d_chain`: the basis applies its own d tensor), then sums
-the binomial expansion of Tr(rho^m).  The two routes share only the
-basis; agreement with direct eigenvalue sums is enforced by the test
-suite.
+(:meth:`BasisSet.d_chain`: the basis applies its own d tensor) as far as
+they are read, then sums the binomial expansion of Tr(rho^m).  The two
+routes share only the basis; agreement with direct eigenvalue sums is
+enforced by the test suite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 from operator import mul
@@ -39,6 +39,10 @@ from .errors import (
 from .su_basis import BasisSet, checked_int
 
 MAX_CLOSED_ORDER = 9
+
+#: Highest order of the first level of a report (see :class:`ClosedInvariants`):
+#: c_2..c_4 and T_0..T_4 need one N x N product.
+_FIRST_ORDER = 4
 
 
 @lru_cache(maxsize=None)
@@ -67,25 +71,62 @@ class CasimirSet:
         return self.values[m]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedInvariants:
     """The closed invariants of one coherence state, from one d-chain:
     ``chain`` = (0, 0, c_2, ..., c_9) of :meth:`BasisSet.d_chain`,
     ``T`` = (T_0, ..., T_9), e.g. T_2 = 2 n.n and T_3 = 2 d_ijk n_i n_j n_k,
     and ``S234`` of :func:`~blochvec.positivity.closed_S234`.  ``trace_power``
-    and ``casimirs`` refuse the orders that their public views refuse."""
+    and ``casimirs`` refuse the orders that their public views refuse.
+
+    At N <= 4 a report is built as far as it is read.  It is made with the
+    values of order <= 4 (c_2..c_4, T_0..T_4, S_2..S_4 and Tr(rho^2..4),
+    from one N x N product), and it keeps X = n.lam and W of the d-chain,
+    read-only, to add the values of order 5..9 (two more products) the
+    first time one is read: ``chain``, ``T``, :meth:`degeneracy`, or
+    :meth:`trace_power` of an order >= 5.  At N >= 5
+    it is made whole.  Each Tr(rho^m) is computed once, when its level is
+    built.  Reports compare and hash by identity, as the other records
+    that hold arrays."""
 
     dim: int
-    chain: tuple[float, ...]
-    T: tuple[float, ...]
     S234: tuple[float, float, float]
+    _chain: tuple[float, ...] = field(repr=False)
+    _T: tuple[float, ...] = field(repr=False)
+    _powers: tuple[float, ...] = field(repr=False)  # Tr(rho^m) at index m
+    _stage: tuple | None = field(repr=False)  # (basis, X, W) to build orders 5..9 from
+
+    @property
+    def chain(self) -> tuple[float, ...]:
+        return self._to_order(MAX_CLOSED_ORDER)._chain
+
+    @property
+    def T(self) -> tuple[float, ...]:
+        return self._to_order(MAX_CLOSED_ORDER)._T
+
+    def _to_order(self, m: int) -> ClosedInvariants:
+        """This report, with its values up to order ``m`` built;
+        :class:`DomainError` when one of them is not finite."""
+        if m >= len(self._powers):
+            # from the first level only, which no thread changes: a thread
+            # that builds a level another has built sets the same values
+            basis, X, W = self._stage
+            ch = self._chain[:_FIRST_ORDER + 1]
+            ch += basis._chain_tail(X, W, ch[4])
+            T = self._T[:_FIRST_ORDER + 1] + _high_traces(self.dim, ch)
+            _check_finite(T)
+            # _powers last: a thread that sees it built sees _chain and _T so
+            object.__setattr__(self, "_chain", ch)
+            object.__setattr__(self, "_T", T)
+            object.__setattr__(self, "_powers", _closed_trace_powers(self.dim, T))
+        return self
 
     def trace_power(self, m: int) -> float:
         """Tr(rho^m) of :func:`trace_power_closed`, from the weights of
         :func:`trace_power_weights`; the coherence gate feeds these to
         Newton's identities for S_5..S_N."""
         m = checked_int(m, 2, MAX_CLOSED_ORDER, UnsupportedOrderError, "closed trace power order")
-        return sum(map(mul, trace_power_weights(self.dim)[m], self.T)) / self.dim**m
+        return self._to_order(m)._powers[m]
 
     def casimirs(self, up_to: int) -> CasimirSet:
         """c_2 .. c_up_to of :func:`casimirs`."""
@@ -97,7 +138,8 @@ class ClosedInvariants:
             raise UnsupportedOrderError(f"casimir order limited to min(N, 9) = "
                                         f"{min(N, MAX_CLOSED_ORDER)}, got {up_to}")
         kappa = coherence_scale(N) / (N - 2) if N > 2 else 0.0
-        return CasimirSet(N, {m: kappa ** (m - 2) * self.chain[m] for m in range(2, up_to + 1)})
+        # up_to <= N: a report at N <= 4 holds the orders asked for already
+        return CasimirSet(N, {m: kappa ** (m - 2) * self._chain[m] for m in range(2, up_to + 1)})
 
     def degeneracy(self) -> tuple[int, ...] | None:
         """Multiplicities of the distinct eigenvalues of rho, largest
@@ -148,8 +190,10 @@ def closed_invariants(state: CoherenceState, basis: BasisSet) -> ClosedInvariant
     :func:`casimirs`, :func:`~blochvec.positivity.closed_S234`) and the
     coherence gate at N <= 9
     (:func:`~blochvec.positivity.check_positivity_coherence`) that read
-    one state in a row compute its d-chain once.  A report whose values
-    are not finite raises :class:`DomainError`."""
+    one state in a row compute its d-chain once.  The report is built to
+    order 4 here and to order 9 on its first read of a higher order (see
+    :class:`ClosedInvariants`); a value that is not finite raises
+    :class:`DomainError` when its level is built."""
     if state.dim != basis.dim:
         raise LayoutError("state and basis must share one dimension")
     return _closed_invariants(basis, state.n.tobytes())
@@ -160,16 +204,41 @@ def _closed_invariants(basis: BasisSet, n_bytes: bytes) -> ClosedInvariants:
     """The report of :func:`closed_invariants`, keyed by the basis (by
     identity) and the bytes of n; :class:`DomainError` when a value is not
     finite (|n| beyond about 1e38; :meth:`BasisSet.d_chain` refuses the
-    longest vectors before it forms a matrix)."""
+    longest vectors before it forms a matrix).
+
+    The coherence gate reads orders up to N.  At N <= 4 the report is
+    built to order 4 from the first stage of the d-chain, and keeps what
+    the second stage needs; at N >= 5 it is built to order 9 from the whole
+    d-chain."""
     N = basis.dim
-    ch = basis.d_chain(np.frombuffer(n_bytes))
+    n = np.frombuffer(n_bytes)
+    if N <= _FIRST_ORDER:
+        p, wn, ww, X, W = basis._chain_head(n)
+        ch, stage = (0.0, 0.0, p, wn, ww), (basis, X, W)
+    else:
+        ch, stage = basis.d_chain(n), None
+        p, wn, ww = ch[2], ch[3], ch[4]
+    T = (float(N), 0.0, 2.0 * p, 2.0 * wn, (4.0 / N) * p**2 + 2.0 * ww)
+    if stage is None:
+        T += _high_traces(N, ch)
+    c = coherence_scale(N)
+    S2 = (N - 1) / (2.0 * N) * (1.0 - p)
+    S3 = (N - 1) / (6.0 * N**2) * ((N - 2) * (1.0 - 3.0 * p) + 2.0 * c * wn)
+    S4 = (N - 1) / (24.0 * N**3) * (
+        (N - 2) * (N - 3) * (1.0 - 6.0 * p)
+        + 8.0 * (N - 3) * c * wn
+        + 3.0 * (N - 1) * (N - 2) * p**2
+        - 6.0 * c**2 * ww
+    )
+    S234 = (S2, S3, S4)
+    _check_finite(T + S234)
+    return ClosedInvariants(N, S234, ch, T, _closed_trace_powers(N, T), stage)
+
+
+def _high_traces(N: int, ch: tuple[float, ...]) -> tuple[float, ...]:
+    """T_5..T_9 from the d-chain ``ch`` = (0, 0, c_2, ..., c_9)."""
     p, wn, ww = ch[2], ch[3], ch[4]
-    T = (
-        float(N),
-        0.0,
-        2.0 * p,
-        2.0 * wn,
-        (4.0 / N) * p**2 + 2.0 * ww,
+    return (
         (8.0 / N) * p * wn + 2.0 * ch[5],
         (8.0 / N**2) * p**3 + (12.0 / N) * p * ww + 2.0 * ch[6],
         (24.0 / N**2) * p**2 * wn
@@ -188,19 +257,18 @@ def _closed_invariants(basis: BasisSet, n_bytes: bytes) -> ClosedInvariants:
         + (16.0 / N) * p * ch[7]
         + 2.0 * ch[9],
     )
-    c = coherence_scale(N)
-    S2 = (N - 1) / (2.0 * N) * (1.0 - p)
-    S3 = (N - 1) / (6.0 * N**2) * ((N - 2) * (1.0 - 3.0 * p) + 2.0 * c * wn)
-    S4 = (N - 1) / (24.0 * N**3) * (
-        (N - 2) * (N - 3) * (1.0 - 6.0 * p)
-        + 8.0 * (N - 3) * c * wn
-        + 3.0 * (N - 1) * (N - 2) * p**2
-        - 6.0 * c**2 * ww
-    )
-    S234 = (S2, S3, S4)
-    if not all(map(math.isfinite, T + S234)):
+
+
+def _check_finite(values: tuple[float, ...]) -> None:
+    if not all(map(math.isfinite, values)):
         raise DomainError("the closed invariants of this coherence vector overflow")
-    return ClosedInvariants(dim=N, chain=ch, T=T, S234=S234)
+
+
+def _closed_trace_powers(N: int, T: tuple[float, ...]) -> tuple[float, ...]:
+    """Tr(rho^m) at index m, for m < len(T): N and 1 exactly, then
+    (1/N^m) sum_k C(m,k) c^k T_k."""
+    weights = trace_power_weights(N)
+    return (float(N), 1.0, *[sum(map(mul, weights[m], T)) / N**m for m in range(2, len(T))])
 
 
 def trace_power_closed(state: CoherenceState, m: int, basis: BasisSet) -> float:

@@ -73,7 +73,9 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class SymFnSequence:
-    """Characteristic-polynomial coefficients S_1..S_N with the verdict."""
+    """Characteristic-polynomial coefficients S_1..S_N with the verdict.
+    ``S`` is a nonempty real sequence of
+    :func:`~blochvec.su_basis.checked_real`, held as a frozen copy."""
 
     dim: int
     S: np.ndarray
@@ -81,7 +83,8 @@ class SymFnSequence:
     verdict: Verdict
 
     def __post_init__(self):
-        S = np.array(self.S, dtype=float)  # a frozen copy: the caller's array stays writable
+        # a frozen copy: the caller's array stays writable
+        S = np.array(checked_real(self.S, None, "coefficient sequence"))
         S.setflags(write=False)
         object.__setattr__(self, "S", S)
 
@@ -289,7 +292,8 @@ def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet):
 
     S_1 = 1 and S_2..S_4 are those of :func:`closed_S234`; for k >= 5
     Newton's identities k S_k = sum_j (-1)^(j-1) p_j S_(k-j) continue them
-    on p_j = Tr(rho^j) of :meth:`ClosedInvariants.trace_power` (p_1 = 1).
+    on p_j = Tr(rho^j) of :meth:`ClosedInvariants.trace_power` (p_1 = 1),
+    read by index from the report, which holds the orders up to N.
     Each S_k carries a running error estimate E_k (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2002, ch. 3):
 
@@ -327,10 +331,10 @@ def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet):
     """
     N = state.dim
     try:
-        report = closed_invariants(state, basis)
+        report = closed_invariants(state, basis)  # it holds the orders up to N
     except DomainError:  # the report overflows
         return None
-    p, c = report.chain[2], coherence_scale(N)
+    p, c = report._chain[2], coherence_scale(N)
     cubic, quartic = c * (2.0 * p) ** 1.5, c**2 * (2.0 * p) ** 2
     magnitudes = (
         (N - 1) / (2.0 * N) * (1.0 + p),
@@ -342,15 +346,14 @@ def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet):
     S = [1.0, 1.0, *report.S234[:N - 1]]  # from S_0, E_0
     E = [0.0, 0.0, *(scale * m for m in magnitudes[:N - 1])]
     if N >= 5:
-        t0, t2, t4, t6, t8 = [max(t, 0.0) for t in report.T[0:9:2]]
+        t0, t2, t4, t6, t8 = [max(t, 0.0) for t in report._T[0:9:2]]
         A = (t0, math.sqrt(t0 * t2), t2, math.sqrt(t2 * t4), t4, math.sqrt(t4 * t6), t6,
              math.sqrt(t6 * t8), t8, math.sqrt(t2) * t8)
         weights = trace_power_weights(N)
         # p_j with alternating sign, |p_j| and dp_j + s |p_j|, for j = 1..N;
         # p_1 = Tr(rho) = 1 exactly
         signed, traces, weighted = [1.0], [1.0], [scale]
-        for j in range(2, N + 1):
-            trace = report.trace_power(j)
+        for j, trace in enumerate(report._powers[2:N + 1], start=2):
             signed.append(trace if j % 2 else -trace)
             traces.append(abs(trace))
             weighted.append(scale * (sum(map(mul, weights[j], A)) / N**j + abs(trace)))
@@ -395,7 +398,7 @@ def check_positivity_coherence(state: CoherenceState, basis: BasisSet, *,
         if seq == N:  # S_N alone is in doubt, after positive S_1..S_(N-1)
             rho = from_coherence(state, basis)
             S[-1] = float(np.linalg.det(rho).real)
-            E[-1] = scale * (math.sqrt(report.trace_power(2)) * S[-2] + abs(S[-1]))
+            E[-1] = scale * (math.sqrt(report._powers[2]) * S[-2] + abs(S[-1]))
             seq = _verdict(np.array(S), E, band)
         if not isinstance(seq, int):
             return seq

@@ -210,9 +210,14 @@ class BasisSet:
                 raise LayoutError(f"subsystem dims {dims} do not multiply to dim {self.dim}")
             object.__setattr__(self, "subsystem_dims", dims)
             object.__setattr__(self, "labels", _checked_labels(self.labels, dims))
-        elems = np.ascontiguousarray(checked_complex(
-            self.elements, (self.dim**2 - 1, self.dim, self.dim), f"basis for dim {self.dim}"))
-        elems.setflags(write=False)
+        elems = checked_complex(self.elements, (self.dim**2 - 1, self.dim, self.dim),
+                                f"basis for dim {self.dim}")
+        if elems.flags.writeable or not elems.flags.c_contiguous:
+            # a frozen copy: the caller's array stays writable, and its later
+            # writes do not reach the basis; a read-only stack (the builders
+            # freeze theirs) is kept as it is
+            elems = np.array(elems, order="C")
+            elems.setflags(write=False)
         object.__setattr__(self, "elements", elems)
         # Row i holds (Re, Im) of element i, interleaved: a view, not a copy.
         # expand and overlaps call np.dot on it rather than @: same BLAS
@@ -287,7 +292,18 @@ class BasisSet:
         a vector whose float c_2^4 overflows (|n| beyond about 1e38) raises
         :class:`DomainError` before any product is formed, as c_8 would
         overflow and, from about |n| = 1e60 on, the products themselves.
+
+        The chain is built in two stages, which
+        :func:`~blochvec.invariants.closed_invariants` also runs apart:
+        :meth:`_chain_head` (c_2..c_4, one product) and :meth:`_chain_tail`
+        (c_5..c_9, two more).
         """
+        c2, c3, c4, X, W = self._chain_head(n)
+        return (0.0, 0.0, c2, c3, c4) + self._chain_tail(X, W, c4)
+
+    def _chain_head(self, n: np.ndarray):
+        """(c_2, c_3, c_4, X, W) of :meth:`d_chain`, from one N x N product;
+        X and W are read-only, and None at N = 2, where d vanishes."""
         n = checked_real(n, (len(self),), "the d-chain's vector")
         N = self.dim
         c2 = float(np.dot(n, n))
@@ -298,16 +314,25 @@ class BasisSet:
         if overflows:
             raise DomainError("the d-chain of this coherence vector overflows")
         if N == 2:  # d vanishes identically on su(2)
-            return (0.0, 0.0, c2) + (0.0,) * 7
+            return c2, 0.0, 0.0, None, None
         X = self.expand(n)
         W = np.dot(X, X)
         W.reshape(-1)[::N + 1] -= 2.0 * c2 / N
-        c4 = _half_trace(W, W)
+        X.setflags(write=False)
+        W.setflags(write=False)
+        return c2, _half_trace(X, W), _half_trace(W, W), X, W
+
+    def _chain_tail(self, X: np.ndarray | None, W: np.ndarray | None,
+                    c4: float) -> tuple[float, ...]:
+        """(c_5, ..., c_9) of :meth:`d_chain` from X, W and c_4 of
+        :meth:`_chain_head`, by two more N x N products."""
+        if X is None:
+            return (0.0,) * 5
+        N = self.dim
         A = np.dot(W, W)
         A.reshape(-1)[::N + 1] -= 2.0 * c4 / N
         XA = np.dot(X, A)
-        return (0.0, 0.0, c2, _half_trace(X, W), c4, _half_trace(X, A),
-                _half_trace(W, A), _half_trace(XA, W), _half_trace(A, A),
+        return (_half_trace(X, A), _half_trace(W, A), _half_trace(XA, W), _half_trace(A, A),
                 _half_trace(XA, A))
 
 
@@ -355,7 +380,14 @@ def _gellmann_elements(dim: int) -> np.ndarray:
         diag[:m_] = 1.0
         diag[m_] = -float(m_)
         mats.append(np.sqrt(2.0 / (m_ * (m_ + 1))) * np.diag(diag).astype(complex))
-    return np.array(mats)
+    return _frozen(np.array(mats))
+
+
+def _frozen(stack: np.ndarray) -> np.ndarray:
+    """A fresh element stack made read-only, so that :class:`BasisSet`
+    keeps it without a copy."""
+    stack.setflags(write=False)
+    return stack
 
 
 def build_gellmann_basis(dim: int) -> BasisSet:
@@ -428,7 +460,7 @@ def _build_product_basis(dims: tuple[int, ...]) -> BasisSet:
         # Tr(element^2): 2 per non-identity factor, d per identity factor.
         norm2 = np.prod([2.0 if i else float(d) for d, i in zip(dims, lab)])
         mats.append(mat * np.sqrt(2.0 / norm2))
-    return BasisSet(dim=total, elements=np.array(mats), labels=labels,
+    return BasisSet(dim=total, elements=_frozen(np.array(mats)), labels=labels,
                     subsystem_dims=dims)
 
 
@@ -452,11 +484,16 @@ def basis_to_json(basis: BasisSet) -> dict:
 
 
 def basis_from_json(doc: dict) -> BasisSet:
-    """Inverse of :func:`basis_to_json`.  The basis is validated, so elements
-    that are not Hermitian, traceless and trace-orthonormal raise
-    :class:`InconsistentBasisError`."""
-    elems = np.array(
-        [[[complex(re, im) for re, im in row] for row in mat] for mat in doc["elements"]]
-    )
-    return BasisSet(dim=doc["dim"], elements=elems, labels=doc.get("labels"),
+    """Inverse of :func:`basis_to_json`.  ``doc["dim"]`` obeys
+    :func:`checked_dim` and the element pairs :func:`checked_real` of shape
+    (dim^2 - 1, dim, dim, 2), both before anything is built; the basis is
+    validated, so elements that are not Hermitian, traceless and
+    trace-orthonormal raise :class:`InconsistentBasisError`."""
+    dim = checked_dim(doc["dim"])
+    pairs = checked_real(doc["elements"], (dim**2 - 1, dim, dim, 2),
+                         f"basis elements for dim {dim}")
+    elems = np.empty(pairs.shape[:-1], dtype=complex)
+    elems.real = pairs[..., 0]  # the parts as they are: the round trip keeps every bit
+    elems.imag = pairs[..., 1]
+    return BasisSet(dim=dim, elements=_frozen(elems), labels=doc.get("labels"),
                     subsystem_dims=doc.get("subsystem_dims"))

@@ -20,7 +20,9 @@ from blochvec import (
     DomainError,
     InconsistentBasisError,
     LayoutError,
+    SymFnSequence,
     UnsupportedOrderError,
+    Verdict,
     basis_from_json,
     basis_to_json,
     build_gellmann_basis,
@@ -212,6 +214,8 @@ def test_a_correlation_block_is_bipartite_and_owns_frozen_copies():
 SEQUENCE_ENTRY_POINTS = [
     ("positivity_verdict", positivity_verdict),
     ("newton_symmetric_functions", newton_symmetric_functions),
+    ("SymFnSequence",
+     lambda v: SymFnSequence(dim=3, S=v, sign_changes=0, verdict=Verdict.PSD).S),
 ]
 
 BAD_SEQUENCES = [
@@ -242,6 +246,40 @@ def test_real_sequences_of_ints_floats_and_lists_give_one_result(call):
     want = _plain(call(np.array([3.0, 1.0, -2.0])))
     for same in ([3, 1, -2], [3.0, 1.0, -2.0], np.array([3, 1, -2]), (3.0, 1, -2.0)):
         assert _plain(call(same)) == want
+
+
+def _set_pairs(length):
+    """An edit that gives every (re, im) pair of a basis document ``length``
+    entries."""
+    def edit(elements):
+        for mat in elements:
+            for row in mat:
+                for i, pair in enumerate(row):
+                    row[i] = (pair + [0.0])[:length]
+    return edit
+
+
+#: (name, edit of the element pairs of a qubit basis document, its error)
+BAD_BASIS_ELEMENTS = [
+    ("string-entry", lambda el: el[0][0].__setitem__(0, ["a", 0.0]), DomainError),
+    ("number-string-entry", lambda el: el[0][0].__setitem__(0, ["0.0", 0.0]), DomainError),
+    ("none-entry", lambda el: el[0][0].__setitem__(0, [None, 0.0]), DomainError),
+    ("complex-entry", lambda el: el[0][0].__setitem__(0, [1j, 0.0]), DomainError),
+    ("ragged", lambda el: el[0][0].append([0.0, 0.0]), DomainError),
+    ("one-pair-of-three", lambda el: el[0][0][0].append(0.0), DomainError),
+    ("pairs-of-three", _set_pairs(3), LayoutError),
+    ("pairs-of-one", _set_pairs(1), LayoutError),
+    ("too-few-elements", lambda el: el.pop(), LayoutError),
+]
+
+
+@pytest.mark.parametrize("edit, error", [(e, r) for _, e, r in BAD_BASIS_ELEMENTS],
+                         ids=[name for name, *_ in BAD_BASIS_ELEMENTS])
+def test_basis_documents_with_bad_element_pairs_are_refused(edit, error):
+    doc = basis_to_json(build_gellmann_basis(2))
+    edit(doc["elements"])
+    with pytest.raises(error):
+        basis_from_json(doc)
 
 
 INDEFINITE = np.diag([0.5, 0.75, -0.25])

@@ -12,6 +12,7 @@ from blochvec import (
     UnsupportedOrderError,
     Verdict,
     build_gellmann_basis,
+    build_product_basis,
     casimir_operator,
     casimirs,
     check_positivity_coherence,
@@ -121,6 +122,116 @@ def test_invariant_sweep_computes_the_d_chain_once(monkeypatch):
     np.testing.assert_array_equal(computed[0], state.n)
 
 
+def _spy_on_chain_stages(monkeypatch):
+    """Count the calls of the d-chain's two stages: the first forms one
+    N x N product, the second two (none at N = 2, where d vanishes)."""
+    calls = {"head": 0, "tail": 0}
+    head, tail = BasisSet._chain_head, BasisSet._chain_tail
+
+    def counted_head(self, n):
+        calls["head"] += 1
+        return head(self, n)
+
+    def counted_tail(self, X, W, c4):
+        calls["tail"] += 1
+        return tail(self, X, W, c4)
+
+    monkeypatch.setattr(BasisSet, "_chain_head", counted_head)
+    monkeypatch.setattr(BasisSet, "_chain_tail", counted_tail)
+    return calls
+
+
+def _fresh(layout):
+    """A new instance of the basis of ``layout``: no report is kept for it."""
+    basis = build_gellmann_basis(layout[0]) if len(layout) == 1 else build_product_basis(layout)
+    return BasisSet(dim=basis.dim, elements=basis.elements, labels=basis.labels,
+                    subsystem_dims=basis.subsystem_dims)
+
+
+@pytest.mark.parametrize("layout, products", [
+    ((3,), 1), ((4,), 1), ((2, 2), 1),
+    ((5,), 3), ((6,), 3), ((7,), 3), ((8,), 3), ((9,), 3),
+], ids=["3", "4", "2x2", "5", "6", "7", "8", "9"])
+def test_one_coherence_op_forms_one_product_up_to_n_4_and_three_above(monkeypatch, layout,
+                                                                     products):
+    basis = _fresh(layout)
+    N = basis.dim
+    state = to_coherence(random_density_matrix(N, np.random.default_rng(N)), basis)
+    calls = _spy_on_chain_stages(monkeypatch)
+    # gate, closed S_2..S_4, every Casimir and every closed trace power
+    check_positivity_coherence(state, basis)
+    closed_S234(state, basis)
+    casimirs(state, basis, up_to=N)
+    for m in range(2, N + 1):
+        trace_power_closed(state, m, basis)
+    assert calls["head"] + 2 * calls["tail"] == products
+    assert calls["head"] == 1
+
+
+def _everything(report, state, basis):
+    """Every value a report gives, with the gate that reads it."""
+    N = basis.dim
+    seq = check_positivity_coherence(state, basis)
+    return (report.chain, report.T, report.S234,
+            [report.trace_power(m) for m in range(2, 10)],
+            report.casimirs(min(N, 9) if N >= 3 else 2).values, report.degeneracy(),
+            seq.S.tobytes(), seq.verdict, seq.sign_changes)
+
+
+#: First reads of a report at N <= 4; all but the gate read order 5 or more
+FIRST_READS = {
+    "gate": lambda report, state, basis: check_positivity_coherence(state, basis),
+    "trace_power-9": lambda report, state, basis: report.trace_power(9),
+    "degeneracy": lambda report, state, basis: report.degeneracy(),
+    "T-7": lambda report, state, basis: report.T[7],
+}
+
+
+@pytest.mark.parametrize("layout", [(2,), (3,), (4,), (2, 2)], ids=["2", "3", "4", "2x2"])
+def test_a_report_completed_later_equals_a_whole_build_bit_for_bit(monkeypatch, layout):
+    N = _fresh(layout).dim
+    rng = np.random.default_rng(40 + N)
+    states = [random_density_matrix(N, rng), np.diag([0.4] + [0.6 / (N - 1)] * (N - 1))]
+    calls = _spy_on_chain_stages(monkeypatch)
+    for rho in states:
+        seen = []
+        for name, first_read in FIRST_READS.items():
+            basis = _fresh(layout)
+            state = to_coherence(rho, basis)
+            report = closed_invariants(state, basis)
+            calls["tail"] = 0
+            short = (report.S234, [report.trace_power(m) for m in range(2, 5)],
+                     report.casimirs(min(N, 4) if N >= 3 else 2).values)
+            assert calls["tail"] == 0, name  # orders <= 4 need the first stage only
+            first_read(report, state, basis)
+            assert calls["tail"] == (name != "gate"), name
+            got = _everything(report, state, basis)
+            assert calls["tail"] == 1, name  # the second stage runs once
+            assert (report.S234, got[3][:3], {m: got[4][m] for m in short[2]}) == short
+            # the whole d-chain of one call and the weighted sums of T, bit for bit
+            assert report.chain == basis.d_chain(state.n)
+            c = coherence_scale(N)
+            assert got[3] == [sum(comb(m, k) * c**k * report.T[k] for k in range(m + 1)) / N**m
+                              for m in range(2, 10)]
+            seen.append(got)
+        assert all(got == seen[0] for got in seen[1:])
+
+
+def test_orders_up_to_4_answer_where_the_orders_above_overflow():
+    # at N <= 4 the report is built to order 9 only when an order above 4 is
+    # read: there T_9 ~ |n|^9 overflows from |n| of about 1e34, while the
+    # values of order <= 4 stay finite up to the d-chain's limit of 1e38
+    basis = build_gellmann_basis(3)
+    n = np.zeros(8)
+    n[6], n[7] = 1e35, 3e34  # diagonal: X^9 has no cancelling +-mu pairs
+    state = CoherenceState(dim=3, n=n)
+    assert all(np.isfinite(closed_S234(state, basis)))
+    assert np.isfinite(trace_power_closed(state, 4, basis))
+    with pytest.raises(DomainError, match="overflow"):
+        trace_power_closed(state, 9, basis)
+    assert check_positivity_coherence(state, basis).verdict is Verdict.NOT_PSD
+
+
 def test_symmetric_trace_contraction_sees_in_place_changes():
     basis = build_gellmann_basis(4)
     fresh = BasisSet(dim=basis.dim, elements=basis.elements)
@@ -154,15 +265,23 @@ def test_closed_invariants_memo_serves_interleaved_states_fresh_values():
         closed_invariants(a, build_gellmann_basis(4))
 
 
-def test_closed_invariants_memo_is_thread_safe():
+def _values(report):
+    return report.chain, report.T, report.S234
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+def test_closed_invariants_memo_is_thread_safe(dim):
+    # at N = 4 every fresh report is built to order 9 by its first read of
+    # chain, so threads also race to complete one report
     import sys
     import threading
 
-    basis = build_gellmann_basis(6)
+    basis = build_gellmann_basis(dim)
     shared = BasisSet(dim=basis.dim, elements=basis.elements)
-    rng = np.random.default_rng(6)
-    states = [CoherenceState(dim=6, n=v) for v in rng.normal(size=(2, 35))]
-    want = [closed_invariants(s, BasisSet(dim=basis.dim, elements=basis.elements)) for s in states]
+    rng = np.random.default_rng(dim)
+    states = [CoherenceState(dim=dim, n=v) for v in rng.normal(size=(2, dim**2 - 1))]
+    want = [_values(closed_invariants(s, BasisSet(dim=basis.dim, elements=basis.elements)))
+            for s in states]
     workers = 4
     start = threading.Barrier(workers)
     wrong = []
@@ -170,7 +289,7 @@ def test_closed_invariants_memo_is_thread_safe():
     def worker(i):  # every thread alternates the same two states, half out of step
         start.wait()
         for j in range(i, i + 400):
-            if closed_invariants(states[j % 2], shared) != want[j % 2]:
+            if _values(closed_invariants(states[j % 2], shared)) != want[j % 2]:
                 wrong.append((i, j))
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]

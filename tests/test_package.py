@@ -54,12 +54,14 @@ def test_argument_rules_live_in_su_basis_only():
 def test_records_that_hold_arrays_compare_and_hash_by_identity():
     from blochvec import (
         AffineMap,
+        BasisSet,
         CoherenceState,
         CompositeLayout,
         SymFnSequence,
         Verdict,
         build_gellmann_basis,
         casimirs,
+        closed_invariants,
     )
     from blochvec.composite import CorrelationBlock
     from blochvec.documents import MatrixDocument
@@ -75,6 +77,9 @@ def test_records_that_hold_arrays_compare_and_hash_by_identity():
         lambda: MatrixDocument(dim=2, dims=None, matrix=None, coherence=n),
         lambda: CasimirSet(dim=3, values={2: 0.5}),
         lambda: casimirs(CoherenceState(dim=3, n=np.full(8, 0.1)), build_gellmann_basis(3), 2),
+        # a new basis instance each time: the memo keeps one report per key
+        lambda: closed_invariants(CoherenceState(dim=3, n=np.full(8, 0.1)),
+                                  BasisSet(dim=3, elements=build_gellmann_basis(3).elements)),
     ]
     for make in makers:
         a, b = make(), make()

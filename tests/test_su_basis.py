@@ -427,6 +427,47 @@ def test_basis_json_round_trip():
     np.testing.assert_array_equal(restored.elements, basis.elements)
 
 
+@pytest.mark.parametrize("build, arg", [
+    (build_gellmann_basis, 2), (build_gellmann_basis, 3), (build_gellmann_basis, 5),
+    (build_product_basis, (2, 2)), (build_product_basis, (2, 3)),
+], ids=["su2", "su3", "su5", "2x2", "2x3"])
+def test_basis_json_round_trip_keeps_every_bit(build, arg):
+    basis = build(arg)
+    restored = basis_from_json(json.loads(json.dumps(basis_to_json(basis))))
+    assert restored.elements.tobytes() == basis.elements.tobytes()
+    assert not restored.elements.flags.writeable
+
+
+def test_a_basis_keeps_a_frozen_copy_of_a_writable_element_stack():
+    want = build_gellmann_basis(2).elements
+    stack = want.copy()
+    basis = BasisSet(dim=2, elements=stack)
+    assert stack.flags.writeable
+    assert not basis.elements.flags.writeable
+    stack[0] = stack[1]  # later writes to the caller's array do not reach the basis
+    np.testing.assert_array_equal(basis.elements, want)
+    basis.validate()
+
+
+def test_a_read_only_element_stack_is_kept_as_it_is(monkeypatch):
+    from blochvec import su_basis
+
+    built = build_gellmann_basis(3)
+    assert BasisSet(dim=3, elements=built.elements).elements is built.elements
+    # the builders and basis_from_json freeze their own fresh stacks, and
+    # the basis holds that very array: their path makes no copy
+    frozen = []
+    freeze = su_basis._frozen
+    monkeypatch.setattr(su_basis, "_frozen", lambda stack: frozen.append(freeze(stack))
+                        or frozen[-1])
+    made = [su_basis._build_gellmann_basis.__wrapped__(3),
+            su_basis._build_product_basis.__wrapped__((2, 3)),
+            basis_from_json(basis_to_json(built))]
+    assert len(frozen) == len(made)
+    for basis, stack in zip(made, frozen):
+        assert basis.elements is stack
+
+
 @pytest.mark.parametrize("field, value", [
     ("dim", 4.5), ("dim", 4.0), ("subsystem_dims", [2.5, 2]),
 ], ids=["float-dim", "integral-float-dim", "float-subsystem-dim"])
