@@ -5,9 +5,9 @@ Exit codes: 0 for PSD (or a pure report command), 2 for NotPSD, 1 for any
 error.  The commands that gate (``check``, ``map``, ``werner``) take the
 verdict tolerance from ``--tol``, else from ``BLOCHVEC_TOL``.  They gate a
 coherence vector (a coherence document, an ``--invert`` or ``map`` image)
-with :func:`~blochvec.check_positivity_coherence`, so they give the
-library's verdict, and a matrix with La Budde's route; every command
-accepts ``--json`` for machine-readable output.
+with :func:`~blochvec.check_positivity_coherence` and a matrix with
+:func:`~blochvec.check_positivity`, so they give the library's verdict;
+every command accepts ``--json`` for machine-readable output.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ from .positivity import (
     SymFnSequence,
     Verdict,
     apply_affine_map,
+    check_positivity,
     check_positivity_coherence,
     matrix_trace_powers,
-    positivity_verdict,
-    tridiagonal_symmetric_functions,
     universal_inversion,
 )
 from .su_basis import build_gellmann_basis, build_product_basis, checked_int
@@ -105,12 +104,6 @@ def _load_document(path: str):
     return doc, None, CoherenceState(dim=doc.dim, n=doc.coherence)
 
 
-def _gate_matrix(mat: np.ndarray, tol) -> SymFnSequence:
-    """The verdict of a matrix by La Budde's route, as the coherence gate's
-    fallback computes it."""
-    return positivity_verdict(tridiagonal_symmetric_functions(mat), tol=tol)
-
-
 def _check_payload(seq: SymFnSequence, mat: np.ndarray | None) -> dict:
     """The payload of a gate; with ``mat`` (``--verify``) also the
     eigenvalue cross-check of that matrix."""
@@ -156,7 +149,7 @@ def _print_check(payload: dict):
 def cmd_check(args) -> int:
     doc, matrix, state = _load_document(args.input)
     if matrix is not None and not args.invert:
-        seq = _gate_matrix(matrix, _default_tol(args))
+        seq = check_positivity(matrix, tol=_default_tol(args))
         payload = _check_payload(seq, matrix if args.verify else None)
     else:
         basis = _basis_for(doc)
@@ -211,7 +204,7 @@ def cmd_invariants(args) -> int:
 
 def _werner_row(x: float, tol) -> dict:
     layout = CompositeLayout(dims=(2, 2))
-    seq_pt = _gate_matrix(partial_transpose(werner_state(x), layout), tol)
+    seq_pt = check_positivity(partial_transpose(werner_state(x), layout), tol=tol)
     s3, s4 = werner_symfns(x, transposed=False)
     s3_pt, s4_pt = werner_symfns(x, transposed=True)
     return {"x": x, "S3": s3, "S4": s4, "S3_pt": s3_pt, "S4_pt": s4_pt,

@@ -4,8 +4,8 @@ The characteristic polynomial of an N x N matrix A is
 
     det(A - x 1) = x^N - S_1 x^(N-1) + S_2 x^(N-2) - ... + (-1)^N S_N,
 
-with S_k the elementary symmetric polynomials of the eigenvalues,
-obtained from the power traces Tr(A^m) by the recursion
+with S_k = e_k(lambda) the elementary symmetric polynomials of the
+eigenvalues.  Newton's identities give them from the power traces,
 
     S_k = (1/k) [Tr(A) S_{k-1} - Tr(A^2) S_{k-2} + ... + (-1)^{k-1} Tr(A^k)].
 
@@ -14,15 +14,15 @@ when every S_k >= 0, and the number of sign changes in the coefficient
 sequence (1, -S_1, S_2, ...) equals the number of strictly positive
 eigenvalues.
 
-Three routes compute the S_k, and the loop of :func:`positivity_verdict`
-judges them all.  The matrix gate uses that recursion.  The coherence gate
-decides a state with N <= 9 by the paper's region S_k(n) >= 0 in the closed
-Casimir invariants of :func:`~blochvec.invariants.closed_invariants`, where
-the same loop, run on error intervals, finds each S_k in one verdict class
-(see :func:`_closed_symmetric_functions`).  Otherwise, and for every
-N >= 10, it reduces the rebuilt operator to tridiagonal form and runs La
-Budde's three-term recurrence, which keeps the sign of small S_k where the
-power-trace recursion loses it.
+Two routes compute the S_k, and the loop of :func:`positivity_verdict`
+judges them both.  The coherence gate decides a state with N <= 9 by the
+paper's region S_k(n) >= 0 in the closed Casimir invariants of
+:func:`~blochvec.invariants.closed_invariants`, where the same loop, run on
+error intervals, finds each S_k in one verdict class (see
+:func:`_closed_symmetric_functions`).  Every matrix, and the rebuilt
+operator where the closed S_k stay in doubt or N >= 10, goes through
+:func:`symmetric_functions`: e_k of the spectrum from one LAPACK call,
+which keeps the sign of small S_k where the power-trace recursion loses it.
 """
 
 from __future__ import annotations
@@ -118,11 +118,7 @@ def matrix_trace_powers(mat: np.ndarray, up_to: int) -> np.ndarray:
     ``mat`` a square matrix of :func:`~blochvec.su_basis.checked_complex`.
     """
     up_to = checked_int(up_to, 0, None, DomainError, "number of power traces")
-    return _trace_powers(checked_complex(mat, None, "matrix"), up_to)
-
-
-def _trace_powers(mat: np.ndarray, up_to: int) -> np.ndarray:
-    """:func:`matrix_trace_powers` of a matrix that is checked already."""
+    mat = checked_complex(mat, None, "matrix")
     diagonals = np.empty((up_to, mat.shape[0]), dtype=complex)
     power = mat
     for m in range(up_to):
@@ -134,9 +130,20 @@ def _trace_powers(mat: np.ndarray, up_to: int) -> np.ndarray:
 
 def symmetric_functions(mat: np.ndarray) -> np.ndarray:
     """S_1..S_N of a Hermitian matrix (hermiticity is checked and required:
-    the sign-change eigenvalue count assumes a real spectrum)."""
-    mat = require_hermitian(mat)  # checked here; matrix_trace_powers would check it again
-    return newton_symmetric_functions(_trace_powers(mat, mat.shape[0]))
+    the sign-change eigenvalue count assumes a real spectrum).
+
+    S_k = e_k(lambda) of the spectrum from one LAPACK call
+    (``np.linalg.eigvalsh``, a Householder reduction, backward stable),
+    by Vieta's recurrence e_j <- e_j + lambda_i e_(j-1), j descending,
+    over the ascending eigenvalues.  No power traces are formed, so small
+    S_k keep their sign where Newton's identities lose it (from N = 9 on).
+    """
+    e = [1.0]
+    for lam in np.linalg.eigvalsh(require_hermitian(mat)).tolist():
+        e.append(lam * e[-1])
+        for j in range(len(e) - 2, 0, -1):
+            e[j] += lam * e[j - 1]
+    return np.array(e[1:])
 
 
 def closed_S234(state: CoherenceState, basis: BasisSet) -> tuple[float, float, float]:
@@ -224,64 +231,10 @@ def _verdict(S: np.ndarray, E, band: float) -> SymFnSequence | int:
 
 
 def check_positivity(mat: np.ndarray, *, tol: float | None = None) -> SymFnSequence:
-    """Full gate for a Hermitian matrix: power traces, Newton, verdict."""
+    """Full gate for a Hermitian matrix: the S_k of
+    :func:`symmetric_functions`, then the verdict of
+    :func:`positivity_verdict`."""
     return positivity_verdict(symmetric_functions(mat), tol=tol)
-
-
-def _tridiagonal(mat: np.ndarray) -> tuple[list[float], list[float]]:
-    """Diagonal a_1..a_N and squared off-diagonal moduli |b_1|^2..|b_(N-1)|^2
-    of a real-diagonal tridiagonal matrix unitarily similar to the Hermitian
-    ``mat``, by Householder reflections H = 1 - tau v v^dag.
-
-    Step k reflects x, the column below the diagonal, onto -phase(x_0) |x| e_1
-    with v = x + phase(x_0) |x| e_1 and tau = 2 / |v|^2 = 1 / (|x|^2 + |x_0| |x|),
-    so |b_k|^2 = |x|^2 and only the trailing block needs the two-sided
-    update H A H = A - v w^dag - w v^dag with p = tau A v and
-    w = p - (tau / 2) (v^dag p) v.
-    """
-    A = np.array(mat, dtype=complex)
-    N = A.shape[0]
-    diag, off2 = [], []
-    for k in range(N - 1):
-        diag.append(float(A[k, k].real))
-        x = A[k + 1:, k]
-        norm2 = float(np.vdot(x, x).real)
-        off2.append(norm2)
-        if k == N - 2 or norm2 == 0.0:
-            continue
-        norm = math.sqrt(norm2)
-        x0 = complex(x[0])
-        r = abs(x0)
-        v = x.copy()
-        v[0] += (x0 / r if r else 1.0) * norm
-        tau = 1.0 / (norm2 + r * norm)
-        sub = A[k + 1:, k + 1:]
-        p = tau * np.dot(sub, v)
-        w = p - (0.5 * tau * np.vdot(v, p).real) * v
-        sub -= v[:, None] * w.conj() + w[:, None] * v.conj()
-    diag.append(float(A[N - 1, N - 1].real))
-    return diag, off2
-
-
-def tridiagonal_symmetric_functions(mat: np.ndarray) -> np.ndarray:
-    """S_1..S_N of a Hermitian matrix by La Budde's method: Householder
-    reduction to tridiagonal form, then the recurrence over leading blocks
-
-        e_j^(k) = e_j^(k-1) + a_k e_(j-1)^(k-1) - |b_(k-1)|^2 e_(j-2)^(k-2),
-
-    with e_0 = 1.  No power traces and no eigenvalues are formed, so small
-    S_k keep their sign where Newton's identities lose it (from N = 9 on).
-    """
-    a, b2 = _tridiagonal(require_hermitian(mat))
-    prev, cur = [1.0], [1.0, a[0]]  # e^(0), e^(1)
-    for k in range(1, len(a)):
-        nxt = cur + [0.0]
-        for j in range(1, k + 2):
-            nxt[j] += a[k] * cur[j - 1]
-        for j in range(2, k + 2):
-            nxt[j] -= b2[k - 1] * prev[j - 2]
-        prev, cur = cur, nxt
-    return np.array(cur[1:])
 
 
 def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet):
@@ -311,9 +264,9 @@ def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet):
     if every [S_k - E_k, S_k + E_k] lies in one class (negative, negligible
     or positive, against the running band).  Newton's identities lose the
     sign of small S_k (Wilkinson, *The Algebraic Eigenvalue Problem*,
-    1965), and the loop hands those to La Budde.
+    1965), and the loop hands those to :func:`symmetric_functions`.
 
-    One case is decided without La Budde: S_N alone is in doubt while
+    One case is decided without that spectral fallback: S_N alone is in doubt while
     S_1..S_(N-1) are all positive and non-negligible, as on a state of
     rank N - 1.  Then S_N = Re det rho, with rho rebuilt by
     :func:`from_coherence` and its determinant taken by LU with partial
@@ -327,7 +280,7 @@ def _closed_symmetric_functions(state: CoherenceState, basis: BasisSet):
     rho has at least N - 1 positive eigenvalues and at most one that is
     not; S_N within its band makes that one tiny, so e_(N-1)(|lambda|)
     equals S_(N-1) = e_(N-1)(lambda) up to a term of its order.  Where S_N
-    stays in doubt, La Budde decides.
+    stays in doubt, the spectrum decides.
     """
     N = state.dim
     try:
@@ -382,9 +335,9 @@ def check_positivity_coherence(state: CoherenceState, basis: BasisSet, *,
     :func:`~blochvec.invariants.trace_power_closed` then read), where they
     decide within their rounding error (:func:`_closed_symmetric_functions`).
     Otherwise, and for every larger N, the S_k of rho are taken from
-    :func:`tridiagonal_symmetric_functions`.  rho is rebuilt by
-    :func:`from_coherence` (one :meth:`BasisSet.expand`) at most once per
-    call: the determinant step and La Budde share it.  Either way the loop
+    :func:`symmetric_functions`.  rho is rebuilt by :func:`from_coherence`
+    (one :meth:`BasisSet.expand`) at most once per call: the determinant
+    step and the spectrum share it.  Either way the loop
     of :func:`positivity_verdict` gives the verdict, and a ``tol`` outside
     [0, MAX_TOL] raises :class:`DomainError`.
     """
@@ -404,7 +357,7 @@ def check_positivity_coherence(state: CoherenceState, basis: BasisSet, *,
             return seq
     if rho is None:
         rho = from_coherence(state, basis)
-    return _verdict(tridiagonal_symmetric_functions(rho), None, band)
+    return _verdict(symmetric_functions(rho), None, band)
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,12 +426,8 @@ def inversion_bound_check(a: float, b: float, N: int) -> bool:
     The family member (1/N)[1 + a diag(1, ..., 1, -(N-1))] must itself be a
     state, which restricts a to [-1, 1/(N-1)], widened by EPS_ZERO at both
     ends; its image under rho -> (1/N)(b 1 - c n.lam) is gated through the
-    S_k test.  Closed form of the admissible region: b >= max(a, (1-N) a).
-
-    The S_k of the image come from La Budde's route
-    (:func:`tridiagonal_symmetric_functions`), which skips every Householder
-    step of a diagonal matrix; Newton's identities
-    (:func:`check_positivity`) lose the sign of the S_k of I/N from N = 55 on.
+    S_k test of :func:`check_positivity`.  Closed form of the admissible
+    region: b >= max(a, (1-N) a).
     """
     N = checked_dim(N)
     a = checked_float(a, -1.0 - EPS_ZERO, 1.0 / (N - 1) + EPS_ZERO, DomainError,
@@ -487,4 +436,4 @@ def inversion_bound_check(a: float, b: float, N: int) -> bool:
     diag = np.full(N, b - a)
     diag[-1] = b + (N - 1) * a
     image = np.diag(diag).astype(complex) / N
-    return positivity_verdict(tridiagonal_symmetric_functions(image)).is_psd
+    return check_positivity(image).is_psd

@@ -3,6 +3,7 @@ import shutil
 import tempfile
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -69,6 +70,30 @@ def reference_newton_symmetric_functions(traces):
             acc += (-1.0) ** (j - 1) * traces[j - 1] * S[k - j]
         S[k] = acc / k
     return S[1:]
+
+
+def mp_symmetric_functions(mat):
+    """S_1..S_N of the float matrix ``mat`` itself, a reference that shares
+    no code with the library: its characteristic polynomial det(x 1 - A) =
+    x^N + c_1 x^(N-1) + ... + c_N by Faddeev-LeVerrier at 80 digits,
+
+        M_1 = 1,  c_k = -Tr(A M_k) / k,  M_(k+1) = A M_k + c_k 1,
+
+    and S_k = (-1)^k c_k.  Each float entry converts to mpmath exactly;
+    the S_k are returned as mpmath numbers (real parts)."""
+    with mpmath.workdps(80):
+        A = [[mpmath.mpc(complex(x)) for x in row] for row in np.asarray(mat)]
+        N = len(A)
+        M = [[mpmath.mpc(int(i == j)) for j in range(N)] for i in range(N)]
+        S = []
+        for k in range(1, N + 1):
+            AM = [[mpmath.fdot(row, col) for col in zip(*M)] for row in A]
+            c = -mpmath.fsum(AM[i][i] for i in range(N)) / k
+            S.append((-1) ** k * c.real)
+            for i in range(N):
+                AM[i][i] += c
+            M = AM
+        return S
 
 
 # Random states and unitaries for the scans in the tests.

@@ -50,7 +50,6 @@ from blochvec import (
     three_tangle,
     to_coherence,
     trace_power_closed,
-    tridiagonal_symmetric_functions,
     universal_inversion,
     universal_inversion_matrix,
     werner_state,
@@ -356,7 +355,6 @@ OPERAND_ENTRY_POINTS = [
     ("require_hermitian", require_hermitian, SINGLET),
     ("check_positivity", check_positivity, SINGLET),
     ("symmetric_functions", symmetric_functions, SINGLET),
-    ("tridiagonal_symmetric_functions", tridiagonal_symmetric_functions, SINGLET),
     ("to_coherence", lambda v: to_coherence(v, build_product_basis((2, 2))), SINGLET),
     ("extract_correlation", lambda v: extract_correlation(v, TWO_QUBITS), SINGLET),
     ("concurrence_squared", concurrence_squared, SINGLET),

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -433,7 +434,7 @@ def test_deeply_nested_documents_exit_1(tmp_path, capsys, command, depth):
 
 def test_coherence_vector_beyond_the_closed_report_is_gated_or_refused(write_doc, capsys):
     # from |n| of about 4e38 the closed invariants overflow: check falls back
-    # to La Budde, invariants reports the overflow; neither lets numpy warn
+    # to the spectral route, invariants reports the overflow; neither lets numpy warn
     # (a RuntimeWarning fails the test under filterwarnings = error)
     for exponent in range(30, 81):
         n = np.zeros(8)
@@ -523,3 +524,71 @@ def test_werner_sweep_at_limit_is_accepted(capsys, monkeypatch):
     code, payload = run_json(capsys, ["werner", "--sweep", str(cli.MAX_SWEEP), "--json"])
     assert code == 0
     assert len(payload["rows"]) == cli.MAX_SWEEP == 10_000
+
+
+@pytest.fixture
+def route_calls():
+    """The name of each call of symmetric_functions, newton_symmetric_functions
+    and matrix_trace_powers, however the function is reached: a profile hook
+    watches their code objects, not a module attribute."""
+    from blochvec import positivity
+
+    watched = {f.__code__: f.__name__ for f in (positivity.symmetric_functions,
+                                                 positivity.newton_symmetric_functions,
+                                                 positivity.matrix_trace_powers)}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls.append(watched[frame.f_code])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
+def test_no_gate_reaches_power_traces_or_newton(write_doc, capsys, route_calls):
+    from blochvec import (
+        CoherenceState,
+        build_gellmann_basis,
+        check_positivity,
+        check_positivity_coherence,
+        inversion_bound_check,
+        to_coherence,
+    )
+
+    rng = np.random.default_rng(12)
+    for N in (4, 16):
+        g = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        check_positivity(g @ g.conj().T / N)
+    inversion_bound_check(0.0, 1.0, 16)
+    assert route_calls == ["symmetric_functions"] * 3
+    route_calls.clear()
+    # closed, a doubtful determinant, an overflowing report and N >= 10
+    basis8 = build_gellmann_basis(8)
+    edge = np.diag(np.append(np.arange(1.0, 8) * ((1.0 - 1e-9) / 28.0), 1e-9))
+    long = np.zeros(8)
+    long[0] = 1e40
+    states = [(to_coherence(EXAMPLE_3X3, build_gellmann_basis(3)), build_gellmann_basis(3)),
+              (to_coherence(edge, basis8), basis8),
+              (CoherenceState(dim=3, n=long), build_gellmann_basis(3)),
+              (CoherenceState(dim=10, n=np.zeros(99)), build_gellmann_basis(10))]
+    for state, basis in states:
+        check_positivity_coherence(state, basis)
+    assert route_calls == ["symmetric_functions"] * 3  # every fallback, but not the closed one
+    route_calls.clear()
+    matrix = write_doc(matrix_document(EXAMPLE_3X3))
+    coherence = write_doc(coherence_document(np.zeros(15), 4))
+    identity = write_doc(map_document(np.eye(8), np.zeros(8), dim=3))
+    for argv in (["check", matrix], ["check", matrix, "--invert"], ["check", coherence],
+                 ["map", identity, matrix], ["werner", "--x", "0.5"],
+                 ["werner", "--sweep", "3"]):
+        assert main(argv) in (0, 2)
+    assert route_calls == ["symmetric_functions"] * 5  # the matrix and the Werner rows
+    capsys.readouterr()
+    # the spy sees the power traces where they are still read
+    assert main(["invariants", matrix]) == 0
+    assert route_calls[5:] == ["matrix_trace_powers"]

@@ -26,7 +26,6 @@ from blochvec import (
     SymFnSequence,
     symmetric_functions,
     to_coherence,
-    tridiagonal_symmetric_functions,
     universal_inversion,
     universal_inversion_matrix,
 )
@@ -36,6 +35,7 @@ from blochvec.positivity import matrix_trace_powers
 
 from conftest import (
     haar_state,
+    mp_symmetric_functions,
     random_density_matrix,
     random_hermitian_trace_one,
     random_unitary,
@@ -89,7 +89,6 @@ def test_trace_powers_and_newton_match_the_reference_bit_for_bit(scale):
         traces = reference_matrix_trace_powers(mat, N)
         S = newton_symmetric_functions(traces)
         assert np.array_equal(S, reference_newton_symmetric_functions(traces))
-        assert np.array_equal(symmetric_functions(mat), S)
 
 
 def test_matrix_trace_powers_holds_no_stack_of_powers():
@@ -276,7 +275,7 @@ def test_affine_map_refuses_complex_parts():
         AffineMap(dim=2, T=np.eye(3, dtype=complex), t=np.zeros(3))
 
 
-@pytest.mark.parametrize("gate", [check_positivity, tridiagonal_symmetric_functions])
+@pytest.mark.parametrize("gate", [check_positivity, symmetric_functions])
 def test_empty_operator_is_a_layout_error(gate):
     with pytest.raises(LayoutError):
         gate(np.zeros((0, 0)))
@@ -417,16 +416,43 @@ def test_positivity_verdict_rejects_non_finite_input():
         check_positivity(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-@pytest.mark.parametrize("dim", range(1, 9))
-def test_tridiagonal_route_matches_esp_oracle(dim):
+def spectral_error_bound(mat):
+    """b_k = 64 N u (N - k + 1) ||A||_2 e_(k-1)(|lambda|), k = 1..N: the
+    first-order error of e_k(lambda) when each eigenvalue is off by a
+    backward-stable O(N u ||A||_2).  It also covers the rounding of Vieta's
+    recurrence, about k u e_k(|lambda|), since k e_k(|lambda|) <=
+    (N - k + 1) ||A||_2 e_(k-1)(|lambda|)."""
+    eigs = np.abs(np.linalg.eigvalsh(mat))
+    N = eigs.size
+    lower = np.concatenate([[1.0], esp_oracle(eigs)[:-1]])  # e_0..e_(N-1) of |lambda|
+    return 64 * N * 2.0**-53 * (N - np.arange(N)) * eigs.max() * lower
+
+
+def hermitian(mat):
+    """The exactly Hermitian part (A + A^dag) / 2 of a float matrix, so that
+    the reference sees the matrix whose lower triangle LAPACK reads."""
+    return (mat + mat.conj().T) / 2
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 9, 16])
+def test_symmetric_functions_match_the_mp_reference(dim):
     rng = np.random.default_rng(100 + dim)
-    for mat in (random_density_matrix(dim, rng), random_hermitian_trace_one(dim, rng)):
-        eigs = np.linalg.eigvalsh(mat)
-        np.testing.assert_allclose(tridiagonal_symmetric_functions(mat), esp_oracle(eigs),
-                                   rtol=1e-10, atol=1e-13)
-        # both routes agree where Newton's identities are still accurate
-        np.testing.assert_allclose(tridiagonal_symmetric_functions(mat),
-                                   symmetric_functions(mat), rtol=1e-8, atol=1e-12)
+    for _ in range(2):
+        pair = np.append(rng.uniform(0.1, 1.0, dim - 2), [1e-6, -1e-6])
+        for mat in (random_density_matrix(dim, rng),
+                    random_density_matrix(dim, rng, rank=dim - 1),
+                    rotated_spectrum(pair, rng)):
+            mat = hermitian(mat)
+            want = np.array([float(s) for s in mp_symmetric_functions(mat)])
+            assert np.all(np.abs(symmetric_functions(mat) - want) <= spectral_error_bound(mat))
+
+
+def test_newton_breaks_the_spectral_error_bound_at_n16():
+    rng = np.random.default_rng(16)
+    mat = hermitian(random_density_matrix(16, rng, rank=15))
+    want = np.array([float(s) for s in mp_symmetric_functions(mat)])
+    newton = reference_newton_symmetric_functions(reference_matrix_trace_powers(mat, 16))
+    assert np.any(np.abs(newton - want) > spectral_error_bound(mat))
 
 
 def eigenvalue_verdict(mat):
@@ -474,9 +500,27 @@ def test_newton_route_fails_where_the_coherence_gate_holds():
         want = eigenvalue_verdict(mat)
         seq = check_positivity_coherence(to_coherence(mat, basis), basis)
         assert (seq.verdict, seq.sign_changes) == want
-        newton = check_positivity(mat)
+        newton = positivity_verdict(
+            reference_newton_symmetric_functions(reference_matrix_trace_powers(mat, 24)))
         newton_wrong += (newton.verdict, newton.sign_changes) != want
     assert newton_wrong > 0
+
+
+@pytest.mark.parametrize("N", [12, 16, 24, 32, 48, 64])
+def test_matrix_gate_matches_eigenvalues_at_large_dim(N):
+    # Newton's identities called 2 to 33 of these 40 states NotPSD from N = 16 on
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        mat = random_density_matrix(N, rng, rank=N - 1 if trial % 2 else None)
+        seq = check_positivity(mat)
+        assert (seq.verdict, seq.sign_changes) == eigenvalue_verdict(mat)
+
+
+def test_matrix_gate_reads_the_maximally_mixed_state_at_every_size():
+    # Newton's S_k of I/N lost their sign at N = 55, 57, 59, 61, 62 and 63
+    for N in range(2, 65):
+        seq = check_positivity(np.eye(N) / N)
+        assert (seq.verdict, seq.sign_changes) == (Verdict.PSD, N)
 
 
 @pytest.mark.parametrize("N", [2.5, 3.0, "4"])
@@ -493,11 +537,9 @@ def test_gates_admit_operators_at_the_size_limit():
     assert MAX_BASIS_DIM == 64
     mixed = np.eye(64) / 64
     assert check_positivity(mixed).verdict is Verdict.PSD
-    assert positivity_verdict(tridiagonal_symmetric_functions(mixed)).verdict is Verdict.PSD
 
 
-@pytest.mark.parametrize("gate", [check_positivity, symmetric_functions,
-                                  tridiagonal_symmetric_functions])
+@pytest.mark.parametrize("gate", [check_positivity, symmetric_functions])
 def test_gates_refuse_operators_above_the_size_limit(gate):
     import tracemalloc
 
@@ -540,24 +582,24 @@ def boundary_spectrum(weights, second):
 
 
 @pytest.fixture
-def la_budde_calls(monkeypatch):
-    """The matrix size of each call of the coherence gate's La Budde fallback."""
+def fallback_calls(monkeypatch):
+    """The matrix size of each call of :func:`symmetric_functions`: in a
+    coherence gate, of each fallback to the spectrum of the rebuilt rho."""
     import blochvec.positivity as positivity
 
     calls = []
-    route = positivity.tridiagonal_symmetric_functions
+    route = positivity.symmetric_functions
 
     def counted(mat):
         calls.append(mat.shape[0])
         return route(mat)
 
-    monkeypatch.setattr(positivity, "tridiagonal_symmetric_functions", counted)
+    monkeypatch.setattr(positivity, "symmetric_functions", counted)
     return calls
 
 
-OPPOSITE_SIGN_PAIRS = [((1.0, 1e-6, -1e-6), route) for route in ("matrix", "la-budde", (3,))]
-OPPOSITE_SIGN_PAIRS += [((0.6, 0.4, 1e-6, -1e-6), route)
-                        for route in ("matrix", "la-budde", (4,), (2, 2))]
+OPPOSITE_SIGN_PAIRS = [((1.0, 1e-6, -1e-6), route) for route in ("matrix", (3,))]
+OPPOSITE_SIGN_PAIRS += [((0.6, 0.4, 1e-6, -1e-6), route) for route in ("matrix", (4,), (2, 2))]
 PAIR_IDS = [f"N{len(spectrum)}-" + (route if isinstance(route, str)
                                     else "coherence-" + "x".join(map(str, route)))
             for spectrum, route in OPPOSITE_SIGN_PAIRS]
@@ -571,8 +613,6 @@ def test_an_opposite_sign_pair_reads_not_psd(spectrum, route):
     mat = np.diag(spectrum).astype(complex)
     if route == "matrix":
         seq = check_positivity(mat)
-    elif route == "la-budde":
-        seq = positivity_verdict(tridiagonal_symmetric_functions(mat))
     else:
         basis = basis_of(route)
         seq = check_positivity_coherence(to_coherence(mat, basis), basis)
@@ -599,7 +639,7 @@ def test_closed_gate_guard_holds_next_to_an_exact_zero(layout):
 
 
 @pytest.mark.parametrize("layout", [(2,), (3,), (4,), (2, 2), (6,), (9,), (2, 2, 2)], ids=str)
-def test_closed_gate_decides_separated_spectra_alone(layout, la_budde_calls):
+def test_closed_gate_decides_separated_spectra_alone(layout, fallback_calls):
     basis = basis_of(layout)
     rng = np.random.default_rng(4)
     for _ in range(5):
@@ -609,10 +649,10 @@ def test_closed_gate_decides_separated_spectra_alone(layout, la_budde_calls):
         assert (seq.verdict, seq.sign_changes) == eigenvalue_verdict(rho)
         # S_5.. continue S_2..S_4 by Newton's identities on the closed traces
         assert seq.S[0] == 1.0 and tuple(seq.S[1:4]) == closed_S234(state, basis)[:basis.dim - 1]
-    assert la_budde_calls == []
+    assert fallback_calls == []
 
 
-def test_closed_gate_falls_back_inside_its_rounding_error(la_budde_calls):
+def test_closed_gate_falls_back_inside_its_rounding_error(fallback_calls):
     # an exact zero beside 1e-8: at N = 3 and 8 only S_N is in doubt, and the
     # determinant places it; the N = 9 spectrum leaves S_(N-1) in doubt too
     for dim in (3, 8):
@@ -621,19 +661,19 @@ def test_closed_gate_falls_back_inside_its_rounding_error(la_budde_calls):
                                np.random.default_rng(2))
         seq = check_positivity_coherence(to_coherence(rho, basis), basis)
         assert (seq.verdict, seq.sign_changes) == (Verdict.BOUNDARY, dim - 1)
-    assert la_budde_calls == []
+    assert fallback_calls == []
     rng = np.random.default_rng(25)
     rho = rotated_spectrum(boundary_spectrum(rng.uniform(1e-3, 1.0, 7), 1e-8), rng)
     for basis in (build_gellmann_basis(9), build_product_basis((3, 3))):
         seq = check_positivity_coherence(to_coherence(rho, basis), basis)
         assert (seq.verdict, seq.sign_changes) == (Verdict.BOUNDARY, 8)
-    assert la_budde_calls == [9, 9]
+    assert fallback_calls == [9, 9]
 
 
 @pytest.fixture
 def rebuilds(monkeypatch):
     """One entry per density matrix the coherence gate rebuilds: for the
-    determinant of a lone ambiguous S_N or for La Budde."""
+    determinant of a lone ambiguous S_N or for the spectrum."""
     import blochvec.positivity as positivity
 
     calls = []
@@ -651,30 +691,31 @@ DETERMINANT_LAYOUTS = [(3,), (8,), (9,), (2, 2, 2), (3, 3)]
 
 
 @pytest.mark.parametrize("layout", DETERMINANT_LAYOUTS, ids=str)
-def test_closed_gate_places_a_lone_ambiguous_determinant(layout, la_budde_calls, rebuilds):
+def test_closed_gate_places_a_lone_ambiguous_determinant(layout, fallback_calls, rebuilds):
     basis = basis_of(layout)
     N = basis.dim
     rng = np.random.default_rng(5)
     cells = [(second, rotated_spectrum(boundary_spectrum(np.arange(1.0, N - 1), second), rng))
              for second in (1e-2, 1e-4, 1e-6, 1e-8) for _ in range(4)]
     cells += [("rank N-1", random_density_matrix(N, rng, rank=N - 1)) for _ in range(4)]
-    for cell, rho in cells:
+    matrix_route = [check_positivity(rho) for _, rho in cells]
+    fallback_calls.clear()  # count the coherence gate's calls only
+    for (cell, rho), matrix in zip(cells, matrix_route):
         state = to_coherence(rho, basis)
         rebuilds.clear()
         seq = check_positivity_coherence(state, basis)
         want = eigenvalue_verdict(rho)
-        la_budde = positivity_verdict(tridiagonal_symmetric_functions(rho))
-        assert (seq.verdict, seq.sign_changes) == want == (la_budde.verdict, la_budde.sign_changes)
+        assert (seq.verdict, seq.sign_changes) == want == (matrix.verdict, matrix.sign_changes)
         if rebuilds:  # S_N alone was in doubt: it is the LU determinant of the rebuilt rho
             assert seq.S[-1] == np.linalg.det(from_coherence(state, basis)).real
         else:
             assert cell != 1e-8  # Newton's S_N never resolves an exact zero beside 1e-8
-    assert la_budde_calls == []
+    assert fallback_calls == []
 
 
 @pytest.mark.parametrize("layout", DETERMINANT_LAYOUTS[1:], ids=str)
-def test_closed_gate_hands_an_ambiguous_determinant_to_la_budde(layout, la_budde_calls,
-                                                                rebuilds):
+def test_closed_gate_hands_an_ambiguous_determinant_to_the_spectrum(layout, fallback_calls,
+                                                                    rebuilds):
     # a smallest eigenvalue at the band: S_N = det rho sits on its cut
     basis = basis_of(layout)
     N = basis.dim
@@ -682,13 +723,13 @@ def test_closed_gate_hands_an_ambiguous_determinant_to_la_budde(layout, la_budde
     spectrum = np.append(weights * ((1.0 - EPS_POS) / weights.sum()), EPS_POS)
     state = to_coherence(rotated_spectrum(spectrum, np.random.default_rng(N)), basis)
     seq = check_positivity_coherence(state, basis)
-    assert la_budde_calls == [N]
-    assert rebuilds == [N]  # one rho for the determinant and La Budde
-    want = positivity_verdict(tridiagonal_symmetric_functions(from_coherence(state, basis)))
+    assert fallback_calls == [N]
+    assert rebuilds == [N]  # one rho for the determinant and the spectrum
+    want = check_positivity(from_coherence(state, basis))
     assert (seq.verdict, seq.sign_changes) == (want.verdict, want.sign_changes)
 
 
-def test_closed_gate_skips_the_determinant_after_a_negative_coefficient(la_budde_calls,
+def test_closed_gate_skips_the_determinant_after_a_negative_coefficient(fallback_calls,
                                                                         rebuilds):
     # eigenvalues -1e-2 and exactly 0: S_(N-1) < 0 is decided, S_N = 0 is not
     basis = build_gellmann_basis(9)
@@ -696,11 +737,11 @@ def test_closed_gate_skips_the_determinant_after_a_negative_coefficient(la_budde
     seq = check_positivity_coherence(to_coherence(rho, basis), basis)
     assert (seq.verdict, seq.sign_changes) == eigenvalue_verdict(rho)
     assert seq.verdict is Verdict.NOT_PSD
-    assert la_budde_calls == [9] and rebuilds == [9]  # no determinant before La Budde
+    assert fallback_calls == [9] and rebuilds == [9]  # no determinant before the spectrum
 
 
 def test_closed_gate_skips_the_determinant_after_a_negligible_coefficient(
-        monkeypatch, la_budde_calls, rebuilds):
+        monkeypatch, fallback_calls, rebuilds):
     # a negligible S_2 leaves the band at 1e-9 for S_3, so S_3 = 1e-9 is in
     # doubt; no natural spectrum gets there, so the report is altered
     import dataclasses
@@ -714,12 +755,12 @@ def test_closed_gate_skips_the_determinant_after_a_negligible_coefficient(
                                  S234=(1e-12, 1e-9, 0.0))
     monkeypatch.setattr(positivity, "closed_invariants", lambda state, basis: report)
     seq = check_positivity_coherence(state, basis)
-    assert la_budde_calls == [3] and rebuilds == [3]
+    assert fallback_calls == [3] and rebuilds == [3]
     assert (seq.verdict, seq.sign_changes) == (Verdict.PSD, 3)
 
 
-@pytest.mark.parametrize("dim", [3, 6, 10], ids=["closed", "closed-newton", "la-budde"])
-def test_coherence_gate_honours_tol(dim, la_budde_calls):
+@pytest.mark.parametrize("dim", [3, 6, 10], ids=["closed", "closed-newton", "spectral"])
+def test_coherence_gate_honours_tol(dim, fallback_calls):
     from blochvec.errors import MAX_TOL
 
     basis = build_gellmann_basis(dim)
@@ -731,35 +772,36 @@ def test_coherence_gate_honours_tol(dim, la_budde_calls):
     assert check_positivity_coherence(state, basis).verdict is Verdict.PSD
     seq = check_positivity_coherence(state, basis, tol=MAX_TOL)
     assert (seq.verdict, seq.sign_changes) == (Verdict.BOUNDARY, dim - 1)
-    assert len(la_budde_calls) == (0 if dim <= MAX_CLOSED_ORDER else 2)
+    assert len(fallback_calls) == (0 if dim <= MAX_CLOSED_ORDER else 2)
     for tol in (np.nextafter(MAX_TOL, 1.0), 0.5, np.nan, -1e-12):
         with pytest.raises(DomainError):
             check_positivity_coherence(state, basis, tol=tol)
 
 
-def test_closed_gate_reads_the_maximally_mixed_state(la_budde_calls):
+def test_closed_gate_reads_the_maximally_mixed_state(fallback_calls):
     for dim in range(2, MAX_CLOSED_ORDER + 1):
         basis = build_gellmann_basis(dim)
         seq = check_positivity_coherence(CoherenceState(dim=dim, n=np.zeros(dim**2 - 1)), basis)
         assert (seq.verdict, seq.sign_changes) == (Verdict.PSD, dim)
-    assert la_budde_calls == []
+    assert fallback_calls == []
 
 
-def test_coherence_gate_falls_back_when_the_closed_report_overflows(la_budde_calls):
-    # |n| = 1e40 overflows (n.n)^4 in the closed report; La Budde decides
+def test_coherence_gate_falls_back_when_the_closed_report_overflows(fallback_calls):
+    # |n| = 1e40 overflows (n.n)^4 in the closed report; the spectrum decides
     for dim in (3, 5):
         n = np.zeros(dim**2 - 1)
         n[0] = 1e40
         seq = check_positivity_coherence(CoherenceState(dim=dim, n=n), build_gellmann_basis(dim))
         assert seq.verdict is Verdict.NOT_PSD
-    assert la_budde_calls == [3, 5]
+    assert fallback_calls == [3, 5]
 
 
 @pytest.mark.parametrize("n1", [
     1e80,
     pytest.param(1e160, marks=pytest.mark.xfail(
         strict=True, raises=(DomainError, RuntimeWarning),
-        reason="La Budde's squared off-diagonal norms overflow although rho is finite")),
+        reason="n.n overflows in the closed report, and S_2 = e_2 of the eigenvalues "
+               "+-5.8e159 overflows although rho is finite")),
 ], ids=["1e80", "1e160"])
 def test_a_long_finite_coherence_vector_reads_not_psd(n1):
     # rho has the eigenvalues 1/3 and +-n1/sqrt(3): +-5.8e159 at n1 = 1e160
