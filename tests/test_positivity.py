@@ -447,6 +447,16 @@ def test_symmetric_functions_match_the_mp_reference(dim):
             assert np.all(np.abs(symmetric_functions(mat) - want) <= spectral_error_bound(mat))
 
 
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_symmetric_functions_of_random_operators_match_the_mp_reference(dim):
+    # PSD and indefinite Hermitian operators, from N = 1 on
+    rng = np.random.default_rng(100 + dim)
+    for mat in (random_density_matrix(dim, rng), random_hermitian_trace_one(dim, rng)):
+        mat = hermitian(mat)
+        want = np.array([float(s) for s in mp_symmetric_functions(mat)])
+        assert np.all(np.abs(symmetric_functions(mat) - want) <= spectral_error_bound(mat))
+
+
 def test_newton_breaks_the_spectral_error_bound_at_n16():
     rng = np.random.default_rng(16)
     mat = hermitian(random_density_matrix(16, rng, rank=15))
