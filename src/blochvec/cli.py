@@ -46,7 +46,6 @@ from .positivity import (
     apply_affine_map,
     check_positivity,
     check_positivity_coherence,
-    matrix_trace_powers,
     universal_inversion,
 )
 from .su_basis import build_gellmann_basis, build_product_basis, checked_int
@@ -173,13 +172,14 @@ def cmd_invariants(args) -> int:
     # overflowing report is refused before rho is rebuilt and multiplied.
     report = closed_invariants(state, basis)
     report.trace_power(MAX_CLOSED_ORDER)
-    # The "adjoint" column is the direct route: powers of the rebuilt rho.
-    direct = matrix_trace_powers(from_coherence(state, basis), m)
+    # The "adjoint" column is the direct route: power sums of the spectrum
+    # of the rebuilt rho.
+    spectrum = np.linalg.eigvalsh(from_coherence(state, basis))
     rows = {}
     max_disc = 0.0
     for k in range(2, m + 1):
         closed = report.trace_power(k)
-        adjoint = float(direct[k - 1])
+        adjoint = float(np.sum(spectrum**k))
         rows[k] = {"closed": closed, "adjoint": adjoint}
         max_disc = max(max_disc, abs(closed - adjoint))
     cas = report.casimirs(min(dim, m) if dim >= 3 else 2)

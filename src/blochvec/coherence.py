@@ -111,8 +111,13 @@ def to_coherence(rho: np.ndarray, basis: BasisSet) -> CoherenceState:
 def from_coherence(state: CoherenceState, basis: BasisSet) -> np.ndarray:
     """Reconstruct rho = (1/N)(1 + c n.lam); Hermitian and trace one, not
     necessarily positive.  A state of another dimension raises LayoutError."""
-    N = basis.dim
-    return (np.eye(N, dtype=complex) + coherence_scale(N) * basis.expand(state.n)) / N
+    return _density(basis.expand(state.n))
+
+
+def _density(X: np.ndarray) -> np.ndarray:
+    """rho = (1/N)(1 + c X) of the N x N operator X = n.lam."""
+    N = len(X)
+    return (np.eye(N, dtype=complex) + coherence_scale(N) * X) / N
 
 
 def star(a: np.ndarray, b: np.ndarray, basis: BasisSet) -> np.ndarray:

@@ -1,21 +1,16 @@
 """Trace invariants Tr(rho^m) by closed contractions, Casimir invariants,
 and the multiplicity pattern of the spectrum read from the same report.
 
-Tr(rho^m) has two routes.  The direct one is
-:func:`~blochvec.positivity.matrix_trace_powers` of the rebuilt density
-matrix :func:`~blochvec.coherence.from_coherence`: multiplying rho by
-itself is the product rule of the (identity, lam_k) decomposition, f and
-d together, carried out on N x N matrices.  This module holds the closed
-one, contraction formulas for the fully symmetrized traces
+The invariants are contraction formulas for the fully symmetrized traces
 
     T_k(n) = Tr_sym(lam_{i_1} ... lam_{i_k}) n_{i_1} ... n_{i_k}
            = Tr((n . lam)^k),
 
 built once per state by :func:`closed_invariants` from the d-chain of n
 (:meth:`BasisSet.d_chain`: the basis applies its own d tensor) as far as
-they are read, then sums the binomial expansion of Tr(rho^m).  The two
-routes share only the basis; agreement with direct eigenvalue sums is
-enforced by the test suite.
+they are read; Tr(rho^m) is then the binomial expansion in the T_k.  The
+``invariants`` command sets them beside the power sums of the spectrum of
+the rebuilt rho, and the test suite holds them to direct eigenvalue sums.
 """
 
 from __future__ import annotations
@@ -49,8 +44,7 @@ _FIRST_ORDER = 4
 def trace_power_weights(dim: int) -> tuple[tuple[float, ...], ...]:
     """Row m = (C(m,k) c^k for k = 0..m), m = 0..9, of one dimension: the
     weights of Tr(rho^m) = (1/N^m) sum_k C(m,k) c^k T_k in
-    :meth:`ClosedInvariants.trace_power`, which the coherence gate's error
-    estimate reads too."""
+    :meth:`ClosedInvariants.trace_power`."""
     c = coherence_scale(dim)
     return tuple(tuple(comb(m, k) * c**k for k in range(m + 1))
                  for m in range(MAX_CLOSED_ORDER + 1))
@@ -79,22 +73,23 @@ class ClosedInvariants:
     and ``S234`` of :func:`~blochvec.positivity.closed_S234`.  ``trace_power``
     and ``casimirs`` refuse the orders that their public views refuse.
 
-    At N <= 4 a report is built as far as it is read.  It is made with the
-    values of order <= 4 (c_2..c_4, T_0..T_4, S_2..S_4 and Tr(rho^2..4),
-    from one N x N product), and it keeps X = n.lam and W of the d-chain,
-    read-only, to add the values of order 5..9 (two more products) the
-    first time one is read: ``chain``, ``T``, :meth:`degeneracy`, or
-    :meth:`trace_power` of an order >= 5.  At N >= 5
-    it is made whole.  Each Tr(rho^m) is computed once, when its level is
-    built.  Reports compare and hash by identity, as the other records
-    that hold arrays."""
+    A report is built as far as it is read.  It is made with the values of
+    order <= 4 (c_2..c_4, T_0..T_4, S_2..S_4 and Tr(rho^2..4), from one
+    N x N product), and it keeps X = n.lam and W of the d-chain,
+    read-only (None at N = 2, where d vanishes), to add the values of
+    order 5..9 (two more products) the first time one is read: ``chain``,
+    ``T``, :meth:`degeneracy`, :meth:`trace_power` or :meth:`casimirs` of
+    an order >= 5.  The coherence gate makes its rho from X.  Each
+    Tr(rho^m) is computed once, when its level is built.  Reports compare
+    and hash by identity, as the other records that hold arrays."""
 
     dim: int
     S234: tuple[float, float, float]
     _chain: tuple[float, ...] = field(repr=False)
     _T: tuple[float, ...] = field(repr=False)
     _powers: tuple[float, ...] = field(repr=False)  # Tr(rho^m) at index m
-    _stage: tuple | None = field(repr=False)  # (basis, X, W) to build orders 5..9 from
+    _X: np.ndarray | None = field(repr=False)
+    _stage: tuple = field(repr=False)  # (basis, W) to build orders 5..9 from
 
     @property
     def chain(self) -> tuple[float, ...]:
@@ -110,21 +105,22 @@ class ClosedInvariants:
         if m >= len(self._powers):
             # from the first level only, which no thread changes: a thread
             # that builds a level another has built sets the same values
-            basis, X, W = self._stage
+            basis, W = self._stage
             ch = self._chain[:_FIRST_ORDER + 1]
-            ch += basis._chain_tail(X, W, ch[4])
+            ch += basis._chain_tail(self._X, W, ch[4])
             T = self._T[:_FIRST_ORDER + 1] + _high_traces(self.dim, ch)
             _check_finite(T)
+            powers = self._powers[:_FIRST_ORDER + 1]
+            powers += _closed_trace_powers(self.dim, T, _FIRST_ORDER + 1)
             # _powers last: a thread that sees it built sees _chain and _T so
             object.__setattr__(self, "_chain", ch)
             object.__setattr__(self, "_T", T)
-            object.__setattr__(self, "_powers", _closed_trace_powers(self.dim, T))
+            object.__setattr__(self, "_powers", powers)
         return self
 
     def trace_power(self, m: int) -> float:
         """Tr(rho^m) of :func:`trace_power_closed`, from the weights of
-        :func:`trace_power_weights`; the coherence gate feeds these to
-        Newton's identities for S_5..S_N."""
+        :func:`trace_power_weights`."""
         m = checked_int(m, 2, MAX_CLOSED_ORDER, UnsupportedOrderError, "closed trace power order")
         return self._to_order(m)._powers[m]
 
@@ -138,8 +134,8 @@ class ClosedInvariants:
             raise UnsupportedOrderError(f"casimir order limited to min(N, 9) = "
                                         f"{min(N, MAX_CLOSED_ORDER)}, got {up_to}")
         kappa = coherence_scale(N) / (N - 2) if N > 2 else 0.0
-        # up_to <= N: a report at N <= 4 holds the orders asked for already
-        return CasimirSet(N, {m: kappa ** (m - 2) * self._chain[m] for m in range(2, up_to + 1)})
+        chain = self._to_order(up_to)._chain
+        return CasimirSet(N, {m: kappa ** (m - 2) * chain[m] for m in range(2, up_to + 1)})
 
     def degeneracy(self) -> tuple[int, ...] | None:
         """Multiplicities of the distinct eigenvalues of rho, largest
@@ -188,12 +184,11 @@ def closed_invariants(state: CoherenceState, basis: BasisSet) -> ClosedInvariant
     ``basis`` has the state's dimension.  The report of the last state
     asked for is kept, so the views (:func:`trace_power_closed`,
     :func:`casimirs`, :func:`~blochvec.positivity.closed_S234`) and the
-    coherence gate at N <= 9
-    (:func:`~blochvec.positivity.check_positivity_coherence`) that read
-    one state in a row compute its d-chain once.  The report is built to
-    order 4 here and to order 9 on its first read of a higher order (see
-    :class:`ClosedInvariants`); a value that is not finite raises
-    :class:`DomainError` when its level is built."""
+    coherence gate (:func:`~blochvec.positivity.check_positivity_coherence`)
+    that read one state in a row compute its d-chain once.  The report is
+    built to order 4 here and to order 9 on its first read of a higher
+    order (see :class:`ClosedInvariants`); a value that is not finite
+    raises :class:`DomainError` when its level is built."""
     if state.dim != basis.dim:
         raise LayoutError("state and basis must share one dimension")
     return _closed_invariants(basis, state.n.tobytes())
@@ -203,24 +198,15 @@ def closed_invariants(state: CoherenceState, basis: BasisSet) -> ClosedInvariant
 def _closed_invariants(basis: BasisSet, n_bytes: bytes) -> ClosedInvariants:
     """The report of :func:`closed_invariants`, keyed by the basis (by
     identity) and the bytes of n; :class:`DomainError` when a value is not
-    finite (|n| beyond about 1e38; :meth:`BasisSet.d_chain` refuses the
-    longest vectors before it forms a matrix).
+    finite (|n| beyond about 1e38; the first stage of
+    :meth:`BasisSet.d_chain` refuses the longest vectors before it forms a
+    matrix).
 
-    The coherence gate reads orders up to N.  At N <= 4 the report is
-    built to order 4 from the first stage of the d-chain, and keeps what
-    the second stage needs; at N >= 5 it is built to order 9 from the whole
-    d-chain."""
+    The report is built to order 4 from the first stage of the d-chain,
+    and keeps what the second stage needs."""
     N = basis.dim
-    n = np.frombuffer(n_bytes)
-    if N <= _FIRST_ORDER:
-        p, wn, ww, X, W = basis._chain_head(n)
-        ch, stage = (0.0, 0.0, p, wn, ww), (basis, X, W)
-    else:
-        ch, stage = basis.d_chain(n), None
-        p, wn, ww = ch[2], ch[3], ch[4]
+    p, wn, ww, X, W = basis._chain_head(np.frombuffer(n_bytes))
     T = (float(N), 0.0, 2.0 * p, 2.0 * wn, (4.0 / N) * p**2 + 2.0 * ww)
-    if stage is None:
-        T += _high_traces(N, ch)
     c = coherence_scale(N)
     S2 = (N - 1) / (2.0 * N) * (1.0 - p)
     S3 = (N - 1) / (6.0 * N**2) * ((N - 2) * (1.0 - 3.0 * p) + 2.0 * c * wn)
@@ -232,7 +218,8 @@ def _closed_invariants(basis: BasisSet, n_bytes: bytes) -> ClosedInvariants:
     )
     S234 = (S2, S3, S4)
     _check_finite(T + S234)
-    return ClosedInvariants(N, S234, ch, T, _closed_trace_powers(N, T), stage)
+    powers = (float(N), 1.0, *_closed_trace_powers(N, T, 2))
+    return ClosedInvariants(N, S234, (0.0, 0.0, p, wn, ww), T, powers, X, (basis, W))
 
 
 def _high_traces(N: int, ch: tuple[float, ...]) -> tuple[float, ...]:
@@ -264,11 +251,10 @@ def _check_finite(values: tuple[float, ...]) -> None:
         raise DomainError("the closed invariants of this coherence vector overflow")
 
 
-def _closed_trace_powers(N: int, T: tuple[float, ...]) -> tuple[float, ...]:
-    """Tr(rho^m) at index m, for m < len(T): N and 1 exactly, then
-    (1/N^m) sum_k C(m,k) c^k T_k."""
+def _closed_trace_powers(N: int, T: tuple[float, ...], low: int) -> tuple[float, ...]:
+    """Tr(rho^m) = (1/N^m) sum_k C(m,k) c^k T_k for low <= m < len(T)."""
     weights = trace_power_weights(N)
-    return (float(N), 1.0, *[sum(map(mul, weights[m], T)) / N**m for m in range(2, len(T))])
+    return tuple(sum(map(mul, weights[m], T)) / N**m for m in range(low, len(T)))
 
 
 def trace_power_closed(state: CoherenceState, m: int, basis: BasisSet) -> float:

@@ -293,10 +293,11 @@ class BasisSet:
         :class:`DomainError` before any product is formed, as c_8 would
         overflow and, from about |n| = 1e60 on, the products themselves.
 
-        The chain is built in two stages, which
-        :func:`~blochvec.invariants.closed_invariants` also runs apart:
-        :meth:`_chain_head` (c_2..c_4, one product) and :meth:`_chain_tail`
-        (c_5..c_9, two more).
+        The chain is built in two stages: :meth:`_chain_head` (c_2..c_4,
+        one product) and :meth:`_chain_tail` (c_5..c_9, two more).
+        :func:`~blochvec.invariants.closed_invariants` runs them apart: the
+        first for every report, whose X the coherence gate makes its rho
+        from, the second on the first read of an order above 4.
         """
         c2, c3, c4, X, W = self._chain_head(n)
         return (0.0, 0.0, c2, c3, c4) + self._chain_tail(X, W, c4)

@@ -45,9 +45,9 @@ def dense_tensors(basis, tol=1e-12):
     return f, d
 
 
-# Reference power traces and Newton recursion: one np.trace per power and
-# the sign (-1)^(j-1) taken as a power in every term.  The library's
-# versions must return the same bits.
+# Power traces and Newton's recursion, kept in the tests only: the direct
+# Tr(rho^m) route that the closed traces are held to, and the route whose
+# lost signs the spectral kernel is measured against.
 def reference_matrix_trace_powers(mat, up_to):
     mat = np.asarray(mat, dtype=complex)
     traces = np.empty(up_to)
@@ -70,6 +70,37 @@ def reference_newton_symmetric_functions(traces):
             acc += (-1.0) ** (j - 1) * traces[j - 1] * S[k - j]
         S[k] = acc / k
     return S[1:]
+
+
+@pytest.fixture
+def route_calls():
+    """The name of each call, however it is reached, of the steps a gate
+    could take its S_k by: the matrix kernel ``symmetric_functions``, the
+    rebuild ``from_coherence``, LAPACK's ``eigvalsh`` and ``det``, and the
+    closed report's ``trace_power`` and second d-chain stage ``_chain_tail``,
+    the orders above 4 that Newton's identities would read.  A profile hook
+    watches their code objects, not a module attribute."""
+    import sys
+
+    from blochvec import BasisSet, ClosedInvariants, from_coherence, symmetric_functions
+
+    watched = {np.linalg.eigvalsh.__wrapped__.__code__: "eigvalsh",
+               np.linalg.det.__wrapped__.__code__: "det"}
+    for f in (symmetric_functions, from_coherence, ClosedInvariants.trace_power,
+              BasisSet._chain_tail):
+        watched[f.__code__] = f.__name__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls.append(watched[frame.f_code])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
 
 
 def mp_symmetric_functions(mat):

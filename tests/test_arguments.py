@@ -38,7 +38,6 @@ from blochvec import (
     diagonal_family_matrix,
     extract_correlation,
     inversion_bound_check,
-    newton_symmetric_functions,
     partial_trace,
     partial_transpose,
     partial_transpose_coherence,
@@ -58,7 +57,6 @@ from blochvec import (
 from blochvec.coherence import require_hermitian
 from blochvec.documents import parse_matrix_document
 from blochvec.errors import EPS_POS
-from blochvec.positivity import matrix_trace_powers
 
 TWO_QUBITS = CompositeLayout(dims=(2, 2))
 SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
@@ -104,7 +102,6 @@ INTEGER_ENTRY_POINTS = [
     ("partial_transpose_coherence",
      lambda v: partial_transpose_coherence(to_coherence(SINGLET, build_product_basis((2, 2))),
                                            TWO_QUBITS, v).n, 1, LayoutError),
-    ("matrix_trace_powers", lambda v: matrix_trace_powers(SINGLET, v), 3, DomainError),
     ("trace_power_closed", lambda v: trace_power_closed(QUTRIT_STATE, v, QUTRIT), 3,
      UnsupportedOrderError),
     ("ClosedInvariants.trace_power",
@@ -212,7 +209,6 @@ def test_a_correlation_block_is_bipartite_and_owns_frozen_copies():
 #: (name, call of one 1-D real sequence of any nonempty length)
 SEQUENCE_ENTRY_POINTS = [
     ("positivity_verdict", positivity_verdict),
-    ("newton_symmetric_functions", newton_symmetric_functions),
     ("SymFnSequence",
      lambda v: SymFnSequence(dim=3, S=v, sign_changes=0, verdict=Verdict.PSD).S),
 ]
@@ -359,7 +355,6 @@ OPERAND_ENTRY_POINTS = [
     ("extract_correlation", lambda v: extract_correlation(v, TWO_QUBITS), SINGLET),
     ("concurrence_squared", concurrence_squared, SINGLET),
     ("concurrence_squared_bound", concurrence_squared_bound, SINGLET),
-    ("matrix_trace_powers", lambda v: matrix_trace_powers(v, 4), SINGLET),
     ("CompositeLayout.check_matrix", TWO_QUBITS.check_matrix, SINGLET),
     ("partial_trace", lambda v: partial_trace(v, TWO_QUBITS, [0]), SINGLET),
     ("partial_transpose", lambda v: partial_transpose(v, TWO_QUBITS, 1), SINGLET),

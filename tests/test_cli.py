@@ -1,5 +1,4 @@
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -526,31 +525,9 @@ def test_werner_sweep_at_limit_is_accepted(capsys, monkeypatch):
     assert len(payload["rows"]) == cli.MAX_SWEEP == 10_000
 
 
-@pytest.fixture
-def route_calls():
-    """The name of each call of symmetric_functions, newton_symmetric_functions
-    and matrix_trace_powers, however the function is reached: a profile hook
-    watches their code objects, not a module attribute."""
-    from blochvec import positivity
-
-    watched = {f.__code__: f.__name__ for f in (positivity.symmetric_functions,
-                                                 positivity.newton_symmetric_functions,
-                                                 positivity.matrix_trace_powers)}
-    calls = []
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in watched:
-            calls.append(watched[frame.f_code])
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        yield calls
-    finally:
-        sys.setprofile(previous)
-
-
 def test_no_gate_reaches_power_traces_or_newton(write_doc, capsys, route_calls):
+    # route_calls (conftest) sees LAPACK's det and the report's orders above
+    # 4, which Newton's identities would read, however they are reached
     from blochvec import (
         CoherenceState,
         build_gellmann_basis,
@@ -565,20 +542,22 @@ def test_no_gate_reaches_power_traces_or_newton(write_doc, capsys, route_calls):
         g = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
         check_positivity(g @ g.conj().T / N)
     inversion_bound_check(0.0, 1.0, 16)
-    assert route_calls == ["symmetric_functions"] * 3
-    route_calls.clear()
-    # closed, a doubtful determinant, an overflowing report and N >= 10
-    basis8 = build_gellmann_basis(8)
+    assert route_calls == ["symmetric_functions", "eigvalsh"] * 3
+    # closed, a doubtful S_N at N = 8, an overflowing report and N >= 10
+    basis3, basis8, basis10 = (build_gellmann_basis(N) for N in (3, 8, 10))
     edge = np.diag(np.append(np.arange(1.0, 8) * ((1.0 - 1e-9) / 28.0), 1e-9))
     long = np.zeros(8)
     long[0] = 1e40
-    states = [(to_coherence(EXAMPLE_3X3, build_gellmann_basis(3)), build_gellmann_basis(3)),
-              (to_coherence(edge, basis8), basis8),
-              (CoherenceState(dim=3, n=long), build_gellmann_basis(3)),
-              (CoherenceState(dim=10, n=np.zeros(99)), build_gellmann_basis(10))]
-    for state, basis in states:
+    states = [(to_coherence(EXAMPLE_3X3, basis3), basis3, []),
+              (to_coherence(edge, basis8), basis8, ["eigvalsh"]),
+              (CoherenceState(dim=3, n=long), basis3,
+               ["from_coherence", "symmetric_functions", "eigvalsh"]),
+              (CoherenceState(dim=10, n=np.zeros(99)), basis10,
+               ["from_coherence", "symmetric_functions", "eigvalsh"])]
+    for state, basis, steps in states:
+        route_calls.clear()
         check_positivity_coherence(state, basis)
-    assert route_calls == ["symmetric_functions"] * 3  # every fallback, but not the closed one
+        assert route_calls == steps
     route_calls.clear()
     matrix = write_doc(matrix_document(EXAMPLE_3X3))
     coherence = write_doc(coherence_document(np.zeros(15), 4))
@@ -587,8 +566,9 @@ def test_no_gate_reaches_power_traces_or_newton(write_doc, capsys, route_calls):
                  ["map", identity, matrix], ["werner", "--x", "0.5"],
                  ["werner", "--sweep", "3"]):
         assert main(argv) in (0, 2)
-    assert route_calls == ["symmetric_functions"] * 5  # the matrix and the Werner rows
+    # the matrix and the Werner rows; the coherence gates decide closed
+    assert route_calls == ["symmetric_functions", "eigvalsh"] * 5
     capsys.readouterr()
-    # the spy sees the power traces where they are still read
+    # the spy sees the report's higher orders where they are still read
     assert main(["invariants", matrix]) == 0
-    assert route_calls[5:] == ["matrix_trace_powers"]
+    assert route_calls[10:14] == ["trace_power", "_chain_tail", "from_coherence", "eigvalsh"]

@@ -25,9 +25,14 @@ from blochvec import (
     trace_power_closed,
 )
 from blochvec.cli import DEGENERACY_LABELS
-from blochvec.positivity import matrix_trace_powers
 
-from conftest import dense_tensors, haar_state, random_density_matrix, random_unitary
+from conftest import (
+    dense_tensors,
+    haar_state,
+    random_density_matrix,
+    random_unitary,
+    reference_matrix_trace_powers,
+)
 
 
 def diag_state(spectrum):
@@ -79,7 +84,7 @@ def test_coherence_route_never_builds_dense_tensors(monkeypatch, tmp_path, capsy
     for m in range(2, 10):
         want = float(np.sum(eigs**m))
         assert closed[m - 2] == pytest.approx(want, abs=1e-12)
-        direct = matrix_trace_powers(from_coherence(state, basis), m)[m - 1]
+        direct = reference_matrix_trace_powers(from_coherence(state, basis), m)[m - 1]
         assert direct == pytest.approx(want, abs=1e-12)
 
     # the CLI's invariants report on four qubits (N = 16), both columns
@@ -95,31 +100,6 @@ def test_coherence_route_never_builds_dense_tensors(monkeypatch, tmp_path, capsy
         want = float(np.sum(eigs**m))
         for route in ("closed", "adjoint"):
             assert report[str(m)][route] == pytest.approx(want, abs=1e-9), (m, route)
-
-
-def test_invariant_sweep_computes_the_d_chain_once(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("d_bilinear called on a closed-invariant path")
-
-    computed = []
-    compute = BasisSet.d_chain
-
-    def counted(self, n):
-        computed.append(np.array(n))
-        return compute(self, n)
-
-    monkeypatch.setattr(BasisSet, "d_bilinear", refuse)
-    monkeypatch.setattr(BasisSet, "d_chain", counted)
-    basis = build_gellmann_basis(9)
-    # a fresh instance: no report kept for it
-    fresh = BasisSet(dim=basis.dim, elements=basis.elements)
-    state = to_coherence(random_density_matrix(9, np.random.default_rng(9)), basis)
-    closed_S234(state, fresh)
-    casimirs(state, fresh, up_to=9)
-    for m in range(2, 10):
-        trace_power_closed(state, m, fresh)
-    assert len(computed) == 1
-    np.testing.assert_array_equal(computed[0], state.n)
 
 
 def _spy_on_chain_stages(monkeypatch):
@@ -139,6 +119,26 @@ def _spy_on_chain_stages(monkeypatch):
     monkeypatch.setattr(BasisSet, "_chain_head", counted_head)
     monkeypatch.setattr(BasisSet, "_chain_tail", counted_tail)
     return calls
+
+
+def test_invariant_sweep_computes_the_d_chain_once(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("d_bilinear called on a closed-invariant path")
+
+    monkeypatch.setattr(BasisSet, "d_bilinear", refuse)
+    basis = build_gellmann_basis(9)
+    # a fresh instance: no report kept for it
+    fresh = BasisSet(dim=basis.dim, elements=basis.elements)
+    state = to_coherence(random_density_matrix(9, np.random.default_rng(9)), basis)
+    calls = _spy_on_chain_stages(monkeypatch)
+    check_positivity_coherence(state, fresh)
+    closed_S234(state, fresh)
+    assert calls == {"head": 1, "tail": 0}  # the gate reads orders up to 4 only
+    casimirs(state, fresh, up_to=9)
+    for m in range(2, 10):
+        trace_power_closed(state, m, fresh)
+    assert calls == {"head": 1, "tail": 1}
+    assert closed_invariants(state, fresh).chain == fresh.d_chain(state.n)
 
 
 def _fresh(layout):
@@ -309,13 +309,13 @@ def test_closed_invariants_memo_is_thread_safe(dim):
 def test_trace_power_adjoint_basics():
     basis = build_gellmann_basis(4)
     rng = np.random.default_rng(3)
-    mixed = to_coherence(np.eye(4) / 4, basis)
-    assert matrix_trace_powers(from_coherence(mixed, basis), 1)[0] == pytest.approx(1.0)
-    assert matrix_trace_powers(from_coherence(mixed, basis), 2)[1] == pytest.approx(0.25)
+    mixed = from_coherence(to_coherence(np.eye(4) / 4, basis), basis)
+    assert reference_matrix_trace_powers(mixed, 1)[0] == pytest.approx(1.0)
+    assert reference_matrix_trace_powers(mixed, 2)[1] == pytest.approx(0.25)
     psi = haar_state(4, rng)
     pure = to_coherence(np.outer(psi, psi.conj()), basis)
     for m in range(1, 8):
-        direct = matrix_trace_powers(from_coherence(pure, basis), m)[m - 1]
+        direct = reference_matrix_trace_powers(from_coherence(pure, basis), m)[m - 1]
         assert direct == pytest.approx(1.0, abs=1e-10)
 
 
@@ -388,7 +388,7 @@ def test_three_route_agreement(dim):
             assert closed == pytest.approx(oracle, abs=1e-9)
             # the shared weight table keeps the plain sum's every bit
             assert closed == sum(comb(m, k) * c**k * T[k] for k in range(m + 1)) / dim**m
-            direct = matrix_trace_powers(from_coherence(state, basis), m)[m - 1]
+            direct = reference_matrix_trace_powers(from_coherence(state, basis), m)[m - 1]
             assert direct == pytest.approx(oracle, abs=1e-9)
 
 
@@ -405,7 +405,7 @@ def test_routes_agree_in_the_product_basis_too():
         for m in range(2, 10):
             oracle = float(np.sum(eigs**m))
             assert trace_power_closed(state, m, basis) == pytest.approx(oracle, abs=1e-9)
-            direct = matrix_trace_powers(from_coherence(state, basis), m)[m - 1]
+            direct = reference_matrix_trace_powers(from_coherence(state, basis), m)[m - 1]
             assert direct == pytest.approx(oracle, abs=1e-9)
         cas_prod = casimirs(state, basis, up_to=4)
         cas_gm = casimirs(to_coherence(rho, build_gellmann_basis(4)),
